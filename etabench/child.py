@@ -45,22 +45,21 @@ def main(argv=None) -> None:
     ap.add_argument("--workload", choices=WORKLOADS, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--size", choices=("full", "tiny"), required=True)
-    ap.add_argument("--mode", choices=("setup", "run", "traced"), required=True)
+    ap.add_argument("--mode", choices=("run", "traced"), required=True)
     args = ap.parse_args(argv)
 
     workloads.warm_up(args.workload, args.seed)
     rec = {"t_ready": now(), "env": environment()}
-    if args.mode != "setup":
-        tracer = Tracer() if args.mode == "traced" else None
-        rec["t_start"] = now()
-        try:
-            rec["outputs"] = workloads.run(args.workload, args.seed, args.size, tracer)
-        except Exception:  # reported as failed outputs by the parent
-            rec["error"] = traceback.format_exc()
-        rec["t_end"] = now()
-        if tracer is not None:
-            rec["spans"] = tracer.spans
-            rec["counters"] = tracer.counters
+    tracer = Tracer() if args.mode == "traced" else None
+    rec["t_start"] = now()
+    try:
+        rec["outputs"] = workloads.run(args.workload, args.seed, args.size, tracer)
+    except Exception:  # reported as failed outputs by the parent
+        rec["error"] = traceback.format_exc()
+    rec["t_end"] = now()
+    if tracer is not None:
+        rec["spans"] = tracer.spans
+        rec["counters"] = tracer.counters
     rec["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(rec))
 

@@ -2,7 +2,7 @@
 
 Run from the repository root.  One workload, one seed, one trace mode:
 
-    python3 etabench/run.py --workload sweep_dense --seed 0 --seconds 30 --trace 0
+    python3 etabench/run.py --workload sweep_dense --seed 0 --seconds 60 --trace 0
 
 Every workload with a summary (the default), and the fast self-check that runs
 every workload untraced and traced on p <= 4 grids:
@@ -17,8 +17,10 @@ the core count; this process's own environment is left alone.
 
 Untraced (--trace 0), the last stdout line reports the end-to-end metrics:
 wall_s, the median seconds of a repetition's work; setup_s, the median
-seconds from spawning a child through ``import etalab`` and a p=2 warm-up;
-peak_rss_mb, the median peak resident memory of a repetition.  Traced
+seconds from spawning a repetition's child through ``import etalab`` and a
+p=2 warm-up; peak_rss_mb, the median peak resident memory of a repetition.
+Repetitions start until the next one would end past --seconds, so a 60 s
+run of a 15-25 s workload takes the median of two or three.  Traced
 (--trace 1), it runs one untraced and one span-instrumented repetition and
 reports per-layer seconds and counters from the second: a stage's seconds
 are the summed durations of its spans, a layer's ``self_s`` its spans minus
@@ -56,8 +58,6 @@ HERE = Path(__file__).resolve().parent
 SRC = Path("src")
 OUT_DIR = Path(".etabench")
 REFERENCE = HERE / "reference.json"
-# set-up-only children per untraced run, besides each repetition's own set-up
-SETUP_SAMPLES = {"full": 4, "tiny": 1}
 RUN_LIMIT_S = 170.0
 
 
@@ -105,8 +105,7 @@ def spawn(workload: str, seed: int, size: str, mode: str, deadline: float) -> di
     rec = json.loads(lines[-1])
     rec["setup_s"] = rec["t_ready"] - t0
     rec["spawn_s"] = now() - t0
-    if "t_end" in rec:
-        rec["wall_s"] = rec["t_end"] - rec["t_start"]
+    rec["wall_s"] = rec["t_end"] - rec["t_start"]
     return rec
 
 
@@ -177,9 +176,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, size: st
 
     reference, ref_env = load_reference(workload, size, seed)
     start = now()
-    setups, reps = [], []
-    if not trace:
-        setups = [run("setup")["setup_s"] for _ in range(SETUP_SAMPLES[size])]
+    reps = []
     while True:
         reps.append(run("run"))
         if trace or now() - start + reps[-1]["spawn_s"] > seconds:
@@ -198,7 +195,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, size: st
         "problems": [p for _, ps in checked for p in ps],
         "env": {**host_environment(), **reps[0]["env"]},
         "reference_checked": reference is not None,
-        "samples": {"setup_s": setups + [r["setup_s"] for r in reps],
+        "samples": {"setup_s": [r["setup_s"] for r in reps],
                     "wall_s": [r["wall_s"] for r in reps],
                     "peak_rss_mb": [r["rss_mb"] for r in reps]},
     }
@@ -264,7 +261,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=spec.WORKLOADS + ("all",), default="all")
     ap.add_argument("--seed", type=int, default=spec.REFERENCE_SEED)
-    ap.add_argument("--seconds", type=float, default=30.0,
+    ap.add_argument("--seconds", type=float, default=60.0,
                     help="measure repetitions until this many seconds have passed")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--selfcheck", action="store_true",

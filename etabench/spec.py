@@ -16,6 +16,14 @@ Workloads (all single-process, ``workers=1``):
   k=3.5, 3 163 trips, 20 predicting routes).  The only workload that builds
   affine ``Prediction`` objects and runs the Monte Carlo oracle.
 
+BENCHMARK.json gates ``sweep_dense`` and ``eta_oracle`` only.  Each
+repetition of a workload takes about 20 s, and on a shared 2-core host the
+machine's speed drifts by tens of percent, so a run takes the median of
+two or three repetitions, which needs 60 s; the time allowed for all gated
+runs fits two such workloads, not three.  ``sweep_wide`` runs by hand (``--workload
+sweep_wide``, or every workload by default); its covariance layer is also
+measured on the gated sweep, at 1 680 segments.
+
 An output is a sweep-cell row or one predicting route of ``eta_oracle``.
 """
 
