@@ -7,8 +7,9 @@ integrated risk, Monte Carlo simulation, and an information lower bound.
 """
 
 __version__ = "0.1.0"
+# every counter is numpy/scipy array code; kept so run records stay comparable
+kernel_backend = "numpy"
 
-from ._kernels import BACKEND as kernel_backend
 from .covariance import (CovarianceModel, LaplacianVariant, assumption_diagnostics,
                          diffusion_covariance, explicit_covariance, gram_covariance,
                          normalized_laplacian)

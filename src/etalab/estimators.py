@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
 from .covariance import CovarianceModel
 from .trips import Neighborhood, PriorSpec, Route, TripDataset
 
@@ -162,9 +161,9 @@ def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int,
     return blocks
 
 
-def _resolve_weights(ds: TripDataset, blocks: list[tuple[int, ...]],
-                     counts: np.ndarray, rule, prior: PriorSpec,
-                     cov: CovarianceModel | None) -> np.ndarray:
+def _resolve_weights(rule, counts: np.ndarray, blocks: Sequence[Sequence[int]],
+                     prior: PriorSpec, cov: CovarianceModel | None) -> np.ndarray:
+    """Per-block shrinkage weights from a WeightRule or an explicit array."""
     if isinstance(rule, WeightRule):
         phis = np.empty(len(blocks))
         for i, b in enumerate(blocks):
@@ -195,7 +194,7 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     blocks = validate_partition(ids, partition)
     members = [ds.trips_containing_all(b) for b in blocks]
     counts = np.asarray([m.size for m in members], dtype=np.int64)
-    phis = _resolve_weights(ds, blocks, counts, rule, prior, cov)
+    phis = _resolve_weights(rule, counts, blocks, prior, cov)
     coefs = _zero_coefficients(ds)
     value = float(len(ids)) * prior.mu
     intercept = value
@@ -339,15 +338,23 @@ class PosteriorModel:
     Accumulates the information matrix W once (the expensive part), factors
     Q = W + I / tau2, and then serves per-route weight vectors, predictions,
     and exact risks with cheap triangular solves.
+
+    W is the sum over trips of inv(sigma[r, r]) scattered into the (r, r)
+    positions of trip route r: one batched inverse and one scatter per route
+    length.
     """
 
     def __init__(self, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec):
         self.ds = ds
         self.cov = cov
         self.prior = prior
-        flat, offsets = ds.flat, ds.offsets
         n = ds.network.n_segments
-        self.w = _kernels.accumulate_information(flat, offsets, cov.sigma)
+        w = np.zeros(n * n)
+        for _, ids in ds.length_groups().values():
+            invs = np.linalg.inv(cov.sigma[ids[:, :, None], ids[:, None, :]])
+            cells = ids[:, :, None] * n + ids[:, None, :]
+            w += np.bincount(cells.ravel(), weights=invs.ravel(), minlength=n * n)
+        self.w = w.reshape(n, n)
         q = self.w + np.eye(n) / prior.tau2
         self._cho = scipy.linalg.cho_factor(q, lower=True, check_finite=False)
 

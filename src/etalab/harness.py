@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from . import __version__, _kernels, fixtures as fx
+from . import __version__, fixtures as fx, kernel_backend
 from .covariance import CovarianceModel, diffusion_covariance
 from .estimators import (PosteriorModel, WeightRule, optimal_gseg_weights,
                          optimal_route_weight, optimal_seg_weights)
@@ -81,6 +81,10 @@ class SweepConfig:
             raise ConfigError("grid_sizes must be positive integers")
         if not self.exponents or any(k <= 0 for k in self.exponents):
             raise ConfigError("exponents must be positive")
+        keys = [_exponent_key(k) for k in self.exponents]
+        if len(set(keys)) != len(keys):
+            raise ConfigError("exponents must differ after rounding to 3 decimals, "
+                              "which is the resolution of the cell seeds")
         if self.od_alpha <= 0:
             raise ConfigError("od_alpha must be positive")
         if self.u < 0 or self.v < 0 or self.white < 0:
@@ -159,8 +163,12 @@ def _sweep_covariance(p: int, u: float, v: float, white: float,
     return diffusion_covariance(graph, u=u, v=v, white=white)
 
 
+def _exponent_key(k: float) -> int:
+    return int(round(k * 1000))
+
+
 def _cell_seed(cfg: SweepConfig, p: int, k: float) -> np.random.SeedSequence:
-    return np.random.SeedSequence([cfg.master_seed, int(p), int(round(k * 1000))])
+    return np.random.SeedSequence([cfg.master_seed, int(p), _exponent_key(k)])
 
 
 def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
@@ -228,7 +236,7 @@ def emit_manifest(cfg: SweepConfig, path, wall_time_s: float) -> None:
         "seed": cfg.master_seed,
         "config": cfg.to_dict(),
         "code_version": __version__,
-        "kernel_backend": _kernels.BACKEND,
+        "kernel_backend": kernel_backend,
         "wall_time_s": wall_time_s,
     }
     with open(path, "w") as fh:

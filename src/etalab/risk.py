@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import CovarianceModel
-from .estimators import (PosteriorModel, Prediction, WeightRule, _route_ids,
+from .estimators import (PosteriorModel, Prediction, _resolve_weights, _route_ids,
                          optimal_route_weight, optimal_seg_weights,
                          validate_partition)
 from .trips import Neighborhood, PriorSpec, TripDataset
@@ -63,21 +63,6 @@ class RiskReport:
         return json.dumps(self.as_dict())
 
 
-def _resolve_block_weights(rule, counts: np.ndarray, blocks, cov: CovarianceModel,
-                           prior: PriorSpec) -> np.ndarray:
-    if isinstance(rule, WeightRule):
-        phis = np.empty(len(blocks))
-        for i, b in enumerate(blocks):
-            noise = cov.pair_sum(b, b) if rule.kind == WeightRule.INDEP_OPTIMAL else None
-            phis[i] = rule.value(int(counts[i]), group_size=len(b), noise=noise,
-                                 tau2=prior.tau2)
-        return phis
-    phis = np.asarray(rule, dtype=np.float64)
-    if phis.shape != (len(blocks),):
-        raise ValueError("need one weight per partition block")
-    return np.where(counts > 0, phis, 0.0)
-
-
 def risk_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
               cov: CovarianceModel, prior: PriorSpec) -> RiskReport:
     """Exact risk of the grouped-segment estimator.
@@ -90,7 +75,7 @@ def risk_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     blocks = validate_partition(ids, partition)
     members = [ds.trips_containing_all(b) for b in blocks]
     counts = np.asarray([m.size for m in members], dtype=np.float64)
-    phis = _resolve_block_weights(rule, counts, blocks, cov, prior)
+    phis = _resolve_weights(rule, counts, blocks, prior, cov)
     variance = 0.0
     for i in range(len(blocks)):
         if phis[i] == 0.0 or counts[i] == 0:
@@ -115,16 +100,16 @@ def risk_seg(ds: TripDataset, y, rule, cov: CovarianceModel,
              prior: PriorSpec, pair: np.ndarray | None = None) -> RiskReport:
     """Exact risk of the per-segment estimator (singleton partition).
 
-    Uses the joint traversal-count kernel rather than per-block set
-    intersections, so it stays cheap when called for many routes.  `pair`
-    optionally supplies precomputed joint counts for y.
+    Uses the joint traversal counts of `TripDataset.pair_counts` rather than
+    per-block set intersections, so it stays cheap when called for many
+    routes.  `pair` optionally supplies precomputed joint counts for y.
     """
     ids = _route_ids(y)
     if pair is None:
         pair = ds.pair_counts(ids)
     counts = np.diag(pair).astype(np.float64)
     blocks = [(s,) for s in ids]
-    phis = _resolve_block_weights(rule, counts, blocks, cov, prior)
+    phis = _resolve_weights(rule, counts, blocks, prior, cov)
     idx = np.asarray(ids, dtype=np.intp)
     sig = cov.sigma[np.ix_(idx, idx)]
     safe = np.where(counts > 0, counts, 1.0)

@@ -2,8 +2,8 @@
 
 A trip is a simple directed route (a contiguous segment path) plus, when
 synthesized, one observed travel time per traversed segment.  Datasets keep
-routes in flattened arrays so counting kernels can scan them quickly, and
-expose the traversal counters the estimators are built from.
+routes in flattened arrays and a sparse trip x segment incidence matrix,
+from which every traversal counter the estimators use is derived.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
 from scipy import stats
 
-from . import _kernels
 from .covariance import CovarianceModel
 from .network import RoadNetwork
 
@@ -200,10 +200,21 @@ class TripDataset:
         return self._flat_offsets[1]
 
     @cached_property
+    def incidence(self) -> scipy.sparse.csr_matrix:
+        """Trip x segment 0/1 matrix A: row n marks the segments of trip n.
+
+        Every traversal counter is a sum over A: N_s are its column sums and
+        the joint counts over a route y are A[:, y]' A[:, y].
+        """
+        flat, offsets = self._flat_offsets
+        data = np.ones(flat.size, dtype=np.int64)
+        return scipy.sparse.csr_matrix((data, flat, offsets), copy=True,
+                                       shape=(self.n_trips, self.network.n_segments))
+
+    @cached_property
     def n_s(self) -> np.ndarray:
         """Traversal count N_s for every segment."""
-        flat, offsets = self._flat_offsets
-        return _kernels.traversal_counts(flat, offsets, self.network.n_segments)
+        return np.bincount(self.flat, minlength=self.network.n_segments)
 
     @cached_property
     def od_array(self) -> np.ndarray:
@@ -212,44 +223,25 @@ class TripDataset:
             out[i] = (*r.origin, *r.destination)
         return out
 
-    @cached_property
-    def _od_index(self) -> dict[tuple[int, int, int, int], np.ndarray]:
-        idx: dict[tuple[int, int, int, int], list[int]] = {}
-        for i, r in enumerate(self.routes):
-            idx.setdefault((*r.origin, *r.destination), []).append(i)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in idx.items()}
-
-    @cached_property
-    def _route_index(self) -> dict[tuple[int, ...], np.ndarray]:
-        idx: dict[tuple[int, ...], list[int]] = {}
-        for i, r in enumerate(self.routes):
-            idx.setdefault(r.segment_ids, []).append(i)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in idx.items()}
-
-    @cached_property
-    def _containing(self) -> dict[int, np.ndarray]:
-        idx: dict[int, list[int]] = {}
-        for i, r in enumerate(self.routes):
-            for s in r.segment_ids:
-                idx.setdefault(s, []).append(i)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in idx.items()}
+    def length_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Trips grouped by route length L: {L: (trip ids, (n_L, L) segment ids)}."""
+        flat, offsets = self._flat_offsets
+        lens = np.diff(offsets)
+        groups = {}
+        for length in np.unique(lens):
+            trips = np.flatnonzero(lens == length)
+            groups[int(length)] = (trips, flat[offsets[trips, None] + np.arange(length)])
+        return groups
 
     def trips_containing(self, seg_id: int) -> np.ndarray:
         """Sorted ids of trips whose route traverses the segment."""
-        return self._containing.get(int(seg_id), np.empty(0, dtype=np.int64))
+        return self.trips_containing_all([seg_id])
 
     def trips_containing_all(self, seg_ids: Sequence[int]) -> np.ndarray:
         """Sorted ids of trips whose route traverses every listed segment."""
-        ids = list(seg_ids)
-        if not ids:
-            return np.arange(self.n_trips, dtype=np.int64)
-        members = self.trips_containing(ids[0])
-        for s in ids[1:]:
-            if members.size == 0:
-                break
-            members = np.intersect1d(members, self.trips_containing(s),
-                                     assume_unique=True)
-        return members
+        ids = np.unique(np.asarray(seg_ids, dtype=np.int64))
+        hits = np.asarray(self.incidence[:, ids].sum(axis=1)).ravel()
+        return np.flatnonzero(hits == ids.size)
 
     def n_subset(self, seg_ids: Sequence[int]) -> int:
         """Joint traversal count: trips containing every listed segment."""
@@ -258,32 +250,27 @@ class TripDataset:
     def pair_counts(self, y: Sequence[int], members: np.ndarray | None = None) -> np.ndarray:
         """Matrix of joint traversal counts over the segments of one route.
 
-        With `members`, only the listed trips are counted.
+        Entry (i, j) counts trips whose route contains both y[i] and y[j]; the
+        diagonal holds the traversal counts of y's segments.  With `members`,
+        only the listed trips are counted.
         """
-        flat, offsets = self._flat_offsets
+        a = self.incidence
         if members is not None:
-            members = np.asarray(members, dtype=np.int64)
-            starts = offsets[members]
-            lens = offsets[members + 1] - starts
-            sub_offsets = np.zeros(members.size + 1, dtype=np.int64)
-            np.cumsum(lens, out=sub_offsets[1:])
-            sub_flat = np.empty(int(sub_offsets[-1]), dtype=np.int64)
-            for i, (st, ln) in enumerate(zip(starts, lens)):
-                sub_flat[sub_offsets[i]:sub_offsets[i + 1]] = flat[st:st + ln]
-            flat, offsets = sub_flat, sub_offsets
-        return _kernels.route_pair_counts(flat, offsets, np.asarray(y, dtype=np.int64),
-                                          self.network.n_segments)
+            a = a[np.asarray(members, dtype=np.int64)]
+        b = a[:, np.asarray(y, dtype=np.int64)]
+        return (b.T @ b).toarray()
 
     def subset_counts(self, members: np.ndarray) -> np.ndarray:
         """Per-segment traversal counts restricted to the listed trips."""
-        flat, offsets = self._flat_offsets
-        return _kernels.subset_traversal_counts(flat, offsets, members,
-                                                self.network.n_segments)
+        rows = self.incidence[np.asarray(members, dtype=np.int64)]
+        return np.asarray(rows.sum(axis=0)).ravel()
 
     def quadratic_sums(self, cov: CovarianceModel) -> np.ndarray:
         """Per-trip sums of covariance entries over the route's segment pairs."""
-        flat, offsets = self._flat_offsets
-        return _kernels.trip_quadratic_sums(flat, offsets, cov.sigma)
+        out = np.zeros(self.n_trips)
+        for trips, ids in self.length_groups().values():
+            out[trips] = cov.sigma[ids[:, :, None], ids[:, None, :]].sum(axis=(1, 2))
+        return out
 
     def segment_time_sums(self, center: float = 0.0) -> np.ndarray:
         """Per-segment sums of observed (optionally centered) travel times."""
@@ -429,18 +416,18 @@ def resolve_neighborhood(ds: TripDataset, y: Route, spec: NeighborhoodSpec) -> N
     then falls back to the prior.
     """
     if spec.kind == NeighborhoodKind.EXACT_ROUTE:
-        members = ds._route_index.get(y.segment_ids, np.empty(0, dtype=np.int64))
-        return Neighborhood(spec, y, members)
+        empty = np.empty(0, dtype=np.int64)
+        trips, ids = ds.length_groups().get(len(y), (empty, empty.reshape(0, len(y))))
+        return Neighborhood(spec, y, trips[(ids == y.segment_ids).all(axis=1)])
     key = np.asarray((*y.origin, *y.destination), dtype=np.int64)
-    if spec.kind == NeighborhoodKind.OD_EXACT:
-        members = ds._od_index.get(tuple(int(v) for v in key), np.empty(0, dtype=np.int64))
-        return Neighborhood(spec, y, members)
     od = ds.od_array
     d_o = np.abs(od[:, 0] - key[0]) + np.abs(od[:, 1] - key[1])
     d_d = np.abs(od[:, 2] - key[2]) + np.abs(od[:, 3] - key[3])
-    if spec.kind == NeighborhoodKind.OD_BALL:
-        mask = d_o + d_d <= 2 * spec.radius
-    else:
+    if spec.kind == NeighborhoodKind.OD_BALL_GROWING:
         c = int(np.ceil(spec.fraction * ds.network.p))
         mask = (d_o <= c) & (d_d <= c)
-    return Neighborhood(spec, y, np.flatnonzero(mask).astype(np.int64))
+    else:
+        # od_exact is the ball of radius zero
+        radius = spec.radius if spec.kind == NeighborhoodKind.OD_BALL else 0
+        mask = d_o + d_d <= 2 * radius
+    return Neighborhood(spec, y, np.flatnonzero(mask))

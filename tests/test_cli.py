@@ -49,6 +49,11 @@ def test_sweep_bad_config_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"exponents": [1.0, 1.0004]}))
+    code = main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "exponents must differ" in capsys.readouterr().err
 
 
 def test_oracle_fast(capsys):

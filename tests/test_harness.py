@@ -49,6 +49,14 @@ def test_config_rejects_bad_values(bad):
         _tiny_config(**bad)
 
 
+@pytest.mark.parametrize("exponents", [(1.0, 1.0004), (2.0, 2.0)])
+def test_config_rejects_colliding_exponent_seeds(exponents):
+    # cells are seeded from round(1000 * k), so these would share one seed
+    with pytest.raises(ConfigError, match="exponents must differ"):
+        _tiny_config(exponents=exponents)
+    _tiny_config(exponents=(1.0, 1.001))
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         SweepConfig.from_dict({"grid_sizes": [3], "typo_key": 1})
@@ -118,7 +126,7 @@ def test_emit_manifest(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["seed"] == 5
     assert payload["config"]["grid_sizes"] == [3]
-    assert payload["kernel_backend"] in ("numba", "numpy")
+    assert payload["kernel_backend"] == "numpy"
     assert payload["wall_time_s"] == 1.25
     assert payload["code_version"]
 
