@@ -22,8 +22,8 @@ import numpy as np
 from . import fixtures as fx
 from .covariance import (CovarianceModel, assumption_diagnostics,
                          diffusion_covariance, gram_covariance)
-from .harness import ConfigError, SweepConfig, emit_csv, emit_manifest, \
-    oracle_cases, run_examples, run_sweep
+from .harness import ORACLE_FIXTURES, ConfigError, SweepConfig, emit_csv, \
+    emit_manifest, oracle_cases, run_examples, run_sweep
 from .network import AdjacencyRule, build_grid, segment_graph
 from .risk import mc_risk
 from .trips import ODLaw, sample_routes
@@ -59,7 +59,8 @@ def _cmd_oracle(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     ds = fx.reference_dataset()
-    cov, prior = _fixture_model(args.fixture)
+    fixture = ORACLE_FIXTURES[args.fixture]
+    cov, prior = fixture.covariance(), fixture.prior()
     ok = True
     for name, pred, exact in cases:
         mc = mc_risk(pred, ds, cov, prior, replicates=args.replicates, seed=args.seed)
@@ -69,14 +70,6 @@ def _cmd_oracle(args) -> int:
         print(f"[{status}] {args.fixture}/{name}: exact {exact:.6f}  "
               f"mc {mc.mean:.6f} +/- {mc.se:.6f}  (z = {z:.2f}, R = {mc.replicates})")
     return 0 if ok else 1
-
-
-def _fixture_model(fixture: str):
-    if fixture == "reference":
-        return fx.reference_covariance(), fx.reference_prior()
-    if fixture == "negcov":
-        return fx.negcov_covariance(), fx.negcov_prior()
-    return fx.merge_covariance(), fx.merge_prior()
 
 
 def _parse_covariance(descriptor: str) -> tuple[CovarianceModel, int | None]:
@@ -162,7 +155,7 @@ def main(argv=None) -> int:
 
     p_oracle = sub.add_parser("oracle", help="Monte Carlo check of closed-form risks")
     p_oracle.add_argument("--fixture", required=True,
-                          choices=["reference", "negcov", "merge"])
+                          choices=list(ORACLE_FIXTURES))
     p_oracle.add_argument("--replicates", type=int, default=10 ** 5)
     p_oracle.add_argument("--seed", type=int, default=0)
 

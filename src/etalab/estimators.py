@@ -1,10 +1,10 @@
 """Travel-time estimators: per-segment, grouped-segment, whole-route, Bayes.
 
 Every estimator here is affine in the observed trip times.  Predictions are
-returned with their full affine representation (one coefficient vector per
-historical trip, plus an intercept), which is what the Monte Carlo risk
-checker consumes; the point prediction is evaluated on top when the dataset
-carries observed times.
+returned with their full affine representation (an intercept plus one
+coefficient per entry of TripDataset.flat), which is what the exact and Monte
+Carlo risk checkers consume; the point prediction is evaluated on top when
+the dataset carries observed times.
 
 Shrinkage weights phi map a support count n to [0, 1] and always satisfy
 phi(0) = 0, so estimators with no support fall back to the prior mean.
@@ -13,7 +13,6 @@ phi(0) = 0, so estimators with no support fall back to the prior mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -88,24 +87,32 @@ class WeightRule:
 
 @dataclass
 class Prediction:
-    """An affine prediction: intercept + sum_n coefficients[n] . times[n]."""
+    """An affine prediction: intercept + coef . (every trip's times, concatenated).
+
+    `coef` is aligned with TripDataset.flat: trip n owns the entries
+    coef[offsets[n]:offsets[n + 1]], one per segment of its route.
+    """
 
     estimator: str
     route: tuple[int, ...]
     intercept: float
-    coefficients: tuple[np.ndarray, ...]
+    coef: np.ndarray
+    offsets: np.ndarray
     value: float | None = None
     detail: dict = field(default_factory=dict)
 
+    @property
+    def coefficients(self) -> tuple[np.ndarray, ...]:
+        """Per-trip views of `coef`, one array per trip."""
+        return tuple(self.coef[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
+
     def evaluate(self, times: Sequence[np.ndarray]) -> float:
-        acc = self.intercept
-        for c, t in zip(self.coefficients, times):
-            if c.size:
-                acc += float(c @ t)
-        return acc
+        if not self.coef.size:
+            return self.intercept
+        return self.intercept + float(self.coef @ np.concatenate(times))
 
     def coefficient_sum(self) -> float:
-        return float(sum(c.sum() for c in self.coefficients))
+        return float(self.coef.sum())
 
     def explain(self) -> dict:
         """JSON-ready breakdown: intercept plus per-trip nonzero coefficients."""
@@ -125,10 +132,6 @@ class Prediction:
 
 def _jsonable(v) -> bool:
     return isinstance(v, (int, float, str, bool, list, dict, type(None)))
-
-
-def _zero_coefficients(ds: TripDataset) -> list[np.ndarray]:
-    return [np.zeros(len(r)) for r in ds.routes]
 
 
 def _finish(pred: Prediction, ds: TripDataset) -> Prediction:
@@ -182,6 +185,34 @@ def _resolve_weights(rule, counts: np.ndarray, blocks: Sequence[Sequence[int]],
     return np.where(counts > 0, phis, 0.0)
 
 
+def _membership(ids: Sequence[int], blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """(|y|, k) 0/1 matrix M with M[i, j] = 1 when ids[i] lies in block j."""
+    return np.stack([np.isin(ids, b) for b in blocks], axis=1).astype(np.float64)
+
+
+def _block_cover(ds: TripDataset, ids: Sequence[int], member: np.ndarray) -> np.ndarray:
+    """(n_trips, k) 0/1 matrix C with C[n, j] = 1 when trip n covers all of block j."""
+    hits = ds.incidence[:, list(ids)] @ member
+    return (hits == member.sum(axis=0)).astype(np.float64)
+
+
+def _block_moments(ds: TripDataset, ids: Sequence[int], blocks: Sequence[Sequence[int]],
+                   cov: CovarianceModel,
+                   joint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Joint support counts J and covariance cross sums S of a route partition.
+
+    J = C'C counts the trips covering both block i and block j (its diagonal
+    holds each block's support) and S = M' sigma[y, y] M sums sigma over
+    block i x block j.  `joint` optionally supplies J; for singleton blocks
+    it is TripDataset.pair_counts.
+    """
+    member = _membership(ids, blocks)
+    if joint is None:
+        cover = _block_cover(ds, ids, member)
+        joint = cover.T @ cover
+    return joint, member.T @ cov.sigma[np.ix_(ids, ids)] @ member
+
+
 def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
                  prior: PriorSpec, cov: CovarianceModel | None = None) -> Prediction:
     """Grouped-segment estimator: one shrunk group-total per partition block.
@@ -192,24 +223,20 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     """
     ids = _route_ids(y)
     blocks = validate_partition(ids, partition)
-    members = [ds.trips_containing_all(b) for b in blocks]
-    counts = np.asarray([m.size for m in members], dtype=np.int64)
+    member = _membership(ids, blocks)
+    cover = _block_cover(ds, ids, member)
+    counts = cover.sum(axis=0).astype(np.int64)
     phis = _resolve_weights(rule, counts, blocks, prior, cov)
-    coefs = _zero_coefficients(ds)
-    value = float(len(ids)) * prior.mu
-    intercept = value
-    for b, mem, n_b, phi in zip(blocks, members, counts, phis):
+    trip_of, _ = ds.flat_index
+    coef = np.zeros(ds.flat.size)
+    intercept = float(len(ids)) * prior.mu
+    for j, (b, n_b, phi) in enumerate(zip(blocks, counts, phis)):
         if n_b == 0 or phi == 0.0:
             continue
         w = phi / float(n_b)
-        bset = set(b)
-        for n in mem:
-            r = ds.routes[n]
-            for pos, s in enumerate(r.segment_ids):
-                if s in bset:
-                    coefs[n][pos] += w
+        coef[(cover[trip_of, j] > 0) & np.isin(ds.flat, b)] += w
         intercept -= w * n_b * len(b) * prior.mu
-    pred = Prediction("gseg", ids, intercept, tuple(coefs),
+    pred = Prediction("gseg", ids, intercept, coef, ds.offsets,
                       detail={"weights": [float(v) for v in phis],
                               "counts": [int(v) for v in counts],
                               "blocks": [list(b) for b in blocks]})
@@ -239,13 +266,13 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
         phi = rule.value(m)
     else:
         phi = float(rule) if m > 0 else 0.0
-    coefs = _zero_coefficients(ds)
+    coef = np.zeros(ds.flat.size)
     intercept = (1.0 - phi) * len(ids) * prior.mu
     if m > 0 and phi != 0.0:
-        w = phi / float(m)
-        for n in nbhd.members:
-            coefs[n][:] = w
-    pred = Prediction("route", ids, intercept, tuple(coefs),
+        in_nbhd = np.zeros(ds.n_trips, dtype=bool)
+        in_nbhd[nbhd.members] = True
+        coef[in_nbhd[ds.flat_index[0]]] = phi / float(m)
+    pred = Prediction("route", ids, intercept, coef, ds.offsets,
                       detail={"weight": float(phi), "neighborhood_size": int(m),
                               "neighborhood": nbhd.spec.kind})
     return _finish(pred, ds)
@@ -260,35 +287,24 @@ def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
     """Risk-minimizing per-block weights for the grouped-segment estimator.
 
     Solves the normal equations coupling blocks through their joint support
-    counts and covariance cross sums.  Blocks with no support are pinned to
-    weight zero and dropped from the system.
+    counts J and covariance cross sums S.  Blocks with no support are pinned
+    to weight zero and dropped from the system.
     """
     ids = _route_ids(y)
     blocks = validate_partition(ids, partition)
-    members = [ds.trips_containing_all(b) for b in blocks]
-    counts = np.asarray([m.size for m in members], dtype=np.float64)
-    k = len(blocks)
-    phis = np.zeros(k)
-    live = [i for i in range(k) if counts[i] > 0]
-    if not live:
+    joint, cross = _block_moments(ds, ids, blocks, cov)
+    counts = np.diag(joint)
+    phis = np.zeros(len(blocks))
+    live = np.flatnonzero(counts > 0)
+    if not live.size:
         return phis
-    a = np.zeros((len(live), len(live)))
-    b_vec = np.zeros(len(live))
-    for ii, i in enumerate(live):
-        size_i = float(len(blocks[i]))
-        b_vec[ii] = size_i * prior.tau2
-        a[ii, ii] += size_i * prior.tau2
-        for jj, j in enumerate(live):
-            joint = float(np.intersect1d(members[i], members[j],
-                                         assume_unique=True).size)
-            if joint == 0.0:
-                continue
-            a[ii, jj] += joint / (counts[i] * counts[j]) * cov.pair_sum(blocks[i], blocks[j])
-    try:
-        sol = scipy.linalg.solve(a, b_vec, assume_a="sym")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        sol, *_ = np.linalg.lstsq(a, b_vec, rcond=None)
-    phis[live] = sol
+    n = counts[live]
+    signal = np.array([len(blocks[i]) for i in live], dtype=np.float64) * prior.tau2
+    # diag(|S| tau2) plus (J o S) / (n n'), a Schur product of two PSD
+    # matrices under a congruence: positive definite for any accepted sigma
+    a = joint[np.ix_(live, live)] / np.outer(n, n) * cross[np.ix_(live, live)]
+    a[np.diag_indices_from(a)] += signal
+    phis[live] = scipy.linalg.solve(a, signal, assume_a="pos")
     return phis
 
 
@@ -297,6 +313,16 @@ def optimal_seg_weights(ds: TripDataset, y, cov: CovarianceModel,
     """Risk-minimizing per-segment weights (singleton partition)."""
     ids = _route_ids(y)
     return optimal_gseg_weights(ds, ids, [(s,) for s in ids], cov, prior)
+
+
+def _neighborhood_moments(ds: TripDataset, nbhd: Neighborhood, cov: CovarianceModel,
+                          q_all: np.ndarray | None) -> tuple[np.ndarray, float, float]:
+    """(N^d per segment, summed covariance mass, mean route length) over a
+    nonempty neighborhood's trips."""
+    q = ds.quadratic_sums(cov) if q_all is None else q_all
+    lens = ds.offsets[nbhd.members + 1] - ds.offsets[nbhd.members]
+    return (ds.subset_counts(nbhd.members).astype(np.float64),
+            float(q[nbhd.members].sum()), float(lens.mean()))
 
 
 def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
@@ -311,16 +337,9 @@ def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
     m = nbhd.size
     if m == 0:
         return 0.0
-    n_delta = ds.subset_counts(nbhd.members)
-    if q_all is None:
-        q_sum = float(ds.quadratic_sums(cov)[nbhd.members].sum())
-    else:
-        q_sum = float(q_all[nbhd.members].sum())
-    lens = ds.offsets[nbhd.members + 1] - ds.offsets[nbhd.members]
-    ybar = float(lens.mean())
-    idx = np.asarray(ids, dtype=np.intp)
-    num = float(n_delta[idx].sum()) * prior.tau2
-    den = (float((n_delta.astype(np.float64) ** 2).sum()) * prior.tau2 / m
+    n_delta, q_sum, ybar = _neighborhood_moments(ds, nbhd, cov, q_all)
+    num = float(n_delta[list(ids)].sum()) * prior.tau2
+    den = (float((n_delta ** 2).sum()) * prior.tau2 / m
            + q_sum / m
            + m * (prior.mu * (ybar - len(ids))) ** 2)
     if den == 0.0:
@@ -373,17 +392,18 @@ class PosteriorModel:
         return variance, bias2
 
     def predict(self, y) -> Prediction:
+        """Per trip, coefficients sigma[r, r]^-1 g[r]: one batched solve per route length."""
         ids = _route_ids(y)
         g = self.weight_vector(ids)
-        coefs = []
-        for r in self.ds.routes:
-            ridx = np.asarray(r.segment_ids, dtype=np.intp)
-            block = self.cov.sigma[np.ix_(ridx, ridx)]
-            coefs.append(np.linalg.solve(block, g[ridx]))
-        coef_sum = float(sum(c.sum() for c in coefs))
-        intercept = self.prior.mu * (len(ids) - coef_sum)
+        flat = self.ds.flat
+        coef = np.zeros(flat.size)
+        for _, pos in self.ds.flat_index[1].values():
+            seg = flat[pos]
+            blocks = self.cov.sigma[seg[:, :, None], seg[:, None, :]]
+            coef[pos] = np.linalg.solve(blocks, g[seg][..., None])[..., 0]
+        intercept = self.prior.mu * (len(ids) - float(coef.sum()))
         variance, bias2 = self.risk_terms(ids)
-        pred = Prediction("bayes_optimal", ids, intercept, tuple(coefs),
+        pred = Prediction("bayes_optimal", ids, intercept, coef, self.ds.offsets,
                           detail={"variance": variance, "bias2": bias2,
                                   "risk": variance + bias2})
         return _finish(pred, self.ds)

@@ -16,17 +16,19 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from . import __version__, fixtures as fx, kernel_backend
 from .covariance import CovarianceModel, diffusion_covariance
-from .estimators import (PosteriorModel, WeightRule, optimal_gseg_weights,
-                         optimal_route_weight, optimal_seg_weights)
+from .estimators import (PosteriorModel, Prediction, WeightRule, optimal_gseg_weights,
+                         optimal_route_weight, optimal_seg_weights, predict_gseg,
+                         predict_route, predict_segment)
 from .network import AdjacencyRule, build_grid, segment_graph
 from .risk import (lower_bound, risk_gseg, risk_optimal, risk_route, risk_seg)
-from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, TripDataset,
+from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
                     resolve_neighborhood, sample_routes)
 
 __all__ = [
@@ -293,12 +295,21 @@ class ExamplesReport:
         return "\n".join(out)
 
 
-def _risk_rows(report: ExamplesReport, group: str, total_exp: float,
-               var_exp: float, bias_exp: float, rep, tol: float) -> None:
-    report.rows.append(GoldenRow(group, "risk", total_exp, rep.total, tol))
-    report.rows.append(GoldenRow(group, "variance", var_exp, rep.variance, tol,
-                                 advisory=True))
-    report.rows.append(GoldenRow(group, "bias2", bias_exp, rep.bias2, tol,
+def _golden_rows(report: ExamplesReport, group: str, table: dict, weights,
+                 rep, tol: float) -> None:
+    """Rows for an optimally weighted estimator: its weights, then its risk
+    (strict) and the variance and bias2 split (advisory)."""
+    if "weights" in table:
+        for i, expected in enumerate(table["weights"]):
+            report.rows.append(GoldenRow(group, f"weight_{i + 1}", expected,
+                                         float(weights[i]), tol))
+    else:
+        report.rows.append(GoldenRow(group, "weight", table["weight"],
+                                     float(weights[0]), tol))
+    report.rows.append(GoldenRow(group, "risk", table["total"], rep.total, tol))
+    report.rows.append(GoldenRow(group, "variance", table["variance"], rep.variance,
+                                 tol, advisory=True))
+    report.rows.append(GoldenRow(group, "bias2", table["bias2"], rep.bias2, tol,
                                  advisory=True))
 
 
@@ -387,121 +398,98 @@ def run_examples() -> ExamplesReport:
     _expansion_rows(report, "bayes_table", fx.REFERENCE_COEFFICIENTS, table,
                     pred, opt, tol, advisory=True)
 
-    phis = optimal_seg_weights(ds, y, cov, prior)
-    for i, expected in enumerate(fx.REFERENCE_SEG["weights"]):
-        report.rows.append(GoldenRow("seg", f"weight_{i + 1}", expected,
-                                     float(phis[i]), tol))
-    _risk_rows(report, "seg", fx.REFERENCE_SEG["total"],
-               fx.REFERENCE_SEG["variance"], fx.REFERENCE_SEG["bias2"],
-               risk_seg(ds, y, phis, cov, prior), tol)
-
-    whole = [y.segment_ids]
-    pg = optimal_gseg_weights(ds, y, whole, cov, prior)
-    report.rows.append(GoldenRow("gseg_whole", "weight",
-                                 fx.REFERENCE_GSEG_WHOLE["weight"], float(pg[0]), tol))
-    _risk_rows(report, "gseg_whole", fx.REFERENCE_GSEG_WHOLE["total"],
-               fx.REFERENCE_GSEG_WHOLE["variance"], fx.REFERENCE_GSEG_WHOLE["bias2"],
-               risk_gseg(ds, y, whole, pg, cov, prior), tol)
-
-    nb = resolve_neighborhood(ds, y, fx.reference_route_neighborhood())
-    report.rows.append(GoldenRow("route", "neighborhood_size", 2.0, float(nb.size), 0.0))
-    phi_r = optimal_route_weight(ds, y, nb, cov, prior)
-    report.rows.append(GoldenRow("route", "weight", fx.REFERENCE_ROUTE["weight"],
-                                 phi_r, tol))
-    _risk_rows(report, "route", fx.REFERENCE_ROUTE["total"],
-               fx.REFERENCE_ROUTE["variance"], fx.REFERENCE_ROUTE["bias2"],
-               risk_route(ds, y, nb, phi_r, cov, prior), tol)
-
-    ncov = fx.negcov_covariance()
-    nprior = fx.negcov_prior()
-    phis = optimal_seg_weights(ds, y, ncov, nprior)
-    for i, expected in enumerate(fx.NEGCOV_SEG["weights"]):
-        report.rows.append(GoldenRow("negcov_seg", f"weight_{i + 1}", expected,
-                                     float(phis[i]), tol))
-    _risk_rows(report, "negcov_seg", fx.NEGCOV_SEG["total"],
-               fx.NEGCOV_SEG["variance"], fx.NEGCOV_SEG["bias2"],
-               risk_seg(ds, y, phis, ncov, nprior), tol)
-    nb_exact = resolve_neighborhood(ds, y, NeighborhoodSpec.exact_route())
-    phi_r = optimal_route_weight(ds, y, nb_exact, ncov, nprior)
-    report.rows.append(GoldenRow("negcov_route", "weight",
-                                 fx.NEGCOV_ROUTE["weight"], phi_r, tol))
-    _risk_rows(report, "negcov_route", fx.NEGCOV_ROUTE["total"],
-               fx.NEGCOV_ROUTE["variance"], fx.NEGCOV_ROUTE["bias2"],
-               risk_route(ds, y, nb_exact, phi_r, ncov, nprior), tol)
-
-    y2 = fx.merge_route()
-    mcov = fx.merge_covariance()
-    mprior = fx.merge_prior()
-    phis = optimal_seg_weights(ds, y2, mcov, mprior)
-    for i, expected in enumerate(fx.MERGE_SEG["weights"]):
-        report.rows.append(GoldenRow("merge_seg", f"weight_{i + 1}", expected,
-                                     float(phis[i]), tol))
-    _risk_rows(report, "merge_seg", fx.MERGE_SEG["total"],
-               fx.MERGE_SEG["variance"], fx.MERGE_SEG["bias2"],
-               risk_seg(ds, y2, phis, mcov, mprior), tol)
-    part = fx.merge_partition()
-    pg = optimal_gseg_weights(ds, y2, part, mcov, mprior)
-    for i, expected in enumerate(fx.MERGE_GSEG["weights"]):
-        report.rows.append(GoldenRow("merge_gseg", f"weight_{i + 1}", expected,
-                                     float(pg[i]), tol))
-    _risk_rows(report, "merge_gseg", fx.MERGE_GSEG["total"],
-               fx.MERGE_GSEG["variance"], fx.MERGE_GSEG["bias2"],
-               risk_gseg(ds, y2, part, pg, mcov, mprior), tol)
+    for fixture in ORACLE_FIXTURES:
+        for group, table, weights, pred, rep in _optimal_cases(fixture):
+            if group == "route":
+                # the reference neighborhood is trips 4 and 5
+                report.rows.append(GoldenRow(group, "neighborhood_size", 2.0, float(
+                    pred.detail["neighborhood_size"]), 0.0))
+            _golden_rows(report, group, table, weights, rep, tol)
 
     if any(not r.ok and r.group == "bayes_table" for r in report.rows):
         report.notes.append(fx.INCONSISTENCY_NOTE)
     return report
 
 
-def oracle_cases(fixture: str) -> list[tuple[str, "Prediction", float]]:
+@dataclass(frozen=True)
+class OracleFixture:
+    """One bundled scenario over the six-trip reference history.
+
+    Each estimator entry is (golden group, golden table, argument) for its
+    optimally weighted case: the partition of `gseg` (a function of the
+    route) or the neighborhood of `neighborhood`.  A case is named after its
+    group without the fixture prefix.  `bayes` adds the Bayes-optimal case
+    to the Monte Carlo oracle.
+    """
+
+    covariance: Callable[[], CovarianceModel]
+    prior: Callable[[], PriorSpec]
+    route: Callable[[], Route]
+    seg: tuple[str, dict]
+    gseg: tuple[str, dict, Callable[[Route], list]] | None = None
+    neighborhood: tuple[str, dict, Callable[[], NeighborhoodSpec]] | None = None
+    bayes: bool = False
+
+
+ORACLE_FIXTURES = {
+    "reference": OracleFixture(
+        fx.reference_covariance, fx.reference_prior, fx.reference_route,
+        seg=("seg", fx.REFERENCE_SEG),
+        gseg=("gseg_whole", fx.REFERENCE_GSEG_WHOLE, lambda y: [y.segment_ids]),
+        neighborhood=("route", fx.REFERENCE_ROUTE, fx.reference_route_neighborhood),
+        bayes=True),
+    "negcov": OracleFixture(
+        fx.negcov_covariance, fx.negcov_prior, fx.reference_route,
+        seg=("negcov_seg", fx.NEGCOV_SEG),
+        neighborhood=("negcov_route", fx.NEGCOV_ROUTE, NeighborhoodSpec.exact_route)),
+    "merge": OracleFixture(
+        fx.merge_covariance, fx.merge_prior, fx.merge_route,
+        seg=("merge_seg", fx.MERGE_SEG),
+        gseg=("merge_gseg", fx.MERGE_GSEG, lambda y: fx.merge_partition())),
+}
+
+
+def _optimal_cases(fixture: str):
+    """Yield (golden group, golden table, weights, prediction, exact risk) for
+    each optimally weighted segment, grouped and route estimator of one
+    fixture."""
+    case = ORACLE_FIXTURES[fixture]
+    ds = fx.reference_dataset()
+    cov, prior, y = case.covariance(), case.prior(), case.route()
+    group, table = case.seg
+    phis = optimal_seg_weights(ds, y, cov, prior)
+    yield (group, table, phis, predict_segment(ds, y, phis, prior),
+           risk_seg(ds, y, phis, cov, prior))
+    if case.gseg is not None:
+        group, table, partition = case.gseg
+        part = partition(y)
+        pg = optimal_gseg_weights(ds, y, part, cov, prior)
+        yield (group, table, pg, predict_gseg(ds, y, part, pg, prior),
+               risk_gseg(ds, y, part, pg, cov, prior))
+    if case.neighborhood is not None:
+        group, table, spec = case.neighborhood
+        nb = resolve_neighborhood(ds, y, spec())
+        phi = optimal_route_weight(ds, y, nb, cov, prior)
+        yield (group, table, [phi], predict_route(ds, y, nb, phi, prior),
+               risk_route(ds, y, nb, phi, cov, prior))
+
+
+def oracle_cases(fixture: str) -> list[tuple[str, Prediction, float]]:
     """(name, affine prediction, closed-form risk) triples for one fixture.
 
     These drive the Monte Carlo cross-check: the simulated risk of each
     prediction must agree with its closed form.
     """
-    from .estimators import Prediction, predict_gseg, predict_route  # noqa: F401
-
-    ds = fx.reference_dataset()
-    cases = []
-    if fixture == "reference":
-        cov, prior, y = fx.reference_covariance(), fx.reference_prior(), fx.reference_route()
-        phis = optimal_seg_weights(ds, y, cov, prior)
-        cases.append(("seg_optimal",
-                      predict_gseg(ds, y, [(s,) for s in y.segment_ids], phis, prior),
-                      risk_seg(ds, y, phis, cov, prior).total))
-        whole = [y.segment_ids]
-        pg = optimal_gseg_weights(ds, y, whole, cov, prior)
-        cases.append(("gseg_whole_optimal", predict_gseg(ds, y, whole, pg, prior),
-                      risk_gseg(ds, y, whole, pg, cov, prior).total))
-        nb = resolve_neighborhood(ds, y, fx.reference_route_neighborhood())
-        phi = optimal_route_weight(ds, y, nb, cov, prior)
-        cases.append(("route_optimal", predict_route(ds, y, nb, phi, prior),
-                      risk_route(ds, y, nb, phi, cov, prior).total))
+    if fixture not in ORACLE_FIXTURES:
+        raise ConfigError(f"unknown oracle fixture {fixture!r}; "
+                          f"choose {', '.join(ORACLE_FIXTURES)}")
+    cases = [(f"{group.removeprefix(fixture + '_')}_optimal", pred, rep.total)
+             for group, _, _, pred, rep in _optimal_cases(fixture)]
+    case = ORACLE_FIXTURES[fixture]
+    if case.bayes:
+        ds, cov, prior = fx.reference_dataset(), case.covariance(), case.prior()
         model = PosteriorModel(ds, cov, prior)
+        y = case.route()
         cases.append(("bayes_optimal", model.predict(y),
                       risk_optimal(ds, y, cov, prior, model=model).total))
-        return cases
-    if fixture == "negcov":
-        cov, prior, y = fx.negcov_covariance(), fx.negcov_prior(), fx.reference_route()
-        phis = optimal_seg_weights(ds, y, cov, prior)
-        cases.append(("seg_optimal",
-                      predict_gseg(ds, y, [(s,) for s in y.segment_ids], phis, prior),
-                      risk_seg(ds, y, phis, cov, prior).total))
-        nb = resolve_neighborhood(ds, y, NeighborhoodSpec.exact_route())
-        phi = optimal_route_weight(ds, y, nb, cov, prior)
-        cases.append(("route_optimal", predict_route(ds, y, nb, phi, prior),
-                      risk_route(ds, y, nb, phi, cov, prior).total))
-        return cases
-    if fixture == "merge":
-        cov, prior, y = fx.merge_covariance(), fx.merge_prior(), fx.merge_route()
-        phis = optimal_seg_weights(ds, y, cov, prior)
-        cases.append(("seg_optimal",
-                      predict_gseg(ds, y, [(s,) for s in y.segment_ids], phis, prior),
-                      risk_seg(ds, y, phis, cov, prior).total))
-        part = fx.merge_partition()
-        pg = optimal_gseg_weights(ds, y, part, cov, prior)
-        cases.append(("gseg_optimal", predict_gseg(ds, y, part, pg, prior),
-                      risk_gseg(ds, y, part, pg, cov, prior).total))
-        return cases
-    raise ConfigError(f"unknown oracle fixture {fixture!r}; "
-                      "choose reference, negcov, or merge")
+    return cases

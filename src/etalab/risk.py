@@ -5,7 +5,8 @@ averaged over the segment-time prior and the observation noise.  The
 grouped-segment and whole-route estimators admit closed forms in the
 traversal counters and covariance sums; the Bayes-optimal risk comes from
 the posterior machinery; a Gaussian information bound caps everything from
-below.
+below.  risk_affine gives the exact risk of any affine Prediction, the
+deterministic reference for every closed form.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import CovarianceModel
-from .estimators import (PosteriorModel, Prediction, _resolve_weights, _route_ids,
-                         optimal_route_weight, optimal_seg_weights,
-                         validate_partition)
-from .trips import Neighborhood, PriorSpec, TripDataset
+from .estimators import (PosteriorModel, Prediction, _block_moments,
+                         _neighborhood_moments, _resolve_weights, _route_ids,
+                         optimal_route_weight, optimal_seg_weights, validate_partition)
+from .trips import Neighborhood, PriorSpec, TripDataset, _noise_factors
 
 __all__ = [
     "RiskReport",
@@ -29,6 +30,7 @@ __all__ = [
     "risk_seg",
     "risk_route",
     "risk_optimal",
+    "risk_affine",
     "lower_bound",
     "mc_risk",
     "check_nb_condition",
@@ -63,6 +65,23 @@ class RiskReport:
         return json.dumps(self.as_dict())
 
 
+def _risk_blocks(estimator: str, ds: TripDataset, ids: tuple[int, ...],
+                 blocks: Sequence[Sequence[int]], rule, cov: CovarianceModel,
+                 prior: PriorSpec, joint: np.ndarray | None = None) -> RiskReport:
+    """Exact grouped-segment risk: variance r'(J o S)r with r = phi / n, plus
+    (1 - phi)^2 * |S| * tau2 of shrinkage bias per block."""
+    joint, cross = _block_moments(ds, ids, blocks, cov, joint)
+    counts = np.diag(joint).astype(np.float64)
+    phis = _resolve_weights(rule, counts, blocks, prior, cov)
+    ratio = phis / np.where(counts > 0, counts, 1.0)
+    variance = float(ratio @ (joint * cross) @ ratio)
+    sizes = np.array([len(b) for b in blocks], dtype=np.float64)
+    bias2 = float(((1.0 - phis) ** 2 * sizes).sum() * prior.tau2)
+    return RiskReport(estimator, ids, variance, bias2,
+                      breakdown={"weights": phis.tolist(),
+                                 "counts": counts.astype(int).tolist()})
+
+
 def risk_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
               cov: CovarianceModel, prior: PriorSpec) -> RiskReport:
     """Exact risk of the grouped-segment estimator.
@@ -72,53 +91,21 @@ def risk_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     shrinkage bias.  Blocks with no support always carry weight zero.
     """
     ids = _route_ids(y)
-    blocks = validate_partition(ids, partition)
-    members = [ds.trips_containing_all(b) for b in blocks]
-    counts = np.asarray([m.size for m in members], dtype=np.float64)
-    phis = _resolve_weights(rule, counts, blocks, prior, cov)
-    variance = 0.0
-    for i in range(len(blocks)):
-        if phis[i] == 0.0 or counts[i] == 0:
-            continue
-        for j in range(len(blocks)):
-            if phis[j] == 0.0 or counts[j] == 0:
-                continue
-            joint = float(np.intersect1d(members[i], members[j],
-                                         assume_unique=True).size)
-            if joint == 0.0:
-                continue
-            variance += (joint / (counts[i] * counts[j])) * phis[i] * phis[j] \
-                * cov.pair_sum(blocks[i], blocks[j])
-    bias2 = float(sum((1.0 - phis[i]) ** 2 * len(blocks[i]) * prior.tau2
-                      for i in range(len(blocks))))
-    return RiskReport("gseg", ids, variance, bias2,
-                      breakdown={"weights": phis.tolist(),
-                                 "counts": counts.astype(int).tolist()})
+    return _risk_blocks("gseg", ds, ids, validate_partition(ids, partition), rule,
+                        cov, prior)
 
 
 def risk_seg(ds: TripDataset, y, rule, cov: CovarianceModel,
              prior: PriorSpec, pair: np.ndarray | None = None) -> RiskReport:
     """Exact risk of the per-segment estimator (singleton partition).
 
-    Uses the joint traversal counts of `TripDataset.pair_counts` rather than
-    per-block set intersections, so it stays cheap when called for many
-    routes.  `pair` optionally supplies precomputed joint counts for y.
+    `pair` optionally supplies the joint traversal counts of y
+    (`TripDataset.pair_counts`), which are the singleton blocks' joint
+    support counts, so they can be shared with `lower_bound`.
     """
     ids = _route_ids(y)
-    if pair is None:
-        pair = ds.pair_counts(ids)
-    counts = np.diag(pair).astype(np.float64)
-    blocks = [(s,) for s in ids]
-    phis = _resolve_weights(rule, counts, blocks, prior, cov)
-    idx = np.asarray(ids, dtype=np.intp)
-    sig = cov.sigma[np.ix_(idx, idx)]
-    safe = np.where(counts > 0, counts, 1.0)
-    ratio = phis / safe
-    variance = float(ratio @ (pair * sig) @ ratio)
-    bias2 = float(((1.0 - phis) ** 2).sum() * prior.tau2)
-    return RiskReport("segment", ids, variance, bias2,
-                      breakdown={"weights": phis.tolist(),
-                                 "counts": counts.astype(int).tolist()})
+    return _risk_blocks("segment", ds, ids, [(s,) for s in ids], rule, cov, prior,
+                        joint=pair)
 
 
 def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
@@ -141,18 +128,11 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
                           breakdown={"weight": 0.0, "neighborhood_size": int(m),
                                      "bias_length": 0.0, "bias_off_route": 0.0,
                                      "bias_on_route": bias_on})
-    n_delta = ds.subset_counts(nbhd.members).astype(np.float64)
-    if q_all is None:
-        q_sum = float(ds.quadratic_sums(cov)[nbhd.members].sum())
-    else:
-        q_sum = float(q_all[nbhd.members].sum())
-    lens = ds.offsets[nbhd.members + 1] - ds.offsets[nbhd.members]
-    ybar = float(lens.mean())
-    idx = np.asarray(ids, dtype=np.intp)
+    n_delta, q_sum, ybar = _neighborhood_moments(ds, nbhd, cov, q_all)
     variance = (phi / m) ** 2 * q_sum
     bias_length = (phi * (ybar - len(ids)) * prior.mu) ** 2
     scaled = phi * n_delta / m
-    on_route = scaled[idx]
+    on_route = scaled[list(ids)]
     bias_off = float((scaled ** 2).sum() - (on_route ** 2).sum()) * prior.tau2
     bias_on = float(((1.0 - on_route) ** 2).sum()) * prior.tau2
     bias2 = bias_length + bias_off + bias_on
@@ -190,6 +170,28 @@ def lower_bound(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
     return len(ids) ** 2 / info
 
 
+def risk_affine(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
+                prior: PriorSpec) -> RiskReport:
+    """Exact risk of any affine prediction: the expectation mc_risk estimates.
+
+    With a the intercept, c_n trip n's coefficients and d the coefficients
+    scattered onto the segments minus the indicator of y, the error is
+    a + d . theta + sum_n c_n . eps_n, so the risk is
+    (a + mu * sum d)^2 + tau2 |d|^2 (bias2, the latent part) plus
+    sum_n c_n' sigma[r_n, r_n] c_n (variance, the noise part).
+    """
+    n = ds.network.n_segments
+    on_route = np.isin(np.arange(n), pred.route)
+    d = np.bincount(ds.flat, weights=pred.coef, minlength=n) - on_route
+    variance = 0.0
+    for _, pos in ds.flat_index[1].values():
+        seg, c = ds.flat[pos], pred.coef[pos]
+        blocks = cov.sigma[seg[:, :, None], seg[:, None, :]]
+        variance += float(np.einsum("ni,nij,nj->", c, blocks, c))
+    bias2 = (pred.intercept + prior.mu * float(d.sum())) ** 2 + prior.tau2 * float(d @ d)
+    return RiskReport(pred.estimator, pred.route, variance, bias2)
+
+
 @dataclass(frozen=True)
 class MCRisk:
     mean: float
@@ -209,26 +211,23 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ids = list(pred.route)
-    active = [n for n, c in enumerate(pred.coefficients) if np.any(c != 0.0)]
+    flat = ds.flat
+    trip_of, groups = ds.flat_index
+    live = np.zeros(ds.n_trips, dtype=bool)
+    live[trip_of[pred.coef != 0.0]] = True
+    active = np.flatnonzero(live[trip_of])
     # net effect on the latent times: scattered coefficients minus the target
-    used = sorted(set(ids).union(*[set(ds.routes[n].segment_ids) for n in active])
-                  if active else set(ids))
-    seg_pos = {s: i for i, s in enumerate(used)}
-    d = np.zeros(len(used))
-    for n in active:
-        for pos, s in enumerate(ds.routes[n].segment_ids):
-            d[seg_pos[s]] += pred.coefficients[n][pos]
-    for s in ids:
-        d[seg_pos[s]] -= 1.0
-    # fold each trip's noise through its covariance factor once
-    w_parts = []
-    for n in active:
-        ridx = np.asarray(ds.routes[n].segment_ids, dtype=np.intp)
-        block = cov.sigma[np.ix_(ridx, ridx)]
-        evals, evecs = np.linalg.eigh(block)
-        factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-        w_parts.append(factor.T @ pred.coefficients[n])
-    w_flat = np.concatenate(w_parts) if w_parts else np.zeros(0)
+    used = np.union1d(ids, flat[active])
+    d = np.bincount(flat[active], weights=pred.coef[active],
+                    minlength=ds.network.n_segments)[used] - np.isin(used, ids)
+    # fold each active trip's noise through its covariance factor once
+    folded = np.zeros(flat.size)
+    for trips, pos in groups.values():
+        pos = pos[live[trips]]
+        if pos.size:
+            folded[pos] = np.einsum("nij,ni->nj", _noise_factors(cov, flat[pos]),
+                                    pred.coef[pos])
+    w_flat = folded[active]
     total = 0.0
     total_sq = 0.0
     done = 0

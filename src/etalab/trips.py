@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -66,8 +66,11 @@ class Route:
         for a, b in zip(segs, segs[1:]):
             if a.head != b.tail:
                 raise ValueError(f"route breaks at {a.head} -> {b.tail}")
-        if len(set(ids)) != len(ids):
-            raise ValueError("route repeats a segment")
+        # a connected path is simple when its heads and its first tail are all
+        # distinct (a repeated segment repeats its head)
+        heads = {s.head for s in segs}
+        if len(heads) != len(segs) or segs[0].tail in heads:
+            raise ValueError("route revisits a vertex")
         return cls(ids, segs[0].tail, segs[-1].head)
 
     @classmethod
@@ -223,15 +226,28 @@ class TripDataset:
             out[i] = (*r.origin, *r.destination)
         return out
 
-    def length_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Trips grouped by route length L: {L: (trip ids, (n_L, L) segment ids)}."""
-        flat, offsets = self._flat_offsets
+    @cached_property
+    def flat_index(self) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+        """Bookkeeping for arrays aligned with `flat`: (trip_of, groups).
+
+        trip_of[i] is the trip of flat entry i.  groups maps each route length
+        L to (trip ids, (n_L, L) flat positions of those trips' entries).
+        """
+        groups = {length: (trips, pos) for length, trips, pos in self._positions()}
+        return np.repeat(np.arange(self.n_trips), np.diff(self.offsets)), groups
+
+    def _positions(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Per route length L: (L, trip ids, (n_L, L) flat positions)."""
+        offsets = self.offsets
         lens = np.diff(offsets)
-        groups = {}
         for length in np.unique(lens):
             trips = np.flatnonzero(lens == length)
-            groups[int(length)] = (trips, flat[offsets[trips, None] + np.arange(length)])
-        return groups
+            yield int(length), trips, offsets[trips, None] + np.arange(length)
+
+    def length_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Trips grouped by route length L: {L: (trip ids, (n_L, L) segment ids)}."""
+        # not via flat_index, so a sweep cell holds no flat-sized index arrays
+        return {length: (trips, self.flat[pos]) for length, trips, pos in self._positions()}
 
     def trips_containing(self, seg_id: int) -> np.ndarray:
         """Sorted ids of trips whose route traverses the segment."""
@@ -328,19 +344,24 @@ def synthesize_times(network: RoadNetwork, routes: Sequence[Route],
     """
     n = network.n_segments
     theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal(n)
-    factors: dict[tuple[int, ...], np.ndarray] = {}
-    times = []
-    for r in routes:
-        ids = np.asarray(r.segment_ids, dtype=np.intp)
-        f = factors.get(r.segment_ids)
-        if f is None:
-            block = cov.sigma[np.ix_(ids, ids)]
-            evals, evecs = np.linalg.eigh(block)
-            f = evecs * np.sqrt(np.clip(evals, 0.0, None))
-            factors[r.segment_ids] = f
-        eps = f @ rng.standard_normal(len(ids))
-        times.append(theta[ids] + eps)
-    return TripDataset(network, routes, times, theta=theta)
+    ds = TripDataset(network, routes)
+    # one draw in trip order equals the per-trip draws made one after another
+    z = rng.standard_normal(ds.flat.size)
+    times = theta[ds.flat]
+    for _, pos in ds.flat_index[1].values():
+        times[pos] += np.einsum("nij,nj->ni", _noise_factors(cov, ds.flat[pos]), z[pos])
+    ds.times = np.split(times, ds.offsets[1:-1]) if ds.n_trips else []
+    ds.theta = theta
+    return ds
+
+
+def _noise_factors(cov: CovarianceModel, ids: np.ndarray) -> np.ndarray:
+    """(n, L, L) factors F with F F' = the sigma block of each row of `ids`.
+
+    Negative eigenvalues of a block are clipped to zero.
+    """
+    evals, evecs = np.linalg.eigh(cov.sigma[ids[:, :, None], ids[:, None, :]])
+    return evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ def test_route_from_segments_validation(grid3):
     back_forth = [ids[0], grid3.reverse_id(ids[0]), ids[0]]
     with pytest.raises(ValueError):
         Route.from_segments(grid3, back_forth)
+
+
+def test_route_rejects_revisited_vertex(grid3):
+    # a closed loop: every segment is distinct, but the origin comes back
+    with pytest.raises(ValueError, match="revisits a vertex"):
+        Route.from_vertices(grid3, [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)])
+    # a loop back to the origin in the middle of an open path
+    with pytest.raises(ValueError, match="revisits a vertex"):
+        Route.from_vertices(grid3, [(0, 1), (0, 0), (1, 0), (1, 1), (0, 1), (0, 2)])
+    # a loop back to a later vertex
+    with pytest.raises(ValueError, match="revisits a vertex"):
+        Route.from_vertices(grid3, [(2, 0), (1, 0), (0, 0), (0, 1), (1, 1), (1, 0)])
+
+
+def test_from_jsonl_rejects_revisited_vertex(grid3, tmp_path):
+    loop = grid3.path_segments([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)])
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps({"route": list(loop)}) + "\n")
+    with pytest.raises(ValueError, match="revisits a vertex"):
+        TripDataset.from_jsonl(grid3, path)
 
 
 def test_od_pmf_normalizes():
@@ -189,6 +210,24 @@ def test_synthesize_degenerate_noise_returns_theta(grid3):
     ds = synthesize_times(grid3, routes, cov, prior, rng)
     for r, t in zip(ds.routes, ds.times):
         assert np.array_equal(t, ds.theta[list(r.segment_ids)])
+
+
+def test_synthesize_matches_per_trip_loop():
+    net = build_grid(4)
+    cov = diffusion_covariance(segment_graph(net), u=0.7, v=1.1, white=0.2)
+    prior = PriorSpec(mu=1.5, tau2=0.4)
+    routes = sample_routes(ODLaw(4, 0.8), net, np.random.default_rng(2), 60)
+    ds = synthesize_times(net, routes, cov, prior, np.random.default_rng(11))
+    # reference: theta first, then one factor and one draw per trip in trip order
+    rng = np.random.default_rng(11)
+    theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal(net.n_segments)
+    assert np.array_equal(ds.theta, theta)
+    for r, t in zip(routes, ds.times):
+        ids = np.asarray(r.segment_ids)
+        evals, evecs = np.linalg.eigh(cov.sigma[np.ix_(ids, ids)])
+        factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        expected = theta[ids] + factor @ rng.standard_normal(len(ids))
+        np.testing.assert_allclose(t, expected, rtol=0.0, atol=1e-12)
 
 
 def test_synthesize_moments(grid3):
