@@ -26,7 +26,7 @@ from .risk import (MCRisk, RiskReport, check_nb_condition, dominance_audit,
                    risk_seg)
 from .trips import (Neighborhood, NeighborhoodKind, NeighborhoodSpec, ODLaw,
                     PriorSpec, Route, TripDataset, resolve_neighborhood,
-                    sample_route, sample_routes, synthesize_times)
+                    sample_route, sample_routes, sample_trips, synthesize_times)
 
 __all__ = [
     "__version__",
@@ -38,7 +38,7 @@ __all__ = [
     "normalized_laplacian",
     "Neighborhood", "NeighborhoodKind", "NeighborhoodSpec", "ODLaw", "PriorSpec",
     "Route", "TripDataset", "resolve_neighborhood", "sample_route",
-    "sample_routes", "synthesize_times",
+    "sample_routes", "sample_trips", "synthesize_times",
     "PosteriorModel", "Prediction", "WeightRule", "optimal_gseg_weights",
     "optimal_route_weight", "optimal_seg_weights", "predict_bayes_optimal",
     "predict_gseg", "predict_route", "predict_segment",

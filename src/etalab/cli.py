@@ -26,7 +26,7 @@ from .harness import ORACLE_FIXTURES, ConfigError, SweepConfig, emit_csv, \
     emit_manifest, oracle_cases, run_examples, run_sweep
 from .network import AdjacencyRule, build_grid, segment_graph
 from .risk import mc_risk
-from .trips import ODLaw, sample_routes
+from .trips import ODLaw, sample_trips
 
 __all__ = ["main"]
 
@@ -127,10 +127,9 @@ def _cmd_diag(args) -> int:
         return 2
     routes = None
     if p is not None and args.routes > 0:
-        net = build_grid(p)
         rng = np.random.default_rng(args.seed)
-        routes = [r.segment_ids for r in
-                  sample_routes(ODLaw(p, 1.0), net, rng, args.routes)]
+        ds = sample_trips(ODLaw(p, 1.0), build_grid(p), rng, args.routes)
+        routes = np.split(ds.flat, ds.offsets[1:-1])
     out = assumption_diagnostics(cov, routes=routes)
     out["n_segments"] = cov.n_segments
     out["min_eigenvalue"] = cov.min_eigenvalue()

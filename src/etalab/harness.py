@@ -29,7 +29,7 @@ from .estimators import (PosteriorModel, Prediction, WeightRule, optimal_gseg_we
 from .network import AdjacencyRule, build_grid, segment_graph
 from .risk import (lower_bound, risk_gseg, risk_optimal, risk_route, risk_seg)
 from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
-                    resolve_neighborhood, sample_routes)
+                    resolve_neighborhood, sample_trips)
 
 __all__ = [
     "ConfigError",
@@ -181,8 +181,8 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     law = ODLaw(p, cfg.od_alpha)
     hist_ss, pred_ss = _cell_seed(cfg, p, k).spawn(2)
     n_hist = int(math.ceil(p ** k))
-    ds = TripDataset(net, sample_routes(law, net, np.random.default_rng(hist_ss), n_hist))
-    predicting = sample_routes(law, net, np.random.default_rng(pred_ss), cfg.n_predict)
+    ds = sample_trips(law, net, np.random.default_rng(hist_ss), n_hist)
+    predicting = sample_trips(law, net, np.random.default_rng(pred_ss), cfg.n_predict).routes
     model = PosteriorModel(ds, cov, prior)
     q_all = ds.quadratic_sums(cov)
     rule = WeightRule.ratio(cfg.ratio_lam)
@@ -349,7 +349,7 @@ def _conditioned_bayes(ds: TripDataset, y, cov: CovarianceModel,
     proj = np.zeros((flat.size, ds.network.n_segments))
     proj[np.arange(flat.size), flat] = 1.0
     noise = scipy.linalg.block_diag(
-        *[cov.sigma[np.ix_(r.segment_ids, r.segment_ids)] for r in ds.routes])
+        *[cov.sigma[np.ix_(r, r)] for r in np.split(flat, offsets[1:-1])])
     e_y = np.zeros(ds.network.n_segments)
     e_y[ids] = 1.0
     cov_xs = prior.tau2 * (proj @ e_y)

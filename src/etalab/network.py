@@ -53,28 +53,29 @@ class Segment:
         return frozenset((self.tail, self.head))
 
 
-class RoadNetwork:
-    """Immutable directed grid network with canonical segment indexing."""
+# Step directions (di, dj), in the canonical order of a vertex's outgoing segments.
+DIRECTIONS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
-    def __init__(self, p: int, segments: Iterable[Segment] | None = None):
+
+class RoadNetwork:
+    """Immutable directed grid network with canonical segment indexing.
+
+    `endpoints` holds one row [tail_i, tail_j, head_i, head_j] per segment
+    id.  `segment_table[i*(p+1) + j, d]` is the id of the segment leaving
+    vertex (i, j) in direction DIRECTIONS[d], or -1 at the grid's edge.
+    """
+
+    def __init__(self, p: int):
         if p < 1:
             raise ValueError("grid size p must be >= 1")
         self.p = int(p)
-        if segments is None:
-            segments = _grid_segments(self.p)
-        self._segments: tuple[Segment, ...] = tuple(segments)
-        expected = tuple(_grid_segments(self.p))
-        if self._segments != expected:
-            raise ValueError("segments must be the full grid segment set in canonical order")
+        self._segments: tuple[Segment, ...] = tuple(_grid_segments(self.p))
         self._index: dict[Segment, int] = {s: i for i, s in enumerate(self._segments)}
-        # vertex -> ids of segments leaving / entering it
-        out_map: dict[tuple[int, int], list[int]] = {}
-        in_map: dict[tuple[int, int], list[int]] = {}
+        self.endpoints = np.array([(*s.tail, *s.head) for s in self._segments], dtype=np.int64)
+        self.segment_table = np.full((self.n_vertices, len(DIRECTIONS)), -1, dtype=np.int64)
         for i, s in enumerate(self._segments):
-            out_map.setdefault(s.tail, []).append(i)
-            in_map.setdefault(s.head, []).append(i)
-        self._out = {v: tuple(ids) for v, ids in out_map.items()}
-        self._in = {v: tuple(ids) for v, ids in in_map.items()}
+            self.segment_table[s.tail[0] * (self.p + 1) + s.tail[1],
+                               DIRECTIONS.index(s.direction)] = i
 
     @property
     def n_vertices(self) -> int:
@@ -104,10 +105,14 @@ class RoadNetwork:
         return self._index[self._segments[seg_id].reversed()]
 
     def out_segments(self, vertex: tuple[int, int]) -> tuple[int, ...]:
-        return self._out.get(tuple(vertex), ())
+        i, j = vertex
+        if not (0 <= i <= self.p and 0 <= j <= self.p):
+            return ()
+        return tuple(int(s) for s in self.segment_table[i * (self.p + 1) + j] if s >= 0)
 
     def in_segments(self, vertex: tuple[int, int]) -> tuple[int, ...]:
-        return self._in.get(tuple(vertex), ())
+        # the reverses of the leaving segments, which keeps them in id order
+        return tuple(self.reverse_id(s) for s in self.out_segments(vertex))
 
     def path_segments(self, vertices: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """Segment ids for a walk given as a vertex sequence."""
@@ -117,17 +122,15 @@ class RoadNetwork:
         return tuple(self.segment_id(a, b) for a, b in zip(verts, verts[1:]))
 
     def to_json(self) -> str:
-        payload = {
-            "p": self.p,
-            "segments": [[s.tail[0], s.tail[1], s.head[0], s.head[1]] for s in self._segments],
-        }
-        return json.dumps(payload)
+        return json.dumps({"p": self.p, "segments": self.endpoints.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "RoadNetwork":
         payload = json.loads(text)
-        segs = [Segment((t0, t1), (h0, h1)) for t0, t1, h0, h1 in payload["segments"]]
-        return cls(payload["p"], segs)
+        net = cls(payload["p"])
+        if payload["segments"] != net.endpoints.tolist():
+            raise ValueError("segments must be the full grid segment set in canonical order")
+        return net
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RoadNetwork) and other.p == self.p
@@ -140,13 +143,13 @@ class RoadNetwork:
 
 
 def _grid_segments(p: int) -> Iterable[Segment]:
+    # tails in lexicographic order, each one's heads in DIRECTIONS order: the canonical order
     out = []
     for ti in range(p + 1):
         for tj in range(p + 1):
-            for hi, hj in ((ti - 1, tj), (ti, tj - 1), (ti, tj + 1), (ti + 1, tj)):
-                if 0 <= hi <= p and 0 <= hj <= p:
-                    out.append(Segment((ti, tj), (hi, hj)))
-    out.sort(key=lambda s: (s.tail, s.head))
+            for di, dj in DIRECTIONS:
+                if 0 <= ti + di <= p and 0 <= tj + dj <= p:
+                    out.append(Segment((ti, tj), (ti + di, tj + dj)))
     return out
 
 

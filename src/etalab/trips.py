@@ -18,7 +18,7 @@ import scipy.sparse
 from scipy import stats
 
 from .covariance import CovarianceModel
-from .network import RoadNetwork
+from .network import DIRECTIONS, RoadNetwork
 
 __all__ = [
     "PriorSpec",
@@ -26,6 +26,7 @@ __all__ = [
     "ODLaw",
     "sample_route",
     "sample_routes",
+    "sample_trips",
     "synthesize_times",
     "TripDataset",
     "NeighborhoodKind",
@@ -121,86 +122,90 @@ class ODLaw:
         return out
 
 
-def _route_between(network: RoadNetwork, origin, destination, vertical_first: bool) -> Route:
-    oi, oj = origin
-    di, dj = destination
-    verts = [(oi, oj)]
-    legs = ((di, oj), (di, dj)) if vertical_first else ((oi, dj), (di, dj))
-    for ti, tj in legs:
-        ci, cj = verts[-1]
-        while (ci, cj) != (ti, tj):
-            if ci != ti:
-                ci += 1 if ti > ci else -1
-            else:
-                cj += 1 if tj > cj else -1
-            verts.append((ci, cj))
-    return Route.from_vertices(network, verts)
-
-
 def sample_route(law: ODLaw, network: RoadNetwork, rng: np.random.Generator) -> Route:
-    """Draw one trip route: endpoints from the OD law, then a shortest path.
-
-    Endpoints sharing a row or column give the unique straight route.
-    Otherwise the two single-turn L-shaped shortest routes are equally
-    likely, chosen by an explicit coin flip.
-    """
+    """Draw one trip route; the route law is the one of `sample_trips`."""
     return sample_routes(law, network, rng, 1)[0]
 
 
 def sample_routes(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
                   n: int) -> list[Route]:
+    """Draw n trip routes, as `sample_trips` does, as Route objects."""
+    return list(sample_trips(law, network, rng, n).routes)
+
+
+def sample_trips(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
+                 n: int) -> TripDataset:
+    """Draw n trips: endpoints from the OD law, then a shortest path each.
+
+    Endpoints sharing a row or column give the unique straight route.
+    Otherwise the two single-turn L-shaped shortest routes are equally
+    likely, chosen by an explicit coin flip; a coin of 1 moves along the
+    first coordinate (i) first.  The draws are `law.sample_od(rng, n)`, then
+    `rng.integers(0, 2, size=n)`, in that order.
+    """
     od = law.sample_od(rng, n)
     coins = rng.integers(0, 2, size=n)
-    routes = []
-    for row, coin in zip(od, coins):
-        origin = (int(row[0]), int(row[1]))
-        dest = (int(row[2]), int(row[3]))
-        aligned = origin[0] == dest[0] or origin[1] == dest[1]
-        vertical_first = bool(coin) if not aligned else True
-        routes.append(_route_between(network, origin, dest, vertical_first))
-    return routes
+    oi, oj, di, dj = od.T
+    # each trip's two straight legs in travel order: step counts and codes
+    # into DIRECTIONS; an aligned trip has an empty leg, so its coin is moot
+    steps = np.column_stack((np.abs(di - oi), np.abs(dj - oj)))
+    codes = np.column_stack((np.where(di > oi, 3, 0), np.where(dj > oj, 2, 1)))
+    j_first = coins == 0
+    steps[j_first] = steps[j_first, ::-1]
+    codes[j_first] = codes[j_first, ::-1]
+    offsets = np.r_[0, np.cumsum(steps.sum(axis=1))]
+    code = np.repeat(codes.ravel(), steps.ravel())
+    width = network.p + 1
+    move = np.array([a * width + b for a, b in DIRECTIONS])[code]
+    # one running sum of the vertex moves gives every step's head, once each
+    # trip's first move also jumps from the previous destination to its origin
+    vertex = move.copy()
+    vertex[offsets[:-1]] += (oi * width + oj) - np.r_[0, (di * width + dj)[:-1]]
+    np.cumsum(vertex, out=vertex)
+    vertex -= move  # now the tail of each step
+    ds = TripDataset(network, ())
+    ds.flat, ds.offsets = network.segment_table[vertex, code], offsets
+    return ds
 
 
 class TripDataset:
-    """Historical trips over one network, with counters for the estimators."""
+    """Historical trips over one network, with counters for the estimators.
+
+    The routes are stored back to back: trip n traverses the segment ids
+    flat[offsets[n]:offsets[n + 1]].  Route objects are built from these
+    arrays only when `routes` is first read.
+    """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[Route],
                  times: Sequence[np.ndarray] | None = None,
                  theta: np.ndarray | None = None):
+        routes = tuple(routes)
         self.network = network
-        self.routes = tuple(routes)
+        self.offsets = np.cumsum([0] + [len(r) for r in routes], dtype=np.int64)
+        self.flat = np.fromiter((s for r in routes for s in r.segment_ids),
+                                dtype=np.int64, count=int(self.offsets[-1]))
         if times is not None:
             times = [np.asarray(t, dtype=np.float64) for t in times]
-            if len(times) != len(self.routes):
+            if len(times) != self.n_trips:
                 raise ValueError("need one time vector per trip")
-            for t, r in zip(times, self.routes):
-                if t.shape != (len(r),):
-                    raise ValueError("time vector length must match route length")
+            if [t.shape for t in times] != [(n,) for n in np.diff(self.offsets).tolist()]:
+                raise ValueError("time vector length must match route length")
         self.times = times
         self.theta = None if theta is None else np.asarray(theta, dtype=np.float64)
 
     @property
     def n_trips(self) -> int:
-        return len(self.routes)
+        return self.offsets.size - 1
 
     @cached_property
-    def _flat_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        lens = np.fromiter((len(r) for r in self.routes), dtype=np.int64,
-                           count=len(self.routes))
-        offsets = np.zeros(len(self.routes) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        for i, r in enumerate(self.routes):
-            flat[offsets[i]:offsets[i + 1]] = r.segment_ids
-        return flat, offsets
+    def routes(self) -> tuple[Route, ...]:
+        """One Route per trip, built from flat/offsets on first access.
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self._flat_offsets[0]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._flat_offsets[1]
+        The arrays hold valid paths (tested against `Route.from_segments`).
+        """
+        flat, bounds = self.flat.tolist(), self.offsets.tolist()
+        return tuple(Route(tuple(flat[a:b]), (oi, oj), (di, dj)) for a, b, (oi, oj, di, dj)
+                     in zip(bounds, bounds[1:], self.od_array.tolist()))
 
     @cached_property
     def incidence(self) -> scipy.sparse.csr_matrix:
@@ -209,9 +214,8 @@ class TripDataset:
         Every traversal counter is a sum over A: N_s are its column sums and
         the joint counts over a route y are A[:, y]' A[:, y].
         """
-        flat, offsets = self._flat_offsets
-        data = np.ones(flat.size, dtype=np.int64)
-        return scipy.sparse.csr_matrix((data, flat, offsets), copy=True,
+        data = np.ones(self.flat.size, dtype=np.int64)
+        return scipy.sparse.csr_matrix((data, self.flat, self.offsets), copy=True,
                                        shape=(self.n_trips, self.network.n_segments))
 
     @cached_property
@@ -221,10 +225,10 @@ class TripDataset:
 
     @cached_property
     def od_array(self) -> np.ndarray:
-        out = np.empty((self.n_trips, 4), dtype=np.int64)
-        for i, r in enumerate(self.routes):
-            out[i] = (*r.origin, *r.destination)
-        return out
+        """Rows [oi, oj, di, dj]: the tail of each trip's first segment, the head of its last."""
+        ends = self.network.endpoints
+        return np.hstack((ends[self.flat[self.offsets[:-1]], :2],
+                          ends[self.flat[self.offsets[1:] - 1], 2:]))
 
     @cached_property
     def flat_index(self) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
@@ -292,18 +296,17 @@ class TripDataset:
         """Per-segment sums of observed (optionally centered) travel times."""
         if self.times is None:
             raise ValueError("dataset has no observed times")
-        flat, offsets = self._flat_offsets
         values = np.concatenate(self.times) if self.times else np.empty(0)
-        out = np.zeros(self.network.n_segments)
-        np.add.at(out, flat, values - center)
-        return out
+        return np.bincount(self.flat, weights=values - center,
+                           minlength=self.network.n_segments)
 
     # -- serialization: one JSON object per line, {"route": [...], "times": [...]}
 
     def to_jsonl(self, path) -> None:
+        flat, bounds = self.flat.tolist(), self.offsets.tolist()
         with open(path, "w") as fh:
-            for i, r in enumerate(self.routes):
-                rec: dict = {"route": list(r.segment_ids)}
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                rec: dict = {"route": flat[a:b]}
                 if self.times is not None:
                     rec["times"] = [float(v) for v in self.times[i]]
                 fh.write(json.dumps(rec) + "\n")

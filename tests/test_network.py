@@ -91,6 +91,11 @@ def test_json_roundtrip(grid3):
     payload = json.loads(text)
     assert payload["p"] == 3
     assert len(payload["segments"]) == 48
+    # a payload is outside input: only the canonical segment list for p loads
+    segs = payload["segments"]
+    for bad in ([segs[1], segs[0], *segs[2:]], segs[:17] + segs[18:]):
+        with pytest.raises(ValueError, match="canonical order"):
+            RoadNetwork.from_json(json.dumps({"p": 3, "segments": bad}))
 
 
 def test_classify_pair_cases(grid3):

@@ -22,6 +22,7 @@ from etalab.trips import (
     resolve_neighborhood,
     sample_route,
     sample_routes,
+    sample_trips,
     synthesize_times,
 )
 
@@ -161,10 +162,10 @@ def test_sample_route_distribution_matches_enumeration():
         w = vertex_prob(o) * vertex_prob(d)
         total += w
         if o[0] == d[0] or o[1] == d[1]:
-            keys = [_l_route(net, o, d, True).segment_ids]
+            keys = [_route_between(net, o, d, True).segment_ids]
         else:
-            keys = [_l_route(net, o, d, True).segment_ids,
-                    _l_route(net, o, d, False).segment_ids]
+            keys = [_route_between(net, o, d, True).segment_ids,
+                    _route_between(net, o, d, False).segment_ids]
         for k in keys:
             support[k] = support.get(k, 0.0) + w / len(keys)
     for k in support:
@@ -182,18 +183,55 @@ def test_sample_route_distribution_matches_enumeration():
         assert abs(freq - prob) <= 4.0 * se + 1e-12
 
 
-def _l_route(net, o, d, vertical_first):
-    verts = [o]
-    ci, cj = o
-    legs = [((d[0], cj), (d[0], d[1]))] if vertical_first else [((ci, d[1]), (d[0], d[1]))]
-    for corner in legs[0]:
-        while ci != corner[0]:
-            ci += 1 if corner[0] > ci else -1
+def _route_between(network, origin, destination, vertical_first: bool) -> Route:
+    oi, oj = origin
+    di, dj = destination
+    verts = [(oi, oj)]
+    legs = ((di, oj), (di, dj)) if vertical_first else ((oi, dj), (di, dj))
+    for ti, tj in legs:
+        ci, cj = verts[-1]
+        while (ci, cj) != (ti, tj):
+            if ci != ti:
+                ci += 1 if ti > ci else -1
+            else:
+                cj += 1 if tj > cj else -1
             verts.append((ci, cj))
-        while cj != corner[1]:
-            cj += 1 if corner[1] > cj else -1
-            verts.append((ci, cj))
-    return Route.from_vertices(net, verts)
+    return Route.from_vertices(network, verts)
+
+
+def _reference_routes(law, network, rng, n) -> list[Route]:
+    """The per-trip sampler: one vertex walk and one validated Route per trip."""
+    od = law.sample_od(rng, n)
+    coins = rng.integers(0, 2, size=n)
+    routes = []
+    for row, coin in zip(od, coins):
+        origin = (int(row[0]), int(row[1]))
+        dest = (int(row[2]), int(row[3]))
+        aligned = origin[0] == dest[0] or origin[1] == dest[1]
+        vertical_first = bool(coin) if not aligned else True
+        routes.append(_route_between(network, origin, dest, vertical_first))
+    return routes
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+@pytest.mark.parametrize("alpha", [0.4, 1.0, 2.5])
+@pytest.mark.parametrize("p", [1, 2, 3, 7])
+def test_sample_trips_matches_per_trip_reference(p, alpha, n):
+    net, law = build_grid(p), ODLaw(p, alpha)
+    for seed in range(3):
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _reference_routes(law, net, rng_ref, n)
+        ds = sample_trips(law, net, rng, n)
+        # same draws in the same order: both generators end in the same state
+        assert rng.random() == rng_ref.random()
+        assert ds.flat.dtype == ds.offsets.dtype == np.int64
+        assert np.array_equal(ds.offsets, np.cumsum([0] + [len(r) for r in expected]))
+        assert np.array_equal(ds.flat, [s for r in expected for s in r.segment_ids])
+        od = np.array([(*r.origin, *r.destination) for r in expected], dtype=np.int64)
+        assert np.array_equal(ds.od_array, od.reshape(-1, 4))
+        assert sample_routes(law, net, np.random.default_rng(seed), n) == expected
+        for r in ds.routes:
+            assert r == Route.from_segments(net, r.segment_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +303,26 @@ def test_reference_counters():
 
 
 def test_empty_dataset_counters(grid3):
-    ds = TripDataset(grid3, [])
-    assert ds.n_trips == 0
-    assert ds.n_s.sum() == 0
-    y = reference_route()
-    assert np.array_equal(ds.pair_counts(y.segment_ids), np.zeros((2, 2)))
-    assert ds.n_subset(y.segment_ids) == 0
+    for ds in (TripDataset(grid3, []),
+               sample_trips(ODLaw(3, 1.0), grid3, np.random.default_rng(0), 0)):
+        assert ds.n_trips == 0
+        assert ds.routes == ()
+        assert ds.n_s.sum() == 0
+        y = reference_route()
+        assert np.array_equal(ds.pair_counts(y.segment_ids), np.zeros((2, 2)))
+        assert ds.n_subset(y.segment_ids) == 0
+
+
+def test_dataset_from_routes_matches_sample_trips():
+    net, law = build_grid(4), ODLaw(4, 0.8)
+    for seed in range(5):
+        routes = _reference_routes(law, net, np.random.default_rng(seed), 200)
+        built = TripDataset(net, routes)
+        sampled = sample_trips(law, net, np.random.default_rng(seed), 200)
+        for name in ("flat", "offsets", "od_array"):
+            assert np.array_equal(getattr(built, name), getattr(sampled, name)), name
+        assert built.routes == sampled.routes == tuple(routes)
+        assert (built.incidence != sampled.incidence).nnz == 0
 
 
 def test_counter_invariants_random():
@@ -321,12 +373,13 @@ def test_subset_counts_and_quadratic_sums():
 def test_segment_time_sums(grid3):
     fx = random_fixture(9, p=3, n_trips=8, with_times=True)
     ds = fx.ds
-    sums = ds.segment_time_sums()
-    brute = np.zeros(ds.network.n_segments)
-    for r, t in zip(ds.routes, ds.times):
-        for s, v in zip(r.segment_ids, t):
-            brute[s] += v
-    assert np.allclose(sums, brute, atol=1e-12)
+    for center in (0.0, 0.7):
+        sums = ds.segment_time_sums(center)
+        brute = np.zeros(ds.network.n_segments)
+        for r, t in zip(ds.routes, ds.times):
+            for s, v in zip(r.segment_ids, t):
+                brute[s] += v - center
+        assert np.allclose(sums, brute, atol=1e-12)
 
 
 def test_jsonl_roundtrip(tmp_path):
