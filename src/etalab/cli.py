@@ -130,10 +130,7 @@ def _cmd_diag(args) -> int:
         rng = np.random.default_rng(args.seed)
         ds = sample_trips(ODLaw(p, 1.0), build_grid(p), rng, args.routes)
         routes = np.split(ds.flat, ds.offsets[1:-1])
-    out = assumption_diagnostics(cov, routes=routes)
-    out["n_segments"] = cov.n_segments
-    out["min_eigenvalue"] = cov.min_eigenvalue()
-    print(json.dumps(out, indent=2))
+    print(json.dumps(assumption_diagnostics(cov, routes=routes), indent=2))
     return 0
 
 

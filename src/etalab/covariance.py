@@ -65,10 +65,25 @@ def normalized_laplacian(graph: SegmentGraph, variant: str = LaplacianVariant.SY
 
 
 class CovarianceModel:
-    """Dense symmetric PSD covariance over network segments."""
+    """Dense symmetric PSD covariance over network segments.
 
-    def __init__(self, sigma: np.ndarray, meta: Mapping[str, object] | None = None,
-                 validate: bool = True):
+    Its ascending eigenvalues are computed once, when the model is built, and
+    stored as ``eigenvalues``; validation, ``min_eigenvalue``, ``rank`` and
+    ``precision`` read them instead of solving for them again.
+    """
+
+    def __init__(self, sigma: np.ndarray, meta: Mapping[str, object] | None = None):
+        self._build(sigma, meta, None)
+
+    @classmethod
+    def _with_eigenvalues(cls, sigma: np.ndarray, meta: Mapping[str, object],
+                          eigenvalues: np.ndarray | None) -> "CovarianceModel":
+        """Wrap a sigma whose ascending eigenvalues are known (None: solve for them)."""
+        model = cls.__new__(cls)
+        model._build(sigma, meta, eigenvalues)
+        return model
+
+    def _build(self, sigma, meta, eigenvalues) -> None:
         sigma = np.ascontiguousarray(np.asarray(sigma, dtype=np.float64))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square matrix")
@@ -76,15 +91,15 @@ class CovarianceModel:
             raise ValueError("sigma must be symmetric")
         self.sigma = (sigma + sigma.T) / 2.0
         self.meta = dict(meta or {})
-        if validate:
-            self.validate_psd()
+        self.eigenvalues = np.linalg.eigvalsh(self.sigma) if eigenvalues is None else eigenvalues
+        self.validate_psd()
 
     @property
     def n_segments(self) -> int:
         return self.sigma.shape[0]
 
     def validate_psd(self) -> None:
-        eigs = np.linalg.eigvalsh(self.sigma)
+        eigs = self.eigenvalues
         scale = max(1.0, float(eigs[-1]))
         if eigs[0] < -PSD_RTOL * scale:
             raise ValueError(
@@ -92,12 +107,33 @@ class CovarianceModel:
                 f"(allowed down to {-PSD_RTOL * scale:.1e})"
             )
 
+    @property
+    def rank(self) -> int:
+        """Eigenvalues above n * eps * lambda_max, the np.linalg.matrix_rank threshold."""
+        eigs = self.eigenvalues
+        tol = self.n_segments * np.finfo(np.float64).eps * max(float(eigs[-1]), 0.0)
+        return int(np.count_nonzero(eigs > tol))
+
     @cached_property
     def precision(self) -> np.ndarray:
-        """Inverse covariance, via a Cholesky solve against the identity."""
-        c, low = scipy.linalg.cho_factor(self.sigma, lower=True, check_finite=False)
-        psi = scipy.linalg.cho_solve((c, low), np.eye(self.n_segments), check_finite=False)
-        return (psi + psi.T) / 2.0
+        """Inverse covariance, from sigma's Cholesky factor (LAPACK dpotri).
+
+        Raises ``np.linalg.LinAlgError`` when sigma is rank-deficient.
+        """
+        n = self.n_segments
+        rank = self.rank
+        if rank < n:
+            raise np.linalg.LinAlgError(
+                f"covariance is singular (rank {rank} of {n}, min eigenvalue "
+                f"{self.min_eigenvalue():.6e}); it has no precision matrix")
+        c, _ = scipy.linalg.cho_factor(self.sigma, lower=True, check_finite=False)
+        psi, info = scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpotri failed with info {info}")
+        # dpotri fills only the lower triangle; mirror it without an n x n temporary
+        for i in range(n - 1):
+            psi[i, i + 1:] = psi[i + 1:, i]
+        return psi
 
     def block(self, ids: Sequence[int]) -> np.ndarray:
         idx = np.asarray(ids, dtype=np.intp)
@@ -112,7 +148,7 @@ class CovarianceModel:
         return float(self.sigma[np.ix_(si, ti)].sum())
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.sigma)[0])
+        return float(self.eigenvalues[0])
 
     # -- CSV round trip: header of segment ids, then one lower-triangle row per segment
 
@@ -130,7 +166,7 @@ class CovarianceModel:
                 fh.write(text)
 
     @classmethod
-    def from_csv(cls, path_or_buf, validate: bool = True) -> "CovarianceModel":
+    def from_csv(cls, path_or_buf) -> "CovarianceModel":
         if hasattr(path_or_buf, "read"):
             text = path_or_buf.read()
         else:
@@ -150,7 +186,7 @@ class CovarianceModel:
                 raise ValueError(f"row {i} should carry {i + 1} values, found {len(vals)}")
             sigma[i, : i + 1] = vals
             sigma[: i + 1, i] = vals
-        return cls(sigma, meta={"kind": "csv"}, validate=validate)
+        return cls(sigma, meta={"kind": "csv"})
 
     def __repr__(self) -> str:
         kind = self.meta.get("kind", "raw")
@@ -176,14 +212,18 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
         # through an eigendecomposition
         return CovarianceModel((u + white) * np.eye(n), meta=meta)
     lap = normalized_laplacian(graph, variant=variant)
+    eigenvalues = None
     if variant == LaplacianVariant.SYMMETRIC:
         evals, evecs = np.linalg.eigh(lap)
-        kernel = (evecs * np.exp(-v * evals)) @ evecs.T
+        heat = np.exp(-v * evals)
+        kernel = (evecs * heat) @ evecs.T
+        # sigma = V diag(u e^{-v lambda} + white) V', so L's eigh gives its spectrum
+        eigenvalues = np.sort(u * heat + white)
     else:
         kernel = scipy.linalg.expm(-v * lap)
     sigma = u * (kernel + kernel.T) / 2.0
     sigma[np.diag_indices(n)] += white
-    return CovarianceModel(sigma, meta=meta)
+    return CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
 
 
 class FeatureLaw:
@@ -226,15 +266,22 @@ def assumption_diagnostics(cov: CovarianceModel,
                            routes: Iterable[Sequence[int]] | None = None) -> dict:
     """Summary statistics used to sanity-check covariance regularity.
 
-    Reports the largest absolute row sums of sigma and of its precision, and,
-    when sample routes are supplied, the smallest eigenvalue seen among their
+    Reports sigma's size, rank and extreme eigenvalues from the stored
+    spectrum, the largest absolute row sums of sigma and of its precision
+    (``None`` when sigma is rank-deficient and has no precision), and, when
+    sample routes are supplied, the smallest eigenvalue seen among their
     covariance blocks.
     """
-    abs_sigma = np.abs(cov.sigma).sum(axis=1)
-    abs_psi = np.abs(cov.precision).sum(axis=1)
+    n = cov.n_segments
+    rank = cov.rank
     out = {
-        "max_abs_row_sum_sigma": float(abs_sigma.max()),
-        "max_abs_row_sum_precision": float(abs_psi.max()),
+        "n_segments": n,
+        "rank": rank,
+        "min_eigenvalue": cov.min_eigenvalue(),
+        "max_eigenvalue": float(cov.eigenvalues[-1]),
+        "max_abs_row_sum_sigma": float(np.abs(cov.sigma).sum(axis=1).max()),
+        "max_abs_row_sum_precision": (float(np.abs(cov.precision).sum(axis=1).max())
+                                      if rank == n else None),
         "min_diag_sigma": float(np.diag(cov.sigma).min()),
     }
     if routes is not None:

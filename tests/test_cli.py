@@ -86,6 +86,19 @@ def test_diag_with_routes(capsys):
     assert payload["n_routes_checked"] == 5
 
 
+def test_diag_singular_covariance(capsys):
+    # a rank-3 Gram covariance on 48 segments has no precision; diag still
+    # reports its spectrum and exits 0
+    code = main(["diag", "--covariance", "gram:p=3,m=3"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_segments"] == 48
+    assert payload["rank"] == 3
+    assert payload["max_abs_row_sum_precision"] is None
+    assert abs(payload["min_eigenvalue"]) < 1e-12
+    assert payload["max_eigenvalue"] > 0.0
+
+
 def test_diag_bad_descriptor(capsys):
     code = main(["diag", "--covariance", "bogus:p=3"])
     assert code == 2

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etalab.covariance import (
     CovarianceModel,
@@ -188,3 +189,100 @@ def test_assumption_diagnostics():
     assert out["min_diag_sigma"] > 0.0
     assert out["route_block_min_eigenvalue"] > 0.0
     assert out["max_abs_row_sum_sigma"] >= out["min_diag_sigma"]
+
+
+def test_csv_rejects_non_psd():
+    # a CSV is outside input: it is validated like any other matrix
+    buf = io.StringIO("0,1\n1.0\n-1.1,1.0\n")
+    with pytest.raises(ValueError, match="min eigenvalue"):
+        CovarianceModel.from_csv(buf)
+
+
+def _spectrum_cases():
+    graph = segment_graph(build_grid(3), rule=AdjacencyRule.SHARE_ANY_ENDPOINT)
+    yield "reference", reference_covariance
+    for u, v, white in [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (0.7, 3.0, 1.0)]:
+        yield f"diffusion-{u}-{v}-{white}", lambda u=u, v=v, white=white: \
+            diffusion_covariance(graph, u=u, v=v, white=white)
+    yield "diffusion-v0", lambda: diffusion_covariance(graph, u=1.0, v=0.0, white=0.25)
+    yield "as-printed", lambda: diffusion_covariance(
+        graph, u=1.0, v=1.0, white=0.01, variant=LaplacianVariant.AS_PRINTED)
+    yield "gram-low-rank", lambda: gram_covariance(48, 3)
+    yield "gram-full-rank", lambda: gram_covariance(10, 20, law=FeatureLaw.UNIF_0_1, seed=1)
+    yield "explicit", negcov_covariance
+
+
+@pytest.mark.parametrize("name,build", list(_spectrum_cases()),
+                         ids=[name for name, _ in _spectrum_cases()])
+def test_stored_spectrum_matches_eigvalsh(name, build):
+    cov = build()
+    for model in (cov, _csv_roundtrip(cov)):
+        exact = np.linalg.eigvalsh(model.sigma)
+        tol = 1e-12 * max(1.0, float(exact[-1]))
+        assert model.eigenvalues.shape == exact.shape
+        assert np.all(np.diff(model.eigenvalues) >= 0.0)
+        assert np.max(np.abs(model.eigenvalues - exact)) <= tol
+        assert model.rank == np.linalg.matrix_rank(model.sigma, hermitian=True)
+
+
+def _csv_roundtrip(cov):
+    buf = io.StringIO()
+    cov.to_csv(buf)
+    buf.seek(0)
+    return CovarianceModel.from_csv(buf)
+
+
+_EIGEN_SOLVERS = [(np.linalg, "eigvalsh"), (np.linalg, "eigh"), (scipy.linalg, "eigh")]
+
+
+def _count_calls(monkeypatch):
+    calls = []
+    for mod, name in _EIGEN_SOLVERS:
+        def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_one_eigen_solve_per_construction(monkeypatch):
+    graph = segment_graph(build_grid(3))
+    n = graph.network.n_segments
+    calls = _count_calls(monkeypatch)
+    diffusion_covariance(graph, u=1.0, v=1.0, white=0.5)
+    # the Laplacian's eigh is the only solve; sigma's spectrum follows from it
+    assert calls == [("eigh", (n, n))]
+    for build in (lambda: gram_covariance(n, 3), negcov_covariance,
+                  lambda: diffusion_covariance(graph, v=0.0),
+                  lambda: diffusion_covariance(graph, white=0.01,
+                                               variant=LaplacianVariant.AS_PRINTED)):
+        calls.clear()
+        build()
+        assert calls == [("eigvalsh", (n, n))]
+
+
+def test_spectrum_consumers_run_no_eigen_solve(monkeypatch):
+    cov = diffusion_covariance(segment_graph(build_grid(3)), u=1.0, v=1.0, white=0.5)
+    singular = gram_covariance(48, 3)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("second eigen solve of sigma")
+
+    for mod, name in _EIGEN_SOLVERS:
+        monkeypatch.setattr(mod, name, boom)
+    cov.validate_psd()
+    assert cov.min_eigenvalue() == cov.eigenvalues[0]
+    assert cov.rank == cov.n_segments
+    assert np.allclose(cov.precision @ cov.sigma, np.eye(cov.n_segments), atol=1e-10)
+    out = assumption_diagnostics(cov)
+    assert out["rank"] == cov.n_segments
+    assert out["max_eigenvalue"] == cov.eigenvalues[-1]
+    assert out["max_abs_row_sum_precision"] > 0.0
+    assert assumption_diagnostics(singular)["max_abs_row_sum_precision"] is None
+
+
+def test_rank_deficient_precision_raises():
+    cov = gram_covariance(48, 3)
+    assert cov.rank == 3
+    with pytest.raises(np.linalg.LinAlgError, match="rank 3 of 48"):
+        cov.precision
