@@ -12,6 +12,9 @@ phi(0) = 0, so estimators with no support fall back to the prior mean.
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -227,7 +230,7 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     cover = _block_cover(ds, ids, member)
     counts = cover.sum(axis=0).astype(np.int64)
     phis = _resolve_weights(rule, counts, blocks, prior, cov)
-    trip_of, _ = ds.flat_index
+    trip_of = ds.trip_of
     coef = np.zeros(ds.flat.size)
     intercept = float(len(ids)) * prior.mu
     for j, (b, n_b, phi) in enumerate(zip(blocks, counts, phis)):
@@ -271,7 +274,7 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
     if m > 0 and phi != 0.0:
         in_nbhd = np.zeros(ds.n_trips, dtype=bool)
         in_nbhd[nbhd.members] = True
-        coef[in_nbhd[ds.flat_index[0]]] = phi / float(m)
+        coef[in_nbhd[ds.trip_of]] = phi / float(m)
     pred = Prediction("route", ids, intercept, coef, ds.offsets,
                       detail={"weight": float(phi), "neighborhood_size": int(m),
                               "neighborhood": nbhd.spec.kind})
@@ -359,8 +362,14 @@ class PosteriorModel:
     and exact risks with cheap triangular solves.
 
     W is the sum over trips of inv(sigma[r, r]) scattered into the (r, r)
-    positions of trip route r: one batched inverse and one scatter per route
-    length.
+    positions of trip route r.  One pass over the trips' sigma blocks
+    (`TripDataset._sigma_blocks`) builds it together with
+    `quadratic_sums`, the per-trip sums of sigma[r, r] that
+    `TripDataset.quadratic_sums` also gives: a thread pool inverts and sums
+    each chunk of blocks, and this thread adds the chunks into W in chunk
+    order, so W does not depend on the thread count.  The pool has one
+    thread per core, or its share of the cores inside run_sweep's worker
+    processes.
     """
 
     def __init__(self, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec):
@@ -369,13 +378,30 @@ class PosteriorModel:
         self.prior = prior
         n = ds.network.n_segments
         w = np.zeros(n * n)
-        for _, ids in ds.length_groups().values():
-            invs = np.linalg.inv(cov.sigma[ids[:, :, None], ids[:, None, :]])
-            cells = ids[:, :, None] * n + ids[:, None, :]
-            w += np.bincount(cells.ravel(), weights=invs.ravel(), minlength=n * n)
+        self.quadratic_sums = np.zeros(ds.n_trips)
+        threads = _THREADS or len(os.sched_getaffinity(0))
+        pending: deque = deque()
+
+        def add_oldest() -> None:
+            trips, cells, invs, sums = pending.popleft()
+            self.quadratic_sums[trips] = sums.result()
+            np.add.at(w, cells.ravel(), invs.ravel())
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for trips, _, ids, blocks in ds._sigma_blocks(cov):
+                cells = np.empty(blocks.shape, dtype=np.int64)
+                pending.append((trips, cells, blocks, pool.submit(
+                    _invert_chunk, cov, trips, ids, blocks, cells)))
+                if len(pending) > threads:
+                    add_oldest()
+            while pending:
+                add_oldest()
         self.w = w.reshape(n, n)
-        q = self.w + np.eye(n) / prior.tau2
-        self._cho = scipy.linalg.cho_factor(q, lower=True, check_finite=False)
+        # Q in Fortran order, so that cho_factor overwrites it instead of copying
+        q = self.w.copy(order="F")
+        q[np.diag_indices(n)] += 1.0 / prior.tau2
+        self._cho = scipy.linalg.cho_factor(q, lower=True, overwrite_a=True,
+                                            check_finite=False)
 
     def weight_vector(self, y) -> np.ndarray:
         """g solving (W + I / tau2) g = indicator(y)."""
@@ -397,9 +423,7 @@ class PosteriorModel:
         g = self.weight_vector(ids)
         flat = self.ds.flat
         coef = np.zeros(flat.size)
-        for _, pos in self.ds.flat_index[1].values():
-            seg = flat[pos]
-            blocks = self.cov.sigma[seg[:, :, None], seg[:, None, :]]
+        for _, pos, seg, blocks in self.ds._sigma_blocks(self.cov):
             coef[pos] = np.linalg.solve(blocks, g[seg][..., None])[..., 0]
         intercept = self.prior.mu * (len(ids) - float(coef.sum()))
         variance, bias2 = self.risk_terms(ids)
@@ -407,6 +431,50 @@ class PosteriorModel:
                           detail={"variance": variance, "bias2": bias2,
                                   "risk": variance + bias2})
         return _finish(pred, self.ds)
+
+
+# bytes of blocks per np.linalg.inv call in the information pass
+_INV_BYTES = 2 ** 16
+
+# threads of the information pass; None means one per core.  run_sweep's
+# worker processes set it so that its workers do not oversubscribe the cores.
+_THREADS: int | None = None
+
+
+def _set_threads(threads: int) -> None:
+    global _THREADS
+    _THREADS = threads
+
+
+def _invert_chunk(cov: CovarianceModel, trips: np.ndarray, ids: np.ndarray,
+                  blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """One chunk's share of the information pass, run in a worker thread.
+
+    Fills `cells` with the flat positions in W of the blocks' entries,
+    overwrites `blocks` with their inverses and returns their sums.  Worker
+    threads allocate from malloc arenas of their own, which keep freed memory
+    resident, so the large arrays come from the caller and the inverses are
+    taken _INV_BYTES of blocks at a time.
+    """
+    sums = blocks.sum(axis=(1, 2))
+    n = cov.n_segments
+    np.add(ids[:, :, None] * n, ids[:, None, :], out=cells)
+    rows = max(1, _INV_BYTES // blocks[0].nbytes)
+    for a in range(0, len(blocks), rows):
+        part = blocks[a:a + rows]
+        try:
+            part[...] = np.linalg.inv(part)
+        except np.linalg.LinAlgError:
+            # name the first trip whose block alone is rejected
+            for trip, block in zip(trips[a:a + rows], part):
+                try:
+                    np.linalg.inv(block)
+                except np.linalg.LinAlgError:
+                    raise np.linalg.LinAlgError(
+                        f"sigma block of trip {trip} (route length {len(block)}) is "
+                        f"singular: covariance rank {cov.rank} of {n}") from None
+            raise
+    return sums
 
 
 def predict_bayes_optimal(ds: TripDataset, y, cov: CovarianceModel,

@@ -12,8 +12,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -23,9 +25,9 @@ import scipy.linalg
 
 from . import __version__, fixtures as fx, kernel_backend
 from .covariance import CovarianceModel, diffusion_covariance
-from .estimators import (PosteriorModel, Prediction, WeightRule, optimal_gseg_weights,
-                         optimal_route_weight, optimal_seg_weights, predict_gseg,
-                         predict_route, predict_segment)
+from .estimators import (PosteriorModel, Prediction, WeightRule, _set_threads,
+                         optimal_gseg_weights, optimal_route_weight, optimal_seg_weights,
+                         predict_gseg, predict_route, predict_segment)
 from .network import AdjacencyRule, build_grid, segment_graph
 from .risk import (lower_bound, risk_gseg, risk_optimal, risk_route, risk_seg)
 from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
@@ -153,6 +155,7 @@ class SweepRow:
     route_grow: float
     bayes_optimal: float
     lb: float
+    stages: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, c) for c in CSV_COLUMNS)
@@ -173,34 +176,57 @@ def _cell_seed(cfg: SweepConfig, p: int, k: float) -> np.random.SeedSequence:
     return np.random.SeedSequence([cfg.master_seed, int(p), _exponent_key(k)])
 
 
+@contextmanager
+def _timed(stages: dict[str, float], name: str):
+    """Add the seconds spent in the block to stages[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
+
+
 def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
-    """Compute one sweep cell: exact average risks over fresh routes."""
+    """Compute one sweep cell: exact average risks over fresh routes.
+
+    The row's `stages` holds the seconds spent in each stage of the cell.
+    """
+    stages: dict[str, float] = {}
     net = build_grid(p)
-    cov = _sweep_covariance(p, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
+    with _timed(stages, "covariance"):
+        cov = _sweep_covariance(p, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
     prior = PriorSpec(mu=cfg.mu, tau2=cfg.tau2)
     law = ODLaw(p, cfg.od_alpha)
     hist_ss, pred_ss = _cell_seed(cfg, p, k).spawn(2)
     n_hist = int(math.ceil(p ** k))
-    ds = sample_trips(law, net, np.random.default_rng(hist_ss), n_hist)
-    predicting = sample_trips(law, net, np.random.default_rng(pred_ss), cfg.n_predict).routes
-    model = PosteriorModel(ds, cov, prior)
-    q_all = ds.quadratic_sums(cov)
+    with _timed(stages, "sampling"):
+        ds = sample_trips(law, net, np.random.default_rng(hist_ss), n_hist)
+        predicting = sample_trips(law, net, np.random.default_rng(pred_ss),
+                                  cfg.n_predict).routes
+    with _timed(stages, "posterior"):
+        model = PosteriorModel(ds, cov, prior)
+    q_all = model.quadratic_sums
+    with _timed(stages, "precision"):
+        cov.precision
     rule = WeightRule.ratio(cfg.ratio_lam)
     spec_exact = NeighborhoodSpec.od_exact()
     spec_grow = NeighborhoodSpec.od_ball_growing(cfg.growing_fraction)
     acc = np.zeros(5)
     for y in predicting:
-        pair = ds.pair_counts(y.segment_ids)
-        acc[0] += risk_seg(ds, y, rule, cov, prior, pair=pair).total
-        for slot, spec in ((1, spec_exact), (2, spec_grow)):
-            nb = resolve_neighborhood(ds, y, spec)
-            phi = optimal_route_weight(ds, y, nb, cov, prior, q_all=q_all)
-            acc[slot] += risk_route(ds, y, nb, phi, cov, prior, q_all=q_all).total
-        acc[3] += risk_optimal(ds, y, cov, prior, model=model).total
-        acc[4] += lower_bound(ds, y, cov, prior, pair=pair)
+        with _timed(stages, "pair_counts"):
+            pair = ds.pair_counts(y.segment_ids)
+        with _timed(stages, "neighborhoods"):
+            nbs = [resolve_neighborhood(ds, y, spec) for spec in (spec_exact, spec_grow)]
+        with _timed(stages, "risks"):
+            acc[0] += risk_seg(ds, y, rule, cov, prior, pair=pair).total
+            for slot, nb in enumerate(nbs, start=1):
+                phi = optimal_route_weight(ds, y, nb, cov, prior, q_all=q_all)
+                acc[slot] += risk_route(ds, y, nb, phi, cov, prior, q_all=q_all).total
+            acc[3] += risk_optimal(ds, y, cov, prior, model=model).total
+            acc[4] += lower_bound(ds, y, cov, prior, pair=pair)
     avg = acc / cfg.n_predict
     logs = np.log10(avg)
-    return SweepRow(p, float(k), *[float(v) for v in logs])
+    return SweepRow(p, float(k), *[float(v) for v in logs], stages=stages)
 
 
 def _run_cell_task(args) -> SweepRow:
@@ -209,12 +235,18 @@ def _run_cell_task(args) -> SweepRow:
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Run every (grid size, exponent) cell, in config order."""
+    """Run every (grid size, exponent) cell, in config order.
+
+    With several workers, each worker process gives the information pass of
+    `PosteriorModel` its share of the cores, at least one thread.
+    """
     cells = [(p, k) for p in cfg.grid_sizes for k in cfg.exponents]
     if cfg.workers == 1:
         return [run_cell(cfg, p, k) for p, k in cells]
     payload = cfg.to_dict()
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    threads = max(1, len(os.sched_getaffinity(0)) // cfg.workers)
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_set_threads,
+                             initargs=(threads,)) as pool:
         futures = [pool.submit(_run_cell_task, (payload, p, k)) for p, k in cells]
         return [f.result() for f in futures]
 

@@ -184,9 +184,8 @@ def risk_affine(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     on_route = np.isin(np.arange(n), pred.route)
     d = np.bincount(ds.flat, weights=pred.coef, minlength=n) - on_route
     variance = 0.0
-    for _, pos in ds.flat_index[1].values():
-        seg, c = ds.flat[pos], pred.coef[pos]
-        blocks = cov.sigma[seg[:, :, None], seg[:, None, :]]
+    for _, pos, _, blocks in ds._sigma_blocks(cov):
+        c = pred.coef[pos]
         variance += float(np.einsum("ni,nij,nj->", c, blocks, c))
     bias2 = (pred.intercept + prior.mu * float(d.sum())) ** 2 + prior.tau2 * float(d @ d)
     return RiskReport(pred.estimator, pred.route, variance, bias2)
@@ -212,7 +211,7 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ids = list(pred.route)
     flat = ds.flat
-    trip_of, groups = ds.flat_index
+    trip_of = ds.trip_of
     live = np.zeros(ds.n_trips, dtype=bool)
     live[trip_of[pred.coef != 0.0]] = True
     active = np.flatnonzero(live[trip_of])
@@ -222,11 +221,8 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
                     minlength=ds.network.n_segments)[used] - np.isin(used, ids)
     # fold each active trip's noise through its covariance factor once
     folded = np.zeros(flat.size)
-    for trips, pos in groups.values():
-        pos = pos[live[trips]]
-        if pos.size:
-            folded[pos] = np.einsum("nij,ni->nj", _noise_factors(cov, flat[pos]),
-                                    pred.coef[pos])
+    for _, pos, _, blocks in ds._sigma_blocks(cov, select=live):
+        folded[pos] = np.einsum("nij,ni->nj", _noise_factors(blocks), pred.coef[pos])
     w_flat = folded[active]
     total = 0.0
     total_sq = 0.0

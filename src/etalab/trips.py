@@ -37,6 +37,10 @@ __all__ = [
 
 _RESAMPLE_CAP = 10 ** 6
 
+# bytes of covariance blocks that TripDataset._sigma_blocks gathers at once:
+# small enough that a few chunks in flight stay far below the n x n arrays
+_BLOCK_BYTES = 4 * 2 ** 20
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -231,14 +235,9 @@ class TripDataset:
                           ends[self.flat[self.offsets[1:] - 1], 2:]))
 
     @cached_property
-    def flat_index(self) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """Bookkeeping for arrays aligned with `flat`: (trip_of, groups).
-
-        trip_of[i] is the trip of flat entry i.  groups maps each route length
-        L to (trip ids, (n_L, L) flat positions of those trips' entries).
-        """
-        groups = {length: (trips, pos) for length, trips, pos in self._positions()}
-        return np.repeat(np.arange(self.n_trips), np.diff(self.offsets)), groups
+    def trip_of(self) -> np.ndarray:
+        """The trip of every entry of `flat`, for arrays aligned with it."""
+        return np.repeat(np.arange(self.n_trips), np.diff(self.offsets))
 
     def _positions(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Per route length L: (L, trip ids, (n_L, L) flat positions)."""
@@ -250,8 +249,29 @@ class TripDataset:
 
     def length_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Trips grouped by route length L: {L: (trip ids, (n_L, L) segment ids)}."""
-        # not via flat_index, so a sweep cell holds no flat-sized index arrays
         return {length: (trips, self.flat[pos]) for length, trips, pos in self._positions()}
+
+    def _sigma_blocks(self, cov: CovarianceModel, select: np.ndarray | None = None
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Trips' covariance blocks in chunks: (trips, pos, ids, blocks).
+
+        Per chunk of same-length trips: their ids, their (n, L) positions in
+        `flat`, the (n, L) segment ids there, and the (n, L, L) blocks
+        sigma[r, r] of their routes r.  Chunks walk the route lengths in
+        increasing order and the trips in id order, and hold at most
+        _BLOCK_BYTES of blocks (one trip's block when that alone is larger).
+        `select`, a boolean per trip, keeps only the marked trips.
+        """
+        sigma = cov.sigma
+        for length, trips, pos in self._positions():
+            if select is not None:
+                keep = select[trips]
+                trips, pos = trips[keep], pos[keep]
+            rows = max(1, _BLOCK_BYTES // (sigma.itemsize * length * length))
+            for a in range(0, trips.size, rows):
+                ids = self.flat[pos[a:a + rows]]
+                yield (trips[a:a + rows], pos[a:a + rows], ids,
+                       sigma[ids[:, :, None], ids[:, None, :]])
 
     def trips_containing(self, seg_id: int) -> np.ndarray:
         """Sorted ids of trips whose route traverses the segment."""
@@ -288,8 +308,8 @@ class TripDataset:
     def quadratic_sums(self, cov: CovarianceModel) -> np.ndarray:
         """Per-trip sums of covariance entries over the route's segment pairs."""
         out = np.zeros(self.n_trips)
-        for trips, ids in self.length_groups().values():
-            out[trips] = cov.sigma[ids[:, :, None], ids[:, None, :]].sum(axis=(1, 2))
+        for trips, _, _, blocks in self._sigma_blocks(cov):
+            out[trips] = blocks.sum(axis=(1, 2))
         return out
 
     def segment_time_sums(self, center: float = 0.0) -> np.ndarray:
@@ -351,19 +371,19 @@ def synthesize_times(network: RoadNetwork, routes: Sequence[Route],
     # one draw in trip order equals the per-trip draws made one after another
     z = rng.standard_normal(ds.flat.size)
     times = theta[ds.flat]
-    for _, pos in ds.flat_index[1].values():
-        times[pos] += np.einsum("nij,nj->ni", _noise_factors(cov, ds.flat[pos]), z[pos])
+    for _, pos, _, blocks in ds._sigma_blocks(cov):
+        times[pos] += np.einsum("nij,nj->ni", _noise_factors(blocks), z[pos])
     ds.times = np.split(times, ds.offsets[1:-1]) if ds.n_trips else []
     ds.theta = theta
     return ds
 
 
-def _noise_factors(cov: CovarianceModel, ids: np.ndarray) -> np.ndarray:
-    """(n, L, L) factors F with F F' = the sigma block of each row of `ids`.
+def _noise_factors(blocks: np.ndarray) -> np.ndarray:
+    """(n, L, L) factors F with F F' = each of the (n, L, L) sigma blocks.
 
     Negative eigenvalues of a block are clipped to zero.
     """
-    evals, evecs = np.linalg.eigh(cov.sigma[ids[:, :, None], ids[:, None, :]])
+    evals, evecs = np.linalg.eigh(blocks)
     return evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -14,6 +15,7 @@ from etalab.harness import (
     emit_csv,
     emit_manifest,
     oracle_cases,
+    run_cell,
     run_examples,
     run_sweep,
 )
@@ -104,6 +106,16 @@ def test_run_sweep_worker_count_invariant():
     emit_csv(serial, buf_a)
     emit_csv(parallel, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+def test_run_cell_records_stage_seconds():
+    row = run_cell(_tiny_config(), 3, 1.0)
+    assert set(row.stages) == {"covariance", "sampling", "posterior", "precision",
+                               "pair_counts", "neighborhoods", "risks"}
+    assert all(v >= 0.0 for v in row.stages.values())
+    # the timings are not part of the row's value or of its CSV line
+    assert row == dataclasses.replace(row, stages={})
+    assert "stages" not in repr(row)
 
 
 def test_sweep_row_count_matches_grid():
