@@ -400,8 +400,13 @@ class PosteriorModel:
         # Q in Fortran order, so that cho_factor overwrites it instead of copying
         q = self.w.copy(order="F")
         q[np.diag_indices(n)] += 1.0 / prior.tau2
-        self._cho = scipy.linalg.cho_factor(q, lower=True, overwrite_a=True,
-                                            check_finite=False)
+        try:
+            self._cho = scipy.linalg.cho_factor(q, lower=True, overwrite_a=True,
+                                                check_finite=False)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(
+                f"W + I/tau2 is not positive definite ({err}): covariance rank "
+                f"{cov.rank} of {n}") from None
 
     def weight_vector(self, y) -> np.ndarray:
         """g solving (W + I / tau2) g = indicator(y)."""
@@ -456,8 +461,12 @@ def _invert_chunk(cov: CovarianceModel, trips: np.ndarray, ids: np.ndarray,
     resident, so the large arrays come from the caller and the inverses are
     taken _INV_BYTES of blocks at a time.
     """
-    sums = blocks.sum(axis=(1, 2))
     n = cov.n_segments
+    # a principal block longer than sigma's rank is singular, though inv may
+    # return huge entries for it instead of raising
+    if blocks.shape[1] > cov.rank:
+        raise _singular_block(cov, trips[0], blocks.shape[1])
+    sums = blocks.sum(axis=(1, 2))
     np.add(ids[:, :, None] * n, ids[:, None, :], out=cells)
     rows = max(1, _INV_BYTES // blocks[0].nbytes)
     for a in range(0, len(blocks), rows):
@@ -470,11 +479,16 @@ def _invert_chunk(cov: CovarianceModel, trips: np.ndarray, ids: np.ndarray,
                 try:
                     np.linalg.inv(block)
                 except np.linalg.LinAlgError:
-                    raise np.linalg.LinAlgError(
-                        f"sigma block of trip {trip} (route length {len(block)}) is "
-                        f"singular: covariance rank {cov.rank} of {n}") from None
+                    raise _singular_block(cov, trip, len(block)) from None
             raise
     return sums
+
+
+def _singular_block(cov: CovarianceModel, trip: int, length: int) -> np.linalg.LinAlgError:
+    """The error for a trip whose route's sigma block is singular."""
+    return np.linalg.LinAlgError(
+        f"sigma block of trip {trip} (route length {length}) is "
+        f"singular: covariance rank {cov.rank} of {cov.n_segments}")
 
 
 def predict_bayes_optimal(ds: TripDataset, y, cov: CovarianceModel,

@@ -198,6 +198,29 @@ class MCRisk:
     replicates: int
 
 
+# bytes of standard normals that one mc_risk batch draws: far above any batch of
+# the tests or benchmarks, far below a dense prediction's default batch on a
+# large cell (20 000 replicates x about 160 000 active trips, 26 GB, at p=20, k=4)
+_MC_BYTES = 64 * 2 ** 20
+
+
+def _noise_scales(pred: Prediction, ds: TripDataset, cov: CovarianceModel
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The active trips (any nonzero coefficient) and their noise scales.
+
+    Returns a boolean per trip and, in trip order, |F_n' c_n| for each active
+    trip n, with F_n the noise factor of its sigma block and c_n its
+    coefficients: the standard deviation of the trip's noise term c_n . eps_n.
+    """
+    live = np.zeros(ds.n_trips, dtype=bool)
+    live[ds.trip_of[pred.coef != 0.0]] = True
+    scales = np.zeros(ds.n_trips)
+    for trips, pos, _, blocks in ds._sigma_blocks(cov, select=live):
+        folded = np.einsum("nij,ni->nj", _noise_factors(blocks), pred.coef[pos])
+        scales[trips] = np.linalg.norm(folded, axis=1)
+    return live, scales[live]
+
+
 def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
             prior: PriorSpec, replicates: int = 10 ** 5,
             seed: int | np.random.Generator = 0,
@@ -207,32 +230,37 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     Each replicate redraws the latent segment times and every trip's noise
     while keeping the historical routes fixed, then scores the squared error
     of the affine rule against the fresh route total.
+
+    The latent times are drawn per segment.  A trip's noise enters the error
+    only as c_n . eps_n = (F_n' c_n) . z_n, with F_n F_n' its sigma block and
+    z_n standard normal, which is Normal(0, |F_n' c_n|^2) and independent
+    across trips and of the latent times.  So each replicate draws one
+    standard normal per active trip, in trip order, scaled by |F_n' c_n|:
+    the error has exactly the law of the per-entry draw, at a fraction of its
+    cost.  A batch holds at most `batch_size` replicates, and fewer when its
+    draws (replicates x (segments involved + active trips) float64s) would
+    pass _MC_BYTES; a batch of one replicate may.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ids = list(pred.route)
     flat = ds.flat
-    trip_of = ds.trip_of
-    live = np.zeros(ds.n_trips, dtype=bool)
-    live[trip_of[pred.coef != 0.0]] = True
-    active = np.flatnonzero(live[trip_of])
+    live, scales = _noise_scales(pred, ds, cov)
+    active = live[ds.trip_of]
     # net effect on the latent times: scattered coefficients minus the target
     used = np.union1d(ids, flat[active])
     d = np.bincount(flat[active], weights=pred.coef[active],
                     minlength=ds.network.n_segments)[used] - np.isin(used, ids)
-    # fold each active trip's noise through its covariance factor once
-    folded = np.zeros(flat.size)
-    for _, pos, _, blocks in ds._sigma_blocks(cov, select=live):
-        folded[pos] = np.einsum("nij,ni->nj", _noise_factors(blocks), pred.coef[pos])
-    w_flat = folded[active]
+    # replicates per batch whose float64 draws fit the budget
+    rows = max(1, _MC_BYTES // (8 * (used.size + scales.size)))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < replicates:
-        b = min(batch_size, replicates - done)
-        theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal((b, len(used)))
+        b = min(batch_size, rows, replicates - done)
+        theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal((b, used.size))
         err = pred.intercept + theta @ d
-        if w_flat.size:
-            err = err + rng.standard_normal((b, w_flat.size)) @ w_flat
+        if scales.size:
+            err = err + rng.standard_normal((b, scales.size)) @ scales
         sq = err ** 2
         total += float(sq.sum())
         total_sq += float((sq ** 2).sum())

@@ -24,6 +24,7 @@ from etalab.estimators import (
 from etalab.harness import ORACLE_FIXTURES, oracle_cases
 from etalab.network import build_grid
 from etalab.risk import (
+    _noise_scales,
     risk_affine,
     risk_gseg,
     risk_optimal,
@@ -178,6 +179,25 @@ def test_risk_affine_matches_oracle_fixtures(fixture):
     for name, pred, closed in oracle_cases(fixture):
         exact = risk_affine(pred, ds, cov, prior).total
         assert abs(exact - closed) <= 1e-12 * max(1.0, abs(closed)), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_noise_scales_sum_to_affine_variance(seed):
+    # mc_risk draws one normal per active trip at these scales, so their
+    # squares must add up to the exact noise part of the risk
+    f = random_fixture(seed + 3500, cov_kind=("diffusion", "diag")[seed % 2],
+                       n_trips=30)
+    ds, y, cov, prior = f.ds, f.y, f.cov, f.prior
+    nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball(1))
+    preds = [predict_segment(ds, y, optimal_seg_weights(ds, y, cov, prior), prior),
+             predict_route(ds, y, nb, optimal_route_weight(ds, y, nb, cov, prior), prior),
+             PosteriorModel(ds, cov, prior).predict(y)]
+    for pred in preds:
+        live, scales = _noise_scales(pred, ds, cov)
+        assert live.sum() == scales.size
+        variance = risk_affine(pred, ds, cov, prior).variance
+        assert abs(float(scales @ scales) - variance) <= 1e-12 * max(1.0, variance), \
+            pred.estimator
 
 
 # ---------------------------------------------------------------------------

@@ -315,3 +315,27 @@ def test_singular_trip_block_names_the_trip():
             risk_optimal(ds, y, cov, prior)
         with pytest.raises(np.linalg.LinAlgError, match=match):
             predict_bayes_optimal(ds, y, cov, prior)
+
+
+@pytest.mark.parametrize("seed", [500, 515])
+def test_route_longer_than_rank_raises(seed):
+    # Gram covariances of rank 4 and 3 with longer routes: np.linalg.inv takes
+    # some of their singular blocks without raising
+    fx = random_fixture(seed, with_times=True)
+    length, trip = _first_singular(fx.ds, lambda r: len(r) > fx.cov.rank)
+    match = (rf"sigma block of trip {trip} \(route length {length}\) is "
+             rf"singular: covariance rank {fx.cov.rank} of {fx.net.n_segments}")
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        risk_optimal(fx.ds, fx.y, fx.cov, fx.prior)
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        predict_bayes_optimal(fx.ds, fx.y, fx.cov, fx.prior)
+
+
+def test_indefinite_information_matrix_names_the_rank(monkeypatch):
+    # without the rank check, seed 500's inverted blocks make Q indefinite
+    fx = random_fixture(500, with_times=True)
+    monkeypatch.setattr(CovarianceModel, "rank", property(lambda self: self.n_segments))
+    n = fx.net.n_segments
+    match = rf"W \+ I/tau2 is not positive definite \(.*\): covariance rank {n} of {n}"
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        PosteriorModel(fx.ds, fx.cov, fx.prior)

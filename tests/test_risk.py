@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_fixture
+from etalab import risk
 from etalab.estimators import (
+    PosteriorModel,
     WeightRule,
     optimal_gseg_weights,
     optimal_route_weight,
@@ -39,6 +41,7 @@ from etalab.risk import (
     dominance_audit,
     lower_bound,
     mc_risk,
+    risk_affine,
     risk_gseg,
     risk_optimal,
     risk_route,
@@ -242,6 +245,38 @@ def test_mc_risk_matches_seg_closed_form():
     closed = risk_seg(ds, y, w, cov, prior).total
     assert abs(est.mean - closed) <= 3.0 * est.se
     assert est.se < 0.02
+
+
+class _SpyGenerator(np.random.Generator):
+    """A generator that records the shape of every standard_normal request."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.shapes = []
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self.shapes.append(size)
+        return super().standard_normal(size, *args, **kwargs)
+
+
+@pytest.mark.parametrize("budget", [100, 4096])
+def test_mc_risk_batches_fit_the_byte_budget(monkeypatch, budget):
+    fx = random_fixture(41, cov_kind="diffusion", p=4, n_trips=150)
+    pred = PosteriorModel(fx.ds, fx.cov, fx.prior).predict(fx.y)
+    assert np.count_nonzero([np.any(c) for c in pred.coefficients]) > 100
+    monkeypatch.setattr(risk, "_MC_BYTES", budget)
+    rng = _SpyGenerator(7)
+    est = mc_risk(pred, fx.ds, fx.cov, fx.prior, replicates=4000, seed=rng)
+    # each batch asks for its latent draws, then for its trip noise draws
+    theta, noise = rng.shapes[::2], rng.shapes[1::2]
+    rows = [b for b, _ in theta]
+    assert [b for b, _ in noise] == rows
+    assert sum(rows) == 4000
+    width = theta[0][1] + noise[0][1]
+    assert all(b == 1 or 8 * b * width <= budget for b in rows)
+    assert max(rows) == max(1, budget // (8 * width))
+    exact = risk_affine(pred, fx.ds, fx.cov, fx.prior).total
+    assert abs(est.mean - exact) <= 3.0 * est.se
 
 
 def test_nb_condition_exact_route_always_true():
