@@ -47,7 +47,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(cfg)
     wall = time.perf_counter() - start
     emit_csv(rows, args.out)
-    emit_manifest(cfg, args.manifest, wall)
+    emit_manifest(cfg, args.manifest, wall, rows)
     print(f"{len(rows)} cells in {wall:.1f}s -> {args.out} (manifest {args.manifest})")
     return 0
 

@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .covariance import CovarianceModel
-from .trips import Neighborhood, PriorSpec, Route, TripDataset
+from .trips import Neighborhood, PriorSpec, Route, TripDataset, _ranges
 
 __all__ = [
     "WeightRule",
@@ -189,8 +190,15 @@ def _resolve_weights(rule, counts: np.ndarray, blocks: Sequence[Sequence[int]],
 
 
 def _membership(ids: Sequence[int], blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """(|y|, k) 0/1 matrix M with M[i, j] = 1 when ids[i] lies in block j."""
-    return np.stack([np.isin(ids, b) for b in blocks], axis=1).astype(np.float64)
+    """(|y|, k) 0/1 matrix M with M[i, j] = 1 when ids[i] lies in block j.
+
+    The blocks are a partition of ids (`validate_partition`).
+    """
+    pos = {s: i for i, s in enumerate(ids)}
+    member = np.zeros((len(ids), len(blocks)))
+    for j, b in enumerate(blocks):
+        member[[pos[s] for s in b], j] = 1.0
+    return member
 
 
 def _block_cover(ds: TripDataset, ids: Sequence[int], member: np.ndarray) -> np.ndarray:
@@ -318,14 +326,79 @@ def optimal_seg_weights(ds: TripDataset, y, cov: CovarianceModel,
     return optimal_gseg_weights(ds, ids, [(s,) for s in ids], cov, prior)
 
 
-def _neighborhood_moments(ds: TripDataset, nbhd: Neighborhood, cov: CovarianceModel,
-                          q_all: np.ndarray | None) -> tuple[np.ndarray, float, float]:
-    """(N^d per segment, summed covariance mass, mean route length) over a
-    nonempty neighborhood's trips."""
+@dataclass(frozen=True)
+class _NeighborhoodMoments:
+    """The neighborhood counters that the whole-route weight and risk read,
+    for every route of a store.
+
+    Per route: `size` M (member trips), `q_sum` (the members' summed
+    covariance mass), `length_gap` (mean member route length minus the
+    route's length, 0 when M = 0) and `n_sq` (sum over all segments of
+    N^d_s^2).  Per entry of the store's `flat`: `n_on`, N^d of that segment
+    of its route; `route_of` names the entry's route.
+    """
+
+    size: np.ndarray
+    q_sum: np.ndarray
+    length_gap: np.ndarray
+    n_sq: np.ndarray
+    n_on: np.ndarray
+    route_of: np.ndarray
+
+
+def _neighborhood_moments(ds: TripDataset, routes: TripDataset,
+                          members: scipy.sparse.csr_matrix, cov: CovarianceModel,
+                          q_all: np.ndarray | None) -> _NeighborhoodMoments:
+    """Moments of the neighborhoods `members` (a route x trip CSR matrix,
+    `resolve_neighborhoods`) of the routes of a store.
+
+    N^d is one count of (route, segment) pairs over the members' entries of
+    `flat`, kept sparse: only the segments some member traverses.
+    """
     q = ds.quadratic_sums(cov) if q_all is None else q_all
-    lens = ds.offsets[nbhd.members + 1] - ds.offsets[nbhd.members]
-    return (ds.subset_counts(nbhd.members).astype(np.float64),
-            float(q[nbhd.members].sum()), float(lens.mean()))
+    n_routes, n_seg = routes.n_trips, ds.network.n_segments
+    size = np.diff(members.indptr)
+    owner = np.repeat(np.arange(n_routes), size)
+    trip = members.indices
+    lens = ds.offsets[trip + 1] - ds.offsets[trip]
+    pairs = np.repeat(owner, lens) * n_seg + ds.flat[_ranges(ds.offsets[trip], lens)]
+    cells, n_delta = np.unique(pairs, return_counts=True)
+    # N^d at each route entry: its (route, segment) cell, or 0 past the last
+    key = routes.trip_of * n_seg + routes.flat
+    cells = np.append(cells, np.iinfo(np.int64).max)
+    at = np.searchsorted(cells, key)
+    n_on = np.where(cells[at] == key, np.append(n_delta, 0)[at], 0).astype(np.float64)
+    safe = np.maximum(size, 1)
+    mean_len = np.bincount(owner, weights=lens, minlength=n_routes) / safe
+    return _NeighborhoodMoments(
+        size=size,
+        q_sum=np.bincount(owner, weights=q[trip], minlength=n_routes),
+        length_gap=np.where(size > 0, mean_len - np.diff(routes.offsets), 0.0),
+        n_sq=np.bincount(cells[:-1] // n_seg, weights=n_delta.astype(np.float64) ** 2,
+                         minlength=n_routes),
+        n_on=n_on, route_of=routes.trip_of)
+
+
+def _route_weights(mom: _NeighborhoodMoments, prior: PriorSpec) -> np.ndarray:
+    """Risk-minimizing whole-route weights, one per route; 0 on an empty
+    neighborhood or a zero denominator."""
+    m = mom.size
+    safe = np.maximum(m, 1)
+    num = np.bincount(mom.route_of, weights=mom.n_on, minlength=m.size) * prior.tau2
+    den = (mom.n_sq * prior.tau2 / safe + mom.q_sum / safe
+           + m * (prior.mu * mom.length_gap) ** 2)
+    ok = (m > 0) & (den != 0.0)
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+
+
+def _one_route_moments(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel,
+                       q_all: np.ndarray | None) -> _NeighborhoodMoments:
+    """The moments of one route's neighborhood: the batch of one."""
+    m = nbhd.size
+    members = scipy.sparse.csr_matrix((np.ones(m), nbhd.members, [0, m]),
+                                      shape=(1, ds.n_trips))
+    one = TripDataset._one_route(ds.network, _route_ids(y))
+    return _neighborhood_moments(ds, one, members, cov, q_all)
 
 
 def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
@@ -336,18 +409,8 @@ def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
     q_all optionally supplies precomputed per-trip covariance masses (from
     TripDataset.quadratic_sums) to avoid recomputation across many routes.
     """
-    ids = _route_ids(y)
-    m = nbhd.size
-    if m == 0:
-        return 0.0
-    n_delta, q_sum, ybar = _neighborhood_moments(ds, nbhd, cov, q_all)
-    num = float(n_delta[list(ids)].sum()) * prior.tau2
-    den = (float((n_delta ** 2).sum()) * prior.tau2 / m
-           + q_sum / m
-           + m * (prior.mu * (ybar - len(ids))) ** 2)
-    if den == 0.0:
-        return 0.0
-    return num / den
+    mom = _one_route_moments(ds, y, nbhd, cov, q_all)
+    return float(_route_weights(mom, prior)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +473,30 @@ class PosteriorModel:
 
     def weight_vector(self, y) -> np.ndarray:
         """g solving (W + I / tau2) g = indicator(y)."""
-        ids = _route_ids(y)
-        e_y = np.zeros(self.ds.network.n_segments)
-        e_y[list(ids)] = 1.0
-        return scipy.linalg.cho_solve(self._cho, e_y, check_finite=False)
+        return self._weights(TripDataset._one_route(self.ds.network, _route_ids(y)))[:, 0]
+
+    def _weights(self, routes: TripDataset) -> np.ndarray:
+        """G = (W + I / tau2)^-1 E, E the segment x route indicator of a store:
+        one multi-RHS solve, one column per route."""
+        e = np.zeros((self.ds.network.n_segments, routes.n_trips))
+        e[routes.flat, routes.trip_of] = 1.0
+        return scipy.linalg.cho_solve(self._cho, e, check_finite=False)
 
     def risk_terms(self, y) -> tuple[float, float]:
         """(variance, squared bias) of the Bayes-optimal prediction for y."""
-        g = self.weight_vector(y)
-        variance = float(g @ (self.w @ g))
-        bias2 = float(g @ g) / self.prior.tau2
-        return variance, bias2
+        one = TripDataset._one_route(self.ds.network, _route_ids(y))
+        variance, bias2 = self._risk_terms(one)
+        return float(variance[0]), float(bias2[0])
+
+    def _risk_terms(self, routes: TripDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Per route of a store: (variance, squared bias) of its prediction.
+
+        With G = `_weights(routes)`, route r's variance is g_r' W g_r and its
+        squared bias g_r' g_r / tau2.  G and WG are segments x routes arrays.
+        """
+        g = self._weights(routes)
+        return (np.einsum("sr,sr->r", g, self.w @ g),
+                np.einsum("sr,sr->r", g, g) / self.prior.tau2)
 
     def predict(self, y) -> Prediction:
         """Per trip, coefficients sigma[r, r]^-1 g[r]: one batched solve per route length."""

@@ -25,13 +25,15 @@ import scipy.linalg
 
 from . import __version__, fixtures as fx, kernel_backend
 from .covariance import CovarianceModel, diffusion_covariance
-from .estimators import (PosteriorModel, Prediction, WeightRule, _set_threads,
-                         optimal_gseg_weights, optimal_route_weight, optimal_seg_weights,
-                         predict_gseg, predict_route, predict_segment)
+from .estimators import (PosteriorModel, Prediction, WeightRule, _neighborhood_moments,
+                         _route_weights, _set_threads, optimal_gseg_weights,
+                         optimal_route_weight, optimal_seg_weights, predict_gseg,
+                         predict_route, predict_segment)
 from .network import AdjacencyRule, build_grid, segment_graph
-from .risk import (lower_bound, risk_gseg, risk_optimal, risk_route, risk_seg)
+from .risk import (_route_risk_terms, lower_bound, risk_gseg, risk_optimal, risk_route,
+                   risk_seg)
 from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
-                    resolve_neighborhood, sample_trips)
+                    resolve_neighborhood, resolve_neighborhoods, sample_trips)
 
 __all__ = [
     "ConfigError",
@@ -146,7 +148,12 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """log10 average risks for one (grid size, sample size) cell."""
+    """log10 average risks for one (grid size, sample size) cell.
+
+    `stages` (seconds per stage) and `counters` (see run_cell) describe how
+    the row was computed; they are not part of its value, its repr or its
+    CSV line.
+    """
 
     grid_size: int
     alpha: float
@@ -156,6 +163,7 @@ class SweepRow:
     bayes_optimal: float
     lb: float
     stages: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
+    counters: dict = field(default_factory=dict, compare=False, repr=False)
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, c) for c in CSV_COLUMNS)
@@ -166,6 +174,12 @@ def _sweep_covariance(p: int, u: float, v: float, white: float,
                       rule: str) -> CovarianceModel:
     graph = segment_graph(build_grid(p), rule=rule)
     return diffusion_covariance(graph, u=u, v=v, white=white)
+
+
+# predicting routes that run_cell evaluates at once: a default cell's 100
+# routes are one batch, and a cell of many routes holds no batch arrays
+# (neighborhood members, Bayes solves) for all of them at once
+_ROUTE_BATCH = 256
 
 
 def _exponent_key(k: float) -> int:
@@ -189,7 +203,10 @@ def _timed(stages: dict[str, float], name: str):
 def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     """Compute one sweep cell: exact average risks over fresh routes.
 
-    The row's `stages` holds the seconds spent in each stage of the cell.
+    The row's `stages` holds the seconds spent in each stage of the cell and
+    its `counters` the cell's trip count and, per route method, the mean and
+    smallest neighborhood and the number of routes that fell back to the
+    prior (an empty neighborhood).
     """
     stages: dict[str, float] = {}
     net = build_grid(p)
@@ -201,32 +218,61 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     n_hist = int(math.ceil(p ** k))
     with _timed(stages, "sampling"):
         ds = sample_trips(law, net, np.random.default_rng(hist_ss), n_hist)
-        predicting = sample_trips(law, net, np.random.default_rng(pred_ss),
-                                  cfg.n_predict).routes
+        predicting = sample_trips(law, net, np.random.default_rng(pred_ss), cfg.n_predict)
     with _timed(stages, "posterior"):
         model = PosteriorModel(ds, cov, prior)
-    q_all = model.quadratic_sums
     with _timed(stages, "precision"):
         cov.precision
+    risks, sizes = _route_risks(cfg, model, predicting, stages)
+    logs = np.log10(risks.mean(axis=1))
+    counters = {"n_hist": n_hist}
+    for name, size in zip(("route", "route_grow"), sizes):
+        counters[name] = {"neighborhood_mean": float(size.mean()),
+                          "neighborhood_min": int(size.min()),
+                          "prior_fallbacks": int((size == 0).sum())}
+    return SweepRow(p, float(k), *[float(v) for v in logs], stages=stages,
+                    counters=counters)
+
+
+def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDataset,
+                 stages: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact risks of every predicting route, evaluated in batches.
+
+    Returns a (5, routes) array of the segment, route, route_grow and Bayes
+    risks and the lower bound, in the order of CSV_COLUMNS, and a (2, routes)
+    array of the route methods' neighborhood sizes.  Each batch of
+    _ROUTE_BATCH routes reads each route's pair counts from the incidence,
+    resolves each method's neighborhoods at once, takes one Bayes solve, and
+    evaluates the route risks as array formulas.
+    """
+    ds, cov, prior = model.ds, model.cov, model.prior
     rule = WeightRule.ratio(cfg.ratio_lam)
-    spec_exact = NeighborhoodSpec.od_exact()
-    spec_grow = NeighborhoodSpec.od_ball_growing(cfg.growing_fraction)
-    acc = np.zeros(5)
-    for y in predicting:
+    specs = (NeighborhoodSpec.od_exact(),
+             NeighborhoodSpec.od_ball_growing(cfg.growing_fraction))
+    risks = np.empty((5, predicting.n_trips))
+    sizes = np.empty((len(specs), predicting.n_trips), dtype=np.int64)
+    for a in range(0, predicting.n_trips, _ROUTE_BATCH):
+        batch = predicting._slice(a, a + _ROUTE_BATCH)
+        cols = slice(a, a + batch.n_trips)
+        ys = np.split(batch.flat, batch.offsets[1:-1])
         with _timed(stages, "pair_counts"):
-            pair = ds.pair_counts(y.segment_ids)
+            pairs = [ds.pair_counts(y) for y in ys]
         with _timed(stages, "neighborhoods"):
-            nbs = [resolve_neighborhood(ds, y, spec) for spec in (spec_exact, spec_grow)]
+            moments = [_neighborhood_moments(ds, batch, resolve_neighborhoods(ds, batch, spec),
+                                             cov, model.quadratic_sums) for spec in specs]
         with _timed(stages, "risks"):
-            acc[0] += risk_seg(ds, y, rule, cov, prior, pair=pair).total
-            for slot, nb in enumerate(nbs, start=1):
-                phi = optimal_route_weight(ds, y, nb, cov, prior, q_all=q_all)
-                acc[slot] += risk_route(ds, y, nb, phi, cov, prior, q_all=q_all).total
-            acc[3] += risk_optimal(ds, y, cov, prior, model=model).total
-            acc[4] += lower_bound(ds, y, cov, prior, pair=pair)
-    avg = acc / cfg.n_predict
-    logs = np.log10(avg)
-    return SweepRow(p, float(k), *[float(v) for v in logs], stages=stages)
+            risks[0, cols] = [risk_seg(ds, y, rule, cov, prior, pair=pair).total
+                              for y, pair in zip(ys, pairs)]
+            for slot, mom in enumerate(moments, start=1):
+                variance, length, off, on = _route_risk_terms(mom, _route_weights(mom, prior),
+                                                              prior)
+                risks[slot, cols] = variance + (length + off + on)
+                sizes[slot - 1, cols] = mom.size
+            variance, bias2 = model._risk_terms(batch)
+            risks[3, cols] = variance + bias2
+            risks[4, cols] = [lower_bound(ds, y, cov, prior, pair=pair)
+                              for y, pair in zip(ys, pairs)]
+    return risks, sizes
 
 
 def _run_cell_task(args) -> SweepRow:
@@ -265,13 +311,17 @@ def emit_csv(rows, path_or_buf) -> None:
             fh.write(text)
 
 
-def emit_manifest(cfg: SweepConfig, path, wall_time_s: float) -> None:
+def emit_manifest(cfg: SweepConfig, path, wall_time_s: float, rows=()) -> None:
+    """Write the run record: config, version, wall time and, per cell of
+    `rows`, its stage seconds and counters."""
     payload = {
         "seed": cfg.master_seed,
         "config": cfg.to_dict(),
         "code_version": __version__,
         "kernel_backend": kernel_backend,
         "wall_time_s": wall_time_s,
+        "cells": [{"grid_size": row.grid_size, "alpha": row.alpha,
+                   "stages": row.stages, "counters": row.counters} for row in rows],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import CovarianceModel
-from .estimators import (PosteriorModel, Prediction, _block_moments,
-                         _neighborhood_moments, _resolve_weights, _route_ids,
+from .estimators import (PosteriorModel, Prediction, _block_moments, _NeighborhoodMoments,
+                         _one_route_moments, _resolve_weights, _route_ids,
                          optimal_route_weight, optimal_seg_weights, validate_partition)
 from .trips import Neighborhood, PriorSpec, TripDataset, _noise_factors
 
@@ -116,31 +116,41 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
     Breakdown terms: noise variance of the pooled average, squared bias from
     neighbor-length mismatch, prior mass leaked onto segments outside y, and
     prior mass not recovered on y itself.  An empty neighborhood forces
-    phi = 0 and the report reduces to the prior risk |y| * tau2.
+    phi = 0 and the report reduces to the prior risk |y| * tau2.  This is the
+    one-route case of `_route_risk_terms`.
     """
     ids = _route_ids(y)
-    m = nbhd.size
-    if m == 0:
-        phi = 0.0
-    if phi == 0.0:
-        bias_on = float(len(ids)) * prior.tau2
-        return RiskReport("route", ids, 0.0, bias_on,
-                          breakdown={"weight": 0.0, "neighborhood_size": int(m),
-                                     "bias_length": 0.0, "bias_off_route": 0.0,
-                                     "bias_on_route": bias_on})
-    n_delta, q_sum, ybar = _neighborhood_moments(ds, nbhd, cov, q_all)
-    variance = (phi / m) ** 2 * q_sum
-    bias_length = (phi * (ybar - len(ids)) * prior.mu) ** 2
-    scaled = phi * n_delta / m
-    on_route = scaled[list(ids)]
-    bias_off = float((scaled ** 2).sum() - (on_route ** 2).sum()) * prior.tau2
-    bias_on = float(((1.0 - on_route) ** 2).sum()) * prior.tau2
-    bias2 = bias_length + bias_off + bias_on
-    return RiskReport("route", ids, variance, bias2,
-                      breakdown={"weight": float(phi), "neighborhood_size": int(m),
+    mom = _one_route_moments(ds, ids, nbhd, cov, q_all)
+    phi = float(phi) if nbhd.size else 0.0
+    variance, bias_length, bias_off, bias_on = (
+        float(v[0]) for v in _route_risk_terms(mom, np.array([phi]), prior))
+    return RiskReport("route", ids, variance, bias_length + bias_off + bias_on,
+                      breakdown={"weight": phi, "neighborhood_size": nbhd.size,
                                  "bias_length": bias_length,
                                  "bias_off_route": bias_off,
                                  "bias_on_route": bias_on})
+
+
+def _route_risk_terms(mom: _NeighborhoodMoments, phi: np.ndarray, prior: PriorSpec
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per route of a store, the whole-route risk at weights phi:
+    (variance, bias_length, bias_off, bias_on).
+
+    With s = phi / M, the variance is s^2 q_sum; the estimator puts
+    s N^d_t on every segment t, so the latent bias splits into the prior
+    mass leaked off the route, tau2 (s^2 sum N^d^2 - sum_y (s N^d)^2), and
+    the mass missed on it, tau2 sum_y (1 - s N^d)^2.  A route with an empty
+    neighborhood gets the prior risk |y| tau2 whatever its phi.
+    """
+    scale = phi / np.maximum(mom.size, 1)
+    on_route = scale[mom.route_of] * mom.n_on
+    n_routes = phi.size
+    on_sq = np.bincount(mom.route_of, weights=on_route ** 2, minlength=n_routes)
+    missed = np.bincount(mom.route_of, weights=(1.0 - on_route) ** 2, minlength=n_routes)
+    return (scale ** 2 * mom.q_sum,
+            (phi * mom.length_gap * prior.mu) ** 2,
+            (scale ** 2 * mom.n_sq - on_sq) * prior.tau2,
+            missed * prior.tau2)
 
 
 def risk_optimal(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,

@@ -33,6 +33,7 @@ __all__ = [
     "NeighborhoodSpec",
     "Neighborhood",
     "resolve_neighborhood",
+    "resolve_neighborhoods",
 ]
 
 _RESAMPLE_CAP = 10 ** 6
@@ -167,9 +168,7 @@ def sample_trips(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
     vertex[offsets[:-1]] += (oi * width + oj) - np.r_[0, (di * width + dj)[:-1]]
     np.cumsum(vertex, out=vertex)
     vertex -= move  # now the tail of each step
-    ds = TripDataset(network, ())
-    ds.flat, ds.offsets = network.segment_table[vertex, code], offsets
-    return ds
+    return TripDataset._from_arrays(network, network.segment_table[vertex, code], offsets)
 
 
 class TripDataset:
@@ -197,6 +196,26 @@ class TripDataset:
         self.times = times
         self.theta = None if theta is None else np.asarray(theta, dtype=np.float64)
 
+    @classmethod
+    def _from_arrays(cls, network: RoadNetwork, flat: np.ndarray,
+                     offsets: np.ndarray) -> "TripDataset":
+        """A routes-only dataset over arrays that already hold valid paths."""
+        ds = cls(network, ())
+        ds.flat, ds.offsets = flat, offsets
+        return ds
+
+    @classmethod
+    def _one_route(cls, network: RoadNetwork, y: Sequence[int]) -> "TripDataset":
+        """The one-trip store of route y, the batch kernels' batch of one."""
+        flat = np.asarray(y, dtype=np.int64)
+        return cls._from_arrays(network, flat, np.array([0, flat.size]))
+
+    def _slice(self, a: int, b: int) -> "TripDataset":
+        """The routes-only store of trips a to b - 1."""
+        offsets = self.offsets[a:b + 1]
+        return self._from_arrays(self.network, self.flat[offsets[0]:offsets[-1]],
+                                 offsets - offsets[0])
+
     @property
     def n_trips(self) -> int:
         return self.offsets.size - 1
@@ -212,15 +231,16 @@ class TripDataset:
                      in zip(bounds, bounds[1:], self.od_array.tolist()))
 
     @cached_property
-    def incidence(self) -> scipy.sparse.csr_matrix:
-        """Trip x segment 0/1 matrix A: row n marks the segments of trip n.
+    def incidence(self) -> scipy.sparse.csc_matrix:
+        """Trip x segment 0/1 matrix A (CSC, int32): row n marks the segments of trip n.
 
-        Every traversal counter is a sum over A: N_s are its column sums and
-        the joint counts over a route y are A[:, y]' A[:, y].
+        Column s lists the trips through segment s, so the joint counts over
+        a route y, A[:, y]' A[:, y], read only y's columns.
         """
-        data = np.ones(self.flat.size, dtype=np.int64)
-        return scipy.sparse.csr_matrix((data, self.flat, self.offsets), copy=True,
-                                       shape=(self.n_trips, self.network.n_segments))
+        ones = np.ones(self.flat.size, dtype=np.int32)
+        return scipy.sparse.csr_matrix(
+            (ones, self.flat, self.offsets),
+            shape=(self.n_trips, self.network.n_segments)).tocsc()
 
     @cached_property
     def n_s(self) -> np.ndarray:
@@ -238,6 +258,20 @@ class TripDataset:
     def trip_of(self) -> np.ndarray:
         """The trip of every entry of `flat`, for arrays aligned with it."""
         return np.repeat(np.arange(self.n_trips), np.diff(self.offsets))
+
+    @cached_property
+    def _od_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Trips sorted by OD cell: (sorted cell keys, trip ids in that order).
+
+        A trip's key is origin * V + destination, with V the grid's vertex
+        count and vertex (i, j) numbered i * (p + 1) + j, as in
+        `resolve_neighborhoods`.  Within a cell the trips keep id order.
+        """
+        width = self.network.p + 1
+        od = self.od_array
+        keys = (od[:, 0] * width + od[:, 1]) * width ** 2 + od[:, 2] * width + od[:, 3]
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
 
     def _positions(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Per route length L: (L, trip ids, (n_L, L) flat positions)."""
@@ -294,16 +328,18 @@ class TripDataset:
         diagonal holds the traversal counts of y's segments.  With `members`,
         only the listed trips are counted.
         """
-        a = self.incidence
+        b = self.incidence[:, np.asarray(y, dtype=np.int64)]
         if members is not None:
-            a = a[np.asarray(members, dtype=np.int64)]
-        b = a[:, np.asarray(y, dtype=np.int64)]
-        return (b.T @ b).toarray()
+            b = b[np.asarray(members, dtype=np.int64)]
+        # int64: check_nb_condition multiplies three counts together
+        return (b.T @ b).toarray().astype(np.int64)
 
     def subset_counts(self, members: np.ndarray) -> np.ndarray:
         """Per-segment traversal counts restricted to the listed trips."""
-        rows = self.incidence[np.asarray(members, dtype=np.int64)]
-        return np.asarray(rows.sum(axis=0)).ravel()
+        members = np.asarray(members, dtype=np.int64)
+        starts = self.offsets[members]
+        entries = _ranges(starts, self.offsets[members + 1] - starts)
+        return np.bincount(self.flat[entries], minlength=self.network.n_segments)
 
     def quadratic_sums(self, cov: CovarianceModel) -> np.ndarray:
         """Per-trip sums of covariance entries over the route's segment pairs."""
@@ -457,21 +493,85 @@ def resolve_neighborhood(ds: TripDataset, y: Route, spec: NeighborhoodSpec) -> N
     """Find the historical trips a route-level estimator may pool for y.
 
     An empty neighborhood is a valid outcome, not an error; the estimator
-    then falls back to the prior.
+    then falls back to the prior.  This is the one-route case of
+    `resolve_neighborhoods`.
     """
-    if spec.kind == NeighborhoodKind.EXACT_ROUTE:
-        empty = np.empty(0, dtype=np.int64)
-        trips, ids = ds.length_groups().get(len(y), (empty, empty.reshape(0, len(y))))
-        return Neighborhood(spec, y, trips[(ids == y.segment_ids).all(axis=1)])
-    key = np.asarray((*y.origin, *y.destination), dtype=np.int64)
-    od = ds.od_array
-    d_o = np.abs(od[:, 0] - key[0]) + np.abs(od[:, 1] - key[1])
-    d_d = np.abs(od[:, 2] - key[2]) + np.abs(od[:, 3] - key[3])
-    if spec.kind == NeighborhoodKind.OD_BALL_GROWING:
-        c = int(np.ceil(spec.fraction * ds.network.p))
-        mask = (d_o <= c) & (d_d <= c)
+    members = resolve_neighborhoods(ds, TripDataset._one_route(ds.network, y.segment_ids),
+                                    spec)
+    return Neighborhood(spec, y, members.indices.astype(np.int64))
+
+
+def resolve_neighborhoods(ds: TripDataset, routes: TripDataset,
+                          spec: NeighborhoodSpec) -> scipy.sparse.csr_matrix:
+    """Neighborhoods of every route of a store, as a route x trip 0/1 matrix.
+
+    Row r lists, in increasing order, the trips of ds that the route-level
+    estimator may pool for route r of `routes`.  The members come from the
+    dataset's OD-cell index, never from a scan of all trips: each route
+    lists the OD cells within its radius (per endpoint, the grid vertices
+    within L1 distance, clipped at the grid border) and reads their trips.
+    Exact-route members are the od_exact members with the same segments.
+    The work grows with the OD cells the routes admit (at most V^2 per route,
+    V the grid's vertex count, for a ball that covers the grid), not with
+    the trip count.
+    """
+    net = ds.network
+    od = routes.od_array
+    n_routes = routes.n_trips
+    width = net.p + 1
+    vertex = np.arange(width * width)
+    # (routes, vertices) L1 distances of every grid vertex to each endpoint
+    dist_o = (np.abs(vertex // width - od[:, :1]) + np.abs(vertex % width - od[:, 1:2]))
+    dist_d = (np.abs(vertex // width - od[:, 2:3]) + np.abs(vertex % width - od[:, 3:]))
+    growing = spec.kind == NeighborhoodKind.OD_BALL_GROWING
+    if growing:
+        slack = int(np.ceil(spec.fraction * net.p))
     else:
-        # od_exact is the ball of radius zero
-        radius = spec.radius if spec.kind == NeighborhoodKind.OD_BALL else 0
-        mask = d_o + d_d <= 2 * radius
-    return Neighborhood(spec, y, np.flatnonzero(mask))
+        # od_exact and exact_route start from the ball of radius zero
+        slack = 2 * spec.radius if spec.kind == NeighborhoodKind.OD_BALL else 0
+    route, origin = np.nonzero(dist_o <= slack)
+    # the destination's slack: its own for the growing ball, what the origin
+    # left of the pooled slack otherwise
+    reach = slack if growing else slack - dist_o[route, origin]
+    # the destinations within `reach` of route r are a prefix of its vertices
+    # sorted by distance; within[r, t] counts the vertices at distance <= t
+    by_dist = np.argsort(dist_d, axis=1, kind="stable")
+    far = 2 * net.p  # the largest L1 distance on the grid
+    within = np.zeros((n_routes, far + 1), dtype=np.int64)
+    np.add.at(within, (np.arange(n_routes)[:, None], dist_d), 1)
+    np.cumsum(within, axis=1, out=within)
+    take = within[route, np.minimum(reach, far)]
+    route, origin = np.repeat(route, take), np.repeat(origin, take)
+    dest = by_dist[route, _ranges(np.zeros(take.size, dtype=np.int64), take)]
+    # every trip of each cell
+    keys, order = ds._od_index
+    cell = origin * vertex.size + dest
+    lo = np.searchsorted(keys, cell, side="left")
+    count = np.searchsorted(keys, cell, side="right") - lo
+    route, trip = np.repeat(route, count), order[_ranges(lo, count)]
+    if spec.kind == NeighborhoodKind.EXACT_ROUTE:
+        route, trip = _same_segments(ds, routes, route, trip)
+    keep = np.lexsort((trip, route))
+    indptr = np.r_[0, np.cumsum(np.bincount(route, minlength=n_routes))]
+    return scipy.sparse.csr_matrix((np.ones(keep.size), trip[keep], indptr),
+                                   shape=(n_routes, ds.n_trips))
+
+
+def _same_segments(ds: TripDataset, routes: TripDataset, route: np.ndarray,
+                   trip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (route, trip) pairs whose trip traverses exactly the route's segments."""
+    lens = routes.offsets[route + 1] - routes.offsets[route]
+    same = lens == ds.offsets[trip + 1] - ds.offsets[trip]
+    route, trip, lens = route[same], trip[same], lens[same]
+    differ = (ds.flat[_ranges(ds.offsets[trip], lens)]
+              != routes.flat[_ranges(routes.offsets[route], lens)])
+    pair = np.repeat(np.arange(route.size), lens)
+    same = np.bincount(pair, weights=differ, minlength=route.size) == 0
+    return route[same], trip[same]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + counts[i])."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)

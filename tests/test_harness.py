@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 
@@ -141,6 +142,33 @@ def test_emit_manifest(tmp_path):
     assert payload["kernel_backend"] == "numpy"
     assert payload["wall_time_s"] == 1.25
     assert payload["code_version"]
+
+
+def test_manifest_records_cell_stages_and_counters(tmp_path):
+    cfg = _tiny_config(grid_sizes=(3, 4), n_predict=6)
+    rows = run_sweep(cfg)
+    for row in rows:
+        assert row.counters["n_hist"] == math.ceil(row.grid_size ** row.alpha)
+        for name in ("route", "route_grow"):
+            c = row.counters[name]
+            assert set(c) == {"neighborhood_mean", "neighborhood_min", "prior_fallbacks"}
+            assert 0 <= c["neighborhood_min"] <= c["neighborhood_mean"]
+            assert 0 <= c["prior_fallbacks"] <= cfg.n_predict
+        # the counters are not part of the row's value, repr or CSV line
+        assert row == dataclasses.replace(row, counters={})
+        assert "counters" not in repr(row)
+    bare = [dataclasses.replace(r, stages={}, counters={}) for r in rows]
+    buf_a, buf_b = io.StringIO(), io.StringIO()
+    emit_csv(rows, buf_a)
+    emit_csv(bare, buf_b)
+    assert buf_a.getvalue() == buf_b.getvalue()
+    path = tmp_path / "manifest.json"
+    emit_manifest(cfg, path, wall_time_s=0.5, rows=rows)
+    cells = json.loads(path.read_text())["cells"]
+    assert [(c["grid_size"], c["alpha"]) for c in cells] == \
+        [(r.grid_size, r.alpha) for r in rows]
+    assert [c["stages"] for c in cells] == [r.stages for r in rows]
+    assert [c["counters"] for c in cells] == [r.counters for r in rows]
 
 
 def test_golden_row_formatting():
