@@ -53,6 +53,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.replicates < 1:
+        print(f"config error: --replicates must be at least 1, got {args.replicates}",
+              file=sys.stderr)
+        return 2
     try:
         cases = oracle_cases(args.fixture)
     except ConfigError as e:

@@ -212,16 +212,22 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
         # through an eigendecomposition
         return CovarianceModel((u + white) * np.eye(n), meta=meta)
     lap = normalized_laplacian(graph, variant=variant)
-    eigenvalues = None
     if variant == LaplacianVariant.SYMMETRIC:
         evals, evecs = np.linalg.eigh(lap)
+        del lap
         heat = np.exp(-v * evals)
-        kernel = (evecs * heat) @ evecs.T
         # sigma = V diag(u e^{-v lambda} + white) V', so L's eigh gives its spectrum
         eigenvalues = np.sort(u * heat + white)
+        # X = V diag(e^{-v lambda / 2}) in place; numpy runs X @ X.T as one
+        # symmetric rank-k update, so the kernel comes out exactly symmetric
+        evecs *= np.sqrt(heat)
+        sigma = evecs @ evecs.T
+        del evecs
+        sigma *= u
     else:
         kernel = scipy.linalg.expm(-v * lap)
-    sigma = u * (kernel + kernel.T) / 2.0
+        sigma = u * (kernel + kernel.T) / 2.0
+        eigenvalues = None
     sigma[np.diag_indices(n)] += white
     return CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
 

@@ -21,7 +21,7 @@ from .covariance import CovarianceModel
 from .estimators import (PosteriorModel, Prediction, _block_moments, _NeighborhoodMoments,
                          _one_route_moments, _resolve_weights, _route_ids,
                          optimal_route_weight, optimal_seg_weights, validate_partition)
-from .trips import Neighborhood, PriorSpec, TripDataset, _noise_factors
+from .trips import Neighborhood, PriorSpec, TripDataset
 
 __all__ = [
     "RiskReport",
@@ -193,10 +193,7 @@ def risk_affine(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     n = ds.network.n_segments
     on_route = np.isin(np.arange(n), pred.route)
     d = np.bincount(ds.flat, weights=pred.coef, minlength=n) - on_route
-    variance = 0.0
-    for _, pos, _, blocks in ds._sigma_blocks(cov):
-        c = pred.coef[pos]
-        variance += float(np.einsum("ni,nij,nj->", c, blocks, c))
+    variance = float(_noise_variances(pred, ds, cov)[1].sum())
     bias2 = (pred.intercept + prior.mu * float(d.sum())) ** 2 + prior.tau2 * float(d @ d)
     return RiskReport(pred.estimator, pred.route, variance, bias2)
 
@@ -214,21 +211,38 @@ class MCRisk:
 _MC_BYTES = 64 * 2 ** 20
 
 
-def _noise_scales(pred: Prediction, ds: TripDataset, cov: CovarianceModel
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The active trips (any nonzero coefficient) and their noise scales.
+def _noise_variances(pred: Prediction, ds: TripDataset, cov: CovarianceModel
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The active trips (any nonzero coefficient) and their noise variances.
 
-    Returns a boolean per trip and, in trip order, |F_n' c_n| for each active
-    trip n, with F_n the noise factor of its sigma block and c_n its
-    coefficients: the standard deviation of the trip's noise term c_n . eps_n.
+    Returns a boolean per trip and, in trip order, c_n' sigma[r_n, r_n] c_n for
+    each active trip n, with c_n its coefficients and r_n its route: the
+    variance of the trip's noise term c_n . eps_n.  risk_affine sums them, and
+    mc_risk draws one normal per active trip at their square roots.
     """
     live = np.zeros(ds.n_trips, dtype=bool)
     live[ds.trip_of[pred.coef != 0.0]] = True
-    scales = np.zeros(ds.n_trips)
+    variances = np.zeros(ds.n_trips)
     for trips, pos, _, blocks in ds._sigma_blocks(cov, select=live):
-        folded = np.einsum("nij,ni->nj", _noise_factors(blocks), pred.coef[pos])
-        scales[trips] = np.linalg.norm(folded, axis=1)
-    return live, scales[live]
+        c = pred.coef[pos]
+        variances[trips] = np.einsum("ni,nij,nj->n", c, blocks, c)
+    return live, variances[live]
+
+
+def _noise_scales(pred: Prediction, ds: TripDataset, cov: CovarianceModel
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The active trips and the standard deviations of their noise terms.
+
+    Returns _noise_variances' boolean per trip and, in trip order,
+    sqrt(max(c_n' sigma[r_n, r_n] c_n, 0)) for each active trip.  Where a
+    block is PSD this is |F_n' c_n| for any factor F_n F_n' of it, and no
+    factor is computed.  The clamp acts only within the tolerance the
+    covariance already accepts: CovarianceModel rejects sigma with
+    lambda_min < -PSD_RTOL * scale, every block is a principal submatrix, so
+    by eigenvalue interlacing c' sigma[r, r] c >= -PSD_RTOL * scale * |c|^2.
+    """
+    live, variances = _noise_variances(pred, ds, cov)
+    return live, np.sqrt(np.maximum(variances, 0.0))
 
 
 def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
@@ -242,15 +256,20 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     of the affine rule against the fresh route total.
 
     The latent times are drawn per segment.  A trip's noise enters the error
-    only as c_n . eps_n = (F_n' c_n) . z_n, with F_n F_n' its sigma block and
-    z_n standard normal, which is Normal(0, |F_n' c_n|^2) and independent
-    across trips and of the latent times.  So each replicate draws one
-    standard normal per active trip, in trip order, scaled by |F_n' c_n|:
-    the error has exactly the law of the per-entry draw, at a fraction of its
-    cost.  A batch holds at most `batch_size` replicates, and fewer when its
-    draws (replicates x (segments involved + active trips) float64s) would
-    pass _MC_BYTES; a batch of one replicate may.
+    only as c_n . eps_n, which is Normal(0, c_n' sigma[r_n, r_n] c_n) and
+    independent across trips and of the latent times.  So each replicate
+    draws one standard normal per active trip, in trip order, scaled by
+    sqrt(c_n' sigma[r_n, r_n] c_n) (see _noise_scales, which factors no
+    block): the error has exactly the law of the per-entry draw, at a
+    fraction of its cost.  A batch holds at most `batch_size` replicates, and
+    fewer when its draws (replicates x (segments involved + active trips)
+    float64s) would pass _MC_BYTES; a batch of one replicate may.
+    `replicates` and `batch_size` must be at least 1.
     """
+    if replicates < 1:
+        raise ValueError(f"mc_risk needs replicates >= 1, got {replicates}")
+    if batch_size < 1:
+        raise ValueError(f"mc_risk needs batch_size >= 1, got {batch_size}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ids = list(pred.route)
     flat = ds.flat

@@ -417,7 +417,8 @@ def synthesize_times(network: RoadNetwork, routes: Sequence[Route],
 def _noise_factors(blocks: np.ndarray) -> np.ndarray:
     """(n, L, L) factors F with F F' = each of the (n, L, L) sigma blocks.
 
-    Negative eigenvalues of a block are clipped to zero.
+    Negative eigenvalues of a block are clipped to zero.  Only
+    synthesize_times factors blocks; mc_risk and risk_affine read c' sigma c.
     """
     evals, evecs = np.linalg.eigh(blocks)
     return evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]

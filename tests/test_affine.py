@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_fixture
 from etalab import fixtures as fx
-from etalab.covariance import gram_covariance
+from etalab.covariance import FeatureLaw, gram_covariance
 from etalab.estimators import (
     PosteriorModel,
     WeightRule,
@@ -25,6 +25,7 @@ from etalab.harness import ORACLE_FIXTURES, oracle_cases
 from etalab.network import build_grid
 from etalab.risk import (
     _noise_scales,
+    mc_risk,
     risk_affine,
     risk_gseg,
     risk_optimal,
@@ -36,6 +37,7 @@ from etalab.trips import (
     ODLaw,
     PriorSpec,
     TripDataset,
+    _noise_factors,
     resolve_neighborhood,
     sample_routes,
 )
@@ -181,23 +183,63 @@ def test_risk_affine_matches_oracle_fixtures(fixture):
         assert abs(exact - closed) <= 1e-12 * max(1.0, abs(closed)), name
 
 
+def _eigh_fold_scales(pred, ds, cov):
+    """|F_n' c_n| per trip, with F_n an eigh factor of trip n's own block."""
+    out = np.zeros(ds.n_trips)
+    for n, c in enumerate(pred.coefficients):
+        r = ds.flat[ds.offsets[n]:ds.offsets[n + 1]]
+        factor = _noise_factors(cov.sigma[np.ix_(r, r)][None])[0]
+        out[n] = np.linalg.norm(factor.T @ c)
+    return out
+
+
+def _check_scales_against_eigh_fold(pred, ds, cov):
+    """_noise_scales equals the eigh fold trip by trip; returns the fold."""
+    live, scales = _noise_scales(pred, ds, cov)
+    expect = _eigh_fold_scales(pred, ds, cov)
+    assert scales.shape == (live.sum(),)
+    assert np.all(expect[~live] == 0.0)
+    tol = 1e-12 * max(1.0, float(expect.max(initial=0.0)))
+    assert np.all(np.abs(scales - expect[live]) <= tol), pred.estimator
+    return expect
+
+
+def _shared_predictions(ds, y, cov, prior):
+    """Segment, grouped-segment and route predictions of y."""
+    nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball(1))
+    return [predict_segment(ds, y, optimal_seg_weights(ds, y, cov, prior), prior),
+            predict_gseg(ds, y, _halves(y.segment_ids), WeightRule.ratio(0.7), prior),
+            predict_route(ds, y, nb, optimal_route_weight(ds, y, nb, cov, prior), prior)]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_noise_scales_sum_to_affine_variance(seed):
-    # mc_risk draws one normal per active trip at these scales, so their
-    # squares must add up to the exact noise part of the risk
+    # mc_risk draws one normal per active trip at sqrt(c' sigma c); an eigh
+    # factor of each block is an independent route to the same standard
+    # deviation, and its squares add up to the exact noise part of the risk
     f = random_fixture(seed + 3500, cov_kind=("diffusion", "diag")[seed % 2],
                        n_trips=30)
     ds, y, cov, prior = f.ds, f.y, f.cov, f.prior
-    nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball(1))
-    preds = [predict_segment(ds, y, optimal_seg_weights(ds, y, cov, prior), prior),
-             predict_route(ds, y, nb, optimal_route_weight(ds, y, nb, cov, prior), prior),
-             PosteriorModel(ds, cov, prior).predict(y)]
+    preds = _shared_predictions(ds, y, cov, prior) + [PosteriorModel(ds, cov, prior).predict(y)]
     for pred in preds:
-        live, scales = _noise_scales(pred, ds, cov)
-        assert live.sum() == scales.size
+        expect = _check_scales_against_eigh_fold(pred, ds, cov)
         variance = risk_affine(pred, ds, cov, prior).variance
-        assert abs(float(scales @ scales) - variance) <= 1e-12 * max(1.0, variance), \
+        assert abs(float(expect @ expect) - variance) <= 1e-12 * max(1.0, variance), \
             pred.estimator
+
+
+def test_noise_scales_match_eigh_fold_on_rank_deficient_gram():
+    # Gram covariances of rank 2-4 leave most trip blocks singular; the
+    # fixture's own covariance is replaced, only its trips and prior are used
+    for seed in range(25):
+        f = random_fixture(seed + 3600, cov_kind="diag", n_trips=30)
+        ds, y, prior = f.ds, f.y, f.prior
+        cov = gram_covariance(ds.network.n_segments, m=2 + seed % 3,
+                              law=FeatureLaw.UNIF_NEG1_1, seed=seed)
+        for pred in _shared_predictions(ds, y, cov, prior):
+            _check_scales_against_eigh_fold(pred, ds, cov)
+            est = mc_risk(pred, ds, cov, prior, replicates=200, seed=seed)
+            assert np.isfinite(est.mean) and np.isfinite(est.se)
 
 
 # ---------------------------------------------------------------------------

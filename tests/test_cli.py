@@ -64,6 +64,15 @@ def test_oracle_fast(capsys):
     assert out.count("PASS") == 2
 
 
+@pytest.mark.parametrize("replicates", ["0", "-3"])
+def test_oracle_rejects_replicates_below_one(capsys, replicates):
+    code = main(["oracle", "--fixture", "reference", "--replicates", replicates])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_oracle_unknown_fixture(capsys):
     with pytest.raises(SystemExit):
         main(["oracle", "--fixture", "bogus"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_fixture
-from etalab import risk
+from etalab import risk, trips
 from etalab.estimators import (
     PosteriorModel,
     WeightRule,
@@ -276,6 +276,32 @@ def test_mc_risk_batches_fit_the_byte_budget(monkeypatch, budget):
     assert all(b == 1 or 8 * b * width <= budget for b in rows)
     assert max(rows) == max(1, budget // (8 * width))
     exact = risk_affine(pred, fx.ds, fx.cov, fx.prior).total
+    assert abs(est.mean - exact) <= 3.0 * est.se
+
+
+@pytest.mark.parametrize("counts", [{"replicates": 0}, {"replicates": -3},
+                                    {"batch_size": 0}, {"batch_size": -1}])
+def test_mc_risk_rejects_counts_below_one(counts):
+    ds, y = reference_dataset(), reference_route()
+    cov, prior = reference_covariance(), reference_prior()
+    pred = predict_segment(ds, y, optimal_seg_weights(ds, y, cov, prior), prior)
+    with pytest.raises(ValueError, match=next(iter(counts))):
+        mc_risk(pred, ds, cov, prior, **counts)
+
+
+def test_mc_risk_and_risk_affine_factor_no_block(monkeypatch):
+    # both read each trip's noise variance c' sigma c; only synthesize_times
+    # factors blocks
+    fx = random_fixture(42, cov_kind="diffusion", p=4, n_trips=60)
+    pred = PosteriorModel(fx.ds, fx.cov, fx.prior).predict(fx.y)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(trips, "_noise_factors", refuse)
+    exact = risk_affine(pred, fx.ds, fx.cov, fx.prior).total
+    est = mc_risk(pred, fx.ds, fx.cov, fx.prior, replicates=2000, seed=1)
     assert abs(est.mean - exact) <= 3.0 * est.se
 
 
