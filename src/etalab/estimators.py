@@ -91,10 +91,10 @@ class WeightRule:
 
 @dataclass
 class Prediction:
-    """An affine prediction: intercept + coef . (every trip's times, concatenated).
+    """An affine prediction: intercept + coef . times.
 
-    `coef` is aligned with TripDataset.flat: trip n owns the entries
-    coef[offsets[n]:offsets[n + 1]], one per segment of its route.
+    `coef` is aligned with TripDataset.flat, like TripDataset.times: trip n
+    owns coef[offsets[n]:offsets[n + 1]], one entry per segment of its route.
     """
 
     estimator: str
@@ -110,10 +110,9 @@ class Prediction:
         """Per-trip views of `coef`, one array per trip."""
         return tuple(self.coef[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
 
-    def evaluate(self, times: Sequence[np.ndarray]) -> float:
-        if not self.coef.size:
-            return self.intercept
-        return self.intercept + float(self.coef @ np.concatenate(times))
+    def evaluate(self, times: np.ndarray) -> float:
+        """The prediction at observed times aligned with `coef` (TripDataset.times)."""
+        return self.intercept + float(self.coef @ times)
 
     def coefficient_sum(self) -> float:
         return float(self.coef.sum())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -175,12 +175,13 @@ class TripDataset:
     """Historical trips over one network, with counters for the estimators.
 
     The routes are stored back to back: trip n traverses the segment ids
-    flat[offsets[n]:offsets[n + 1]].  Route objects are built from these
-    arrays only when `routes` is first read.
+    flat[offsets[n]:offsets[n + 1]].  `times`, like prediction coefficients,
+    is one float64 array aligned with `flat`, or None for a routes-only store.
+    Route objects are built from these arrays only when `routes` is first read.
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[Route],
-                 times: Sequence[np.ndarray] | None = None,
+                 times: np.ndarray | None = None,
                  theta: np.ndarray | None = None):
         routes = tuple(routes)
         self.network = network
@@ -188,11 +189,9 @@ class TripDataset:
         self.flat = np.fromiter((s for r in routes for s in r.segment_ids),
                                 dtype=np.int64, count=int(self.offsets[-1]))
         if times is not None:
-            times = [np.asarray(t, dtype=np.float64) for t in times]
-            if len(times) != self.n_trips:
-                raise ValueError("need one time vector per trip")
-            if [t.shape for t in times] != [(n,) for n in np.diff(self.offsets).tolist()]:
-                raise ValueError("time vector length must match route length")
+            times = np.asarray(times, dtype=np.float64)
+            if times.shape != self.flat.shape:
+                raise ValueError(f"times must have the shape of flat, not {times.shape}")
         self.times = times
         self.theta = None if theta is None else np.asarray(theta, dtype=np.float64)
 
@@ -273,18 +272,6 @@ class TripDataset:
         order = np.argsort(keys, kind="stable")
         return keys[order], order
 
-    def _positions(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Per route length L: (L, trip ids, (n_L, L) flat positions)."""
-        offsets = self.offsets
-        lens = np.diff(offsets)
-        for length in np.unique(lens):
-            trips = np.flatnonzero(lens == length)
-            yield int(length), trips, offsets[trips, None] + np.arange(length)
-
-    def length_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Trips grouped by route length L: {L: (trip ids, (n_L, L) segment ids)}."""
-        return {length: (trips, self.flat[pos]) for length, trips, pos in self._positions()}
-
     def _sigma_blocks(self, cov: CovarianceModel, select: np.ndarray | None = None
                       ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Trips' covariance blocks in chunks: (trips, pos, ids, blocks).
@@ -297,10 +284,10 @@ class TripDataset:
         `select`, a boolean per trip, keeps only the marked trips.
         """
         sigma = cov.sigma
-        for length, trips, pos in self._positions():
-            if select is not None:
-                keep = select[trips]
-                trips, pos = trips[keep], pos[keep]
+        lens = np.diff(self.offsets)
+        for length in np.unique(lens):
+            trips = np.flatnonzero((lens == length) & (True if select is None else select))
+            pos = self.offsets[trips, None] + np.arange(length)
             rows = max(1, _BLOCK_BYTES // (sigma.itemsize * length * length))
             for a in range(0, trips.size, rows):
                 ids = self.flat[pos[a:a + rows]]
@@ -349,11 +336,10 @@ class TripDataset:
         return out
 
     def segment_time_sums(self, center: float = 0.0) -> np.ndarray:
-        """Per-segment sums of observed (optionally centered) travel times."""
+        """Per-segment sums of the observed times minus `center`: one bincount over `flat`."""
         if self.times is None:
             raise ValueError("dataset has no observed times")
-        values = np.concatenate(self.times) if self.times else np.empty(0)
-        return np.bincount(self.flat, weights=values - center,
+        return np.bincount(self.flat, weights=self.times - center,
                            minlength=self.network.n_segments)
 
     # -- serialization: one JSON object per line, {"route": [...], "times": [...]}
@@ -361,16 +347,15 @@ class TripDataset:
     def to_jsonl(self, path) -> None:
         flat, bounds = self.flat.tolist(), self.offsets.tolist()
         with open(path, "w") as fh:
-            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            for a, b in zip(bounds, bounds[1:]):
                 rec: dict = {"route": flat[a:b]}
                 if self.times is not None:
-                    rec["times"] = [float(v) for v in self.times[i]]
+                    rec["times"] = self.times[a:b].tolist()
                 fh.write(json.dumps(rec) + "\n")
 
     @classmethod
     def from_jsonl(cls, network: RoadNetwork, path) -> "TripDataset":
-        routes, times = [], []
-        any_times = False
+        routes, times, timed = [], [], 0
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
@@ -379,13 +364,15 @@ class TripDataset:
                 rec = json.loads(line)
                 routes.append(Route.from_segments(network, rec["route"]))
                 if "times" in rec:
-                    any_times = True
-                    times.append(np.asarray(rec["times"], dtype=np.float64))
-                else:
-                    times.append(None)
-        if any_times and any(t is None for t in times):
+                    # per record: two opposite length errors would cancel in the total
+                    t = rec["times"]
+                    if not isinstance(t, list) or len(t) != len(routes[-1]):
+                        raise ValueError(f"trip {len(routes) - 1} needs one time per segment")
+                    times.extend(t)
+                    timed += 1
+        if timed not in (0, len(routes)):
             raise ValueError("either every trip or no trip may carry times")
-        return cls(network, routes, times if any_times else None)
+        return cls(network, routes, np.array(times, dtype=np.float64) if timed else None)
 
     def __repr__(self) -> str:
         timed = "timed" if self.times is not None else "routes-only"
@@ -399,17 +386,17 @@ def synthesize_times(network: RoadNetwork, routes: Sequence[Route],
 
     theta_s ~ Normal(mu, tau2) independently per segment, drawn once for the
     whole dataset; each trip observes theta over its route plus a correlated
-    Gaussian vector with covariance equal to the route's sigma block.
+    Gaussian vector with covariance equal to the route's sigma block.  The
+    dataset's `times` is one array aligned with its `flat`.
     """
     n = network.n_segments
     theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal(n)
     ds = TripDataset(network, routes)
     # one draw in trip order equals the per-trip draws made one after another
     z = rng.standard_normal(ds.flat.size)
-    times = theta[ds.flat]
+    ds.times = theta[ds.flat]
     for _, pos, _, blocks in ds._sigma_blocks(cov):
-        times[pos] += np.einsum("nij,nj->ni", _noise_factors(blocks), z[pos])
-    ds.times = np.split(times, ds.offsets[1:-1]) if ds.n_trips else []
+        ds.times[pos] += np.einsum("nij,nj->ni", _noise_factors(blocks), z[pos])
     ds.theta = theta
     return ds
 
@@ -417,7 +404,10 @@ def synthesize_times(network: RoadNetwork, routes: Sequence[Route],
 def _noise_factors(blocks: np.ndarray) -> np.ndarray:
     """(n, L, L) factors F with F F' = each of the (n, L, L) sigma blocks.
 
-    Negative eigenvalues of a block are clipped to zero.  Only
+    Negative eigenvalues of a block are clipped to zero, which acts only
+    within the tolerance the covariance accepts, as mc_risk's clamp does:
+    CovarianceModel rejects sigma with lambda_min < -PSD_RTOL * scale, and by
+    interlacing no principal submatrix has a smaller eigenvalue.  Only
     synthesize_times factors blocks; mc_risk and risk_affine read c' sigma c.
     """
     evals, evecs = np.linalg.eigh(blocks)

@@ -220,7 +220,11 @@ def test_noise_scales_sum_to_affine_variance(seed):
     f = random_fixture(seed + 3500, cov_kind=("diffusion", "diag")[seed % 2],
                        n_trips=30)
     ds, y, cov, prior = f.ds, f.y, f.cov, f.prior
+    if not ds.n_s[list(y.segment_ids)].any():
+        # no trip covers the sampled route (seed 3): predict a driven one instead
+        y = ds.routes[0]
     preds = _shared_predictions(ds, y, cov, prior) + [PosteriorModel(ds, cov, prior).predict(y)]
+    assert any(np.any(pred.coef != 0.0) for pred in preds), "no prediction has an active trip"
     for pred in preds:
         expect = _check_scales_against_eigh_fold(pred, ds, cov)
         variance = risk_affine(pred, ds, cov, prior).variance

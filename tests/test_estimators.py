@@ -89,9 +89,10 @@ def test_segment_prediction_is_traversal_average():
     pred = predict_segment(ds, y, WeightRule.threshold(1), reference_prior())
     s1, s2 = y.segment_ids
     brute = 0.0
+    per_trip = np.split(ds.times, ds.offsets[1:-1])
     for s in (s1, s2):
         vals = [t[list(r.segment_ids).index(s)]
-                for r, t in zip(ds.routes, ds.times) if s in r.segment_ids]
+                for r, t in zip(ds.routes, per_trip) if s in r.segment_ids]
         brute += float(np.mean(vals))
     assert pred.value == pytest.approx(brute, abs=1e-12)
     assert pred.evaluate(ds.times) == pytest.approx(pred.value, abs=1e-12)
@@ -111,7 +112,7 @@ def test_gseg_whole_route_single_containing_trip():
     pred = predict_gseg(ds, y, [y.segment_ids], WeightRule.threshold(1),
                         reference_prior())
     # only the trip with the identical sub-path covers both segments
-    t4 = ds.times[3]
+    t4 = ds.times[ds.offsets[3]:ds.offsets[4]]
     ids4 = list(ds.routes[3].segment_ids)
     brute = t4[ids4.index(y.segment_ids[0])] + t4[ids4.index(y.segment_ids[1])]
     assert pred.value == pytest.approx(float(brute), abs=1e-12)
@@ -133,7 +134,7 @@ def test_route_prediction_ball_average():
     y = reference_route()
     nb = resolve_neighborhood(ds, y, reference_route_neighborhood())
     pred = predict_route(ds, y, nb, WeightRule.threshold(1), reference_prior())
-    brute = (ds.times[3].sum() + ds.times[4].sum()) / 2.0
+    brute = ds.times[ds.offsets[3]:ds.offsets[5]].sum() / 2.0
     assert pred.value == pytest.approx(float(brute), abs=1e-12)
 
 
@@ -155,7 +156,8 @@ def test_route_prediction_exact_single_member():
     nb = resolve_neighborhood(ds, y, NeighborhoodSpec.exact_route())
     assert nb.size == 1
     pred = predict_route(ds, y, nb, WeightRule.threshold(1), reference_prior())
-    assert pred.value == pytest.approx(float(ds.times[3].sum()), abs=1e-12)
+    assert pred.value == pytest.approx(float(ds.times[ds.offsets[3]:ds.offsets[4]].sum()),
+                                       abs=1e-12)
 
 
 def test_partition_validation(grid3):
@@ -313,8 +315,7 @@ def test_bayes_matches_indep_segment_on_diagonal_cov():
 
 def test_estimators_affine_in_times_and_mu():
     fx = random_fixture(901, with_times=True, cov_kind="diffusion")
-    doubled = TripDataset(fx.net, fx.ds.routes,
-                          times=[2.0 * t for t in fx.ds.times])
+    doubled = TripDataset(fx.net, fx.ds.routes, times=2.0 * fx.ds.times)
     prior2 = PriorSpec(mu=2.0 * fx.prior.mu, tau2=fx.prior.tau2)
     rule = WeightRule.ratio(1.0)
     a = predict_segment(fx.ds, fx.y, rule, fx.prior)

@@ -126,7 +126,7 @@ def test_empty_inputs():
     assert np.array_equal(ds.pair_counts(y), np.zeros((len(y), len(y))))
     assert ds.n_subset(y) == 0
     assert ds.quadratic_sums(fx.cov).size == 0
-    assert ds.length_groups() == {}
+    assert list(ds._sigma_blocks(fx.cov)) == []
     assert not PosteriorModel(ds, fx.cov, fx.prior).w.any()
     for spec in (NeighborhoodSpec.exact_route(), NeighborhoodSpec.od_exact()):
         assert resolve_neighborhood(ds, fx.y, spec).size == 0
@@ -201,13 +201,20 @@ def test_sigma_blocks_cover_each_trip_once(budget, monkeypatch):
         assert lengths == sorted(lengths)
 
 
+def _whole_groups(ds):
+    """Per route length L: the (n_L, L) flat positions and segment ids of its trips."""
+    lens = np.diff(ds.offsets)
+    for length in np.unique(lens):
+        pos = ds.offsets[np.flatnonzero(lens == length), None] + np.arange(length)
+        yield pos, ds.flat[pos]
+
+
 def _predict_by_groups(model, y):
     """PosteriorModel.predict's coefficients, one batched solve per whole length group."""
     ds, sigma = model.ds, model.cov.sigma
     g = model.weight_vector(y)
     coef = np.zeros(ds.flat.size)
-    for _, (members, ids) in ds.length_groups().items():
-        pos = ds.offsets[members, None] + np.arange(ids.shape[1])
+    for pos, ids in _whole_groups(ds):
         blocks = sigma[ids[:, :, None], ids[:, None, :]]
         coef[pos] = np.linalg.solve(blocks, g[ids][..., None])[..., 0]
     return coef
@@ -219,8 +226,7 @@ def _times_by_groups(net, routes, cov, prior, rng):
     ds = TripDataset(net, routes)
     z = rng.standard_normal(ds.flat.size)
     times = theta[ds.flat]
-    for _, (members, ids) in ds.length_groups().items():
-        pos = ds.offsets[members, None] + np.arange(ids.shape[1])
+    for pos, ids in _whole_groups(ds):
         evals, evecs = np.linalg.eigh(cov.sigma[ids[:, :, None], ids[:, None, :]])
         factors = evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
         times[pos] += np.einsum("nij,nj->ni", factors, z[pos])
@@ -241,7 +247,7 @@ def test_block_consumers_match_whole_group_references(seed, monkeypatch):
         pred = model.predict(fx.y)
         assert np.array_equal(pred.coef, expect_coef)
         timed = synthesize_times(fx.net, routes, cov, prior, np.random.default_rng(seed))
-        assert np.array_equal(np.concatenate(timed.times), expect_times)
+        assert np.array_equal(timed.times, expect_times)
         results[budget] = (pred.intercept, pred.value,
                            mc_risk(pred, ds, cov, prior, replicates=300, seed=seed))
     assert results[1] == results[700] == results[_WHOLE_GROUPS]

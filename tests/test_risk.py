@@ -225,7 +225,7 @@ def test_mc_risk_prior_only():
     prior = reference_prior()
     pred = predict_segment(
         TripDataset(ds.network, ds.routes,
-                    times=[np.zeros(len(r)) for r in ds.routes]),
+                    times=np.zeros(ds.flat.size)),
         y, WeightRule.threshold(10), prior)
     est = mc_risk(pred, ds, reference_covariance(), prior,
                   replicates=20000, seed=3)
@@ -239,7 +239,7 @@ def test_mc_risk_matches_seg_closed_form():
     cov, prior = reference_covariance(), reference_prior()
     w = optimal_seg_weights(ds, y, cov, prior)
     timed = TripDataset(ds.network, ds.routes,
-                        times=[np.zeros(len(r)) for r in ds.routes])
+                        times=np.zeros(ds.flat.size))
     pred = predict_segment(timed, y, w, prior)
     est = mc_risk(pred, ds, cov, prior, replicates=20000, seed=5)
     closed = risk_seg(ds, y, w, cov, prior).total

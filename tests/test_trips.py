@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_fixture
-from etalab.covariance import CovarianceModel, diffusion_covariance
+from etalab.covariance import PSD_RTOL, CovarianceModel, diffusion_covariance, gram_covariance
 from etalab.fixtures import (
     GOLDEN_COUNTERS,
     reference_dataset,
@@ -246,7 +246,7 @@ def test_synthesize_degenerate_noise_returns_theta(grid3):
     routes = sample_routes(law, grid3, rng, 10)
     prior = PriorSpec(mu=1.0, tau2=0.4)
     ds = synthesize_times(grid3, routes, cov, prior, rng)
-    for r, t in zip(ds.routes, ds.times):
+    for r, t in zip(ds.routes, np.split(ds.times, ds.offsets[1:-1])):
         assert np.array_equal(t, ds.theta[list(r.segment_ids)])
 
 
@@ -260,12 +260,30 @@ def test_synthesize_matches_per_trip_loop():
     rng = np.random.default_rng(11)
     theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal(net.n_segments)
     assert np.array_equal(ds.theta, theta)
-    for r, t in zip(routes, ds.times):
+    for r, t in zip(routes, np.split(ds.times, ds.offsets[1:-1])):
         ids = np.asarray(r.segment_ids)
         evals, evecs = np.linalg.eigh(cov.sigma[np.ix_(ids, ids)])
         factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
         expected = theta[ids] + factor @ rng.standard_normal(len(ids))
         np.testing.assert_allclose(t, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_synthesize_on_rank_deficient_gram(rank):
+    # routes longer than the rank have singular sigma blocks; the noise
+    # factor clips their negative eigenvalues, which interlacing keeps
+    # within the tolerance CovarianceModel accepts
+    net = build_grid(4)
+    cov = gram_covariance(net.n_segments, m=rank, seed=rank)
+    assert cov.rank == rank
+    routes = sample_routes(ODLaw(4, 1.0), net, np.random.default_rng(rank), 200)
+    ds = synthesize_times(net, routes, cov, PriorSpec(mu=1.0, tau2=0.5),
+                          np.random.default_rng(rank))
+    assert np.diff(ds.offsets).max() > rank
+    assert ds.times.shape == ds.flat.shape and np.all(np.isfinite(ds.times))
+    floor = -PSD_RTOL * max(1.0, float(cov.eigenvalues[-1]))
+    for _, _, _, blocks in ds._sigma_blocks(cov):
+        assert np.linalg.eigvalsh(blocks)[:, 0].min() >= floor
 
 
 def test_synthesize_moments(grid3):
@@ -276,7 +294,7 @@ def test_synthesize_moments(grid3):
     routes = [y] * (10 ** 5)
     prior = PriorSpec(mu=1.0, tau2=0.3)
     ds = synthesize_times(grid3, routes, cov, prior, rng)
-    t = np.vstack(ds.times)
+    t = ds.times.reshape(len(routes), len(y))
     s1, s2 = y.segment_ids
     sd1 = np.sqrt(cov.sigma[s1, s1])
     assert abs(t[:, 0].mean() - ds.theta[s1]) <= 3.0 * sd1 / np.sqrt(len(routes))
@@ -376,7 +394,7 @@ def test_segment_time_sums(grid3):
     for center in (0.0, 0.7):
         sums = ds.segment_time_sums(center)
         brute = np.zeros(ds.network.n_segments)
-        for r, t in zip(ds.routes, ds.times):
+        for r, t in zip(ds.routes, np.split(ds.times, ds.offsets[1:-1])):
             for s, v in zip(r.segment_ids, t):
                 brute[s] += v - center
         assert np.allclose(sums, brute, atol=1e-12)
@@ -389,10 +407,56 @@ def test_jsonl_roundtrip(tmp_path):
     ds.to_jsonl(path)
     again = TripDataset.from_jsonl(fx.net, path)
     assert again.n_trips == ds.n_trips
-    for a, b in zip(again.routes, ds.routes):
-        assert a.segment_ids == b.segment_ids
-    for a, b in zip(again.times, ds.times):
-        assert np.array_equal(a, b)
+    assert np.array_equal(again.flat, ds.flat)
+    assert np.array_equal(again.offsets, ds.offsets)
+    assert again.times.dtype == np.float64
+    assert np.array_equal(again.times, ds.times)
+    # written again, the file is byte-identical
+    again.to_jsonl(tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_jsonl_bytes_are_one_record_per_trip(grid3, tmp_path):
+    routes = [reference_route(), Route.from_vertices(grid3, [(0, 0), (0, 1)])]
+    path = tmp_path / "trips.jsonl"
+    TripDataset(grid3, routes, times=[0.5, 1.0 / 3.0, 2.0]).to_jsonl(path)
+    ids = [list(r.segment_ids) for r in routes]
+    assert path.read_text() == (f'{{"route": {ids[0]}, "times": [0.5, 0.3333333333333333]}}\n'
+                                f'{{"route": {ids[1]}, "times": [2.0]}}\n')
+
+
+def test_dataset_times_must_align_with_flat(grid3):
+    routes = [reference_route(), reference_route()]
+    assert TripDataset(grid3, routes, times=np.ones(4)).times.shape == (4,)
+    for times in (np.ones(3), np.ones(5), np.ones((2, 2)), [np.ones(2), np.ones(2)]):
+        with pytest.raises(ValueError, match="shape of flat"):
+            TripDataset(grid3, routes, times=times)
+
+
+def test_from_jsonl_checks_each_record(grid3, tmp_path):
+    two = list(reference_route().segment_ids)
+    path = tmp_path / "trips.jsonl"
+
+    def write(*recs):
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+
+    # one time short: the total is short as well
+    write({"route": two, "times": [1.0]})
+    with pytest.raises(ValueError, match="trip 0 needs one time per segment"):
+        TripDataset.from_jsonl(grid3, path)
+    # one short and one long record: the total is right, the alignment is not
+    write({"route": two, "times": [1.0, 2.0]}, {"route": two, "times": [1.0]},
+          {"route": two, "times": [1.0, 2.0, 3.0]})
+    with pytest.raises(ValueError, match="trip 1 needs one time per segment"):
+        TripDataset.from_jsonl(grid3, path)
+    write({"route": two, "times": 1.0})
+    with pytest.raises(ValueError, match="trip 0 needs one time per segment"):
+        TripDataset.from_jsonl(grid3, path)
+    write({"route": two, "times": [1.0, 2.0]}, {"route": two})
+    with pytest.raises(ValueError, match="either every trip or no trip"):
+        TripDataset.from_jsonl(grid3, path)
+    write({"route": two}, {"route": two})
+    assert TripDataset.from_jsonl(grid3, path).times is None
 
 
 # ---------------------------------------------------------------------------
