@@ -8,6 +8,8 @@ Subcommands:
 * diag: covariance regularity diagnostics for a covariance descriptor.
 
 Exit codes: 0 success, 1 golden or oracle failure, 2 configuration error.
+A handler raises ConfigError for bad input, and main turns it into a
+"config error: ..." line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import time
 
 import numpy as np
 
-from . import fixtures as fx
 from .covariance import (CovarianceModel, assumption_diagnostics,
                          diffusion_covariance, gram_covariance)
-from .harness import ORACLE_FIXTURES, ConfigError, SweepConfig, emit_csv, \
-    emit_manifest, oracle_cases, run_examples, run_sweep
+from .harness import ORACLE_FIXTURES, ConfigError, SweepConfig, _fixture_setting, \
+    emit_csv, emit_manifest, oracle_cases, run_examples, run_sweep
 from .network import AdjacencyRule, build_grid, segment_graph
 from .risk import mc_risk
 from .trips import ODLaw, sample_trips
@@ -38,11 +39,7 @@ def _cmd_examples(_args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        cfg = SweepConfig.from_json(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    cfg = SweepConfig.from_json(args.config)
     start = time.perf_counter()
     rows = run_sweep(cfg)
     wall = time.perf_counter() - start
@@ -54,17 +51,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.replicates < 1:
-        print(f"config error: --replicates must be at least 1, got {args.replicates}",
-              file=sys.stderr)
-        return 2
-    try:
-        cases = oracle_cases(args.fixture)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    ds = fx.reference_dataset()
-    fixture = ORACLE_FIXTURES[args.fixture]
-    cov, prior = fixture.covariance(), fixture.prior()
+        raise ConfigError(f"--replicates must be at least 1, got {args.replicates}")
+    cases = oracle_cases(args.fixture)
+    ds, cov, prior, _ = _fixture_setting(args.fixture)
     ok = True
     for name, pred, exact in cases:
         mc = mc_risk(pred, ds, cov, prior, replicates=args.replicates, seed=args.seed)
@@ -87,7 +76,10 @@ def _parse_covariance(descriptor: str) -> tuple[CovarianceModel, int | None]:
     if kind == "csv":
         if not rest:
             raise ConfigError("csv descriptor needs a path: csv:FILE")
-        return CovarianceModel.from_csv(rest), None
+        try:
+            return CovarianceModel.from_csv(rest), None
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read covariance csv {rest!r}: {e}") from None
     opts = {}
     if rest:
         for tok in rest.split(","):
@@ -124,11 +116,7 @@ def _parse_covariance(descriptor: str) -> tuple[CovarianceModel, int | None]:
 
 
 def _cmd_diag(args) -> int:
-    try:
-        cov, p = _parse_covariance(args.covariance)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    cov, p = _parse_covariance(args.covariance)
     routes = None
     if p is not None and args.routes > 0:
         rng = np.random.default_rng(args.seed)
@@ -170,7 +158,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"examples": _cmd_examples, "sweep": _cmd_sweep,
                "oracle": _cmd_oracle, "diag": _cmd_diag}[args.command]
-    return handler(args)
+    try:
+        # oracle and diag seed numpy generators, which reject negative seeds
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+        return handler(args)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

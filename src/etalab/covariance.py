@@ -173,6 +173,8 @@ class CovarianceModel:
             with open(path_or_buf) as fh:
                 text = fh.read()
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("covariance CSV is empty")
         header = [int(tok) for tok in lines[0].split(",")]
         n = len(header)
         if header != list(range(n)):

@@ -268,14 +268,13 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
 
     With weight phi on a neighborhood of M trips, predicts
     (1 - phi) * |y| * mu + phi * (average total time over the neighborhood).
-    `rule` is a WeightRule on M or an explicit phi value.
+    `rule` is a WeightRule on M or an explicit phi value, resolved by
+    `_resolve_weights` with the neighborhood as the one block.
     """
     ids = _route_ids(y)
     m = nbhd.size
-    if isinstance(rule, WeightRule):
-        phi = rule.value(m)
-    else:
-        phi = float(rule) if m > 0 else 0.0
+    weights = rule if isinstance(rule, WeightRule) else [rule]
+    phi = float(_resolve_weights(weights, np.array([m]), [ids], prior, None)[0])
     coef = np.zeros(ds.flat.size)
     intercept = (1.0 - phi) * len(ids) * prior.mu
     if m > 0 and phi != 0.0:
@@ -488,25 +487,26 @@ class PosteriorModel:
         return float(variance[0]), float(bias2[0])
 
     def _risk_terms(self, routes: TripDataset) -> tuple[np.ndarray, np.ndarray]:
-        """Per route of a store: (variance, squared bias) of its prediction.
+        """Per route of a store: (variance, squared bias) of its prediction."""
+        return self._terms(self._weights(routes))
 
-        With G = `_weights(routes)`, route r's variance is g_r' W g_r and its
-        squared bias g_r' g_r / tau2.  G and WG are segments x routes arrays.
-        """
-        g = self._weights(routes)
+    def _terms(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per column g_r of G = `_weights(routes)`: variance g_r' W g_r and
+        squared bias g_r' g_r / tau2.  G and WG are segments x routes arrays."""
         return (np.einsum("sr,sr->r", g, self.w @ g),
                 np.einsum("sr,sr->r", g, g) / self.prior.tau2)
 
     def predict(self, y) -> Prediction:
-        """Per trip, coefficients sigma[r, r]^-1 g[r]: one batched solve per route length."""
+        """Per trip, coefficients sigma[r, r]^-1 g[r]: one batched solve per
+        route length, after the one Cholesky solve for g, which also gives the risk."""
         ids = _route_ids(y)
-        g = self.weight_vector(ids)
+        g = self._weights(TripDataset._one_route(self.ds.network, ids))
+        variance, bias2 = (float(v[0]) for v in self._terms(g))
         flat = self.ds.flat
         coef = np.zeros(flat.size)
         for _, pos, seg, blocks in self.ds._sigma_blocks(self.cov):
-            coef[pos] = np.linalg.solve(blocks, g[seg][..., None])[..., 0]
+            coef[pos] = np.linalg.solve(blocks, g[seg])[..., 0]
         intercept = self.prior.mu * (len(ids) - float(coef.sum()))
-        variance, bias2 = self.risk_terms(ids)
         pred = Prediction("bayes_optimal", ids, intercept, coef, self.ds.offsets,
                           detail={"variance": variance, "bias2": bias2,
                                   "risk": variance + bias2})

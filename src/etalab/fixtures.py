@@ -163,7 +163,10 @@ REFERENCE_GSEG_WHOLE = {"weight": 0.267, "total": 0.293,
 REFERENCE_ROUTE = {"weight": 0.372, "total": 0.288,
                    "variance": 0.070, "bias2": 0.218}
 
-# negative-covariance scenario
+# negative-covariance scenario.  NEGCOV_SEG's bias2 is its rounded total
+# minus its rounded variance (0.378 - 0.307); the exact split is
+# 0.306793 + 0.071585 = 0.378378, so run_examples reports an advisory miss
+# of 6e-4 on it (0.0716 rounds to 0.072)
 NEGCOV_SEG = {"weights": (0.811, 0.811), "total": 0.378,
               "variance": 0.307, "bias2": 0.071}
 NEGCOV_ROUTE = {"weight": 0.909, "total": 0.182,

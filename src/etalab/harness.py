@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,8 +31,8 @@ from .estimators import (PosteriorModel, Prediction, WeightRule, _neighborhood_m
                          optimal_route_weight, optimal_seg_weights, predict_gseg,
                          predict_route, predict_segment)
 from .network import AdjacencyRule, build_grid, segment_graph
-from .risk import (_route_risk_terms, lower_bound, risk_gseg, risk_optimal, risk_route,
-                   risk_seg)
+from .risk import (RiskReport, _route_risk_terms, lower_bound, risk_gseg, risk_optimal,
+                   risk_route, risk_seg)
 from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
                     resolve_neighborhood, resolve_neighborhoods, sample_trips)
 
@@ -64,7 +65,9 @@ class SweepConfig:
 
     `exponents` are sample-size exponents: each cell draws ceil(p ** k)
     historical routes.  All randomness derives from master_seed and the cell
-    coordinates, so results do not depend on worker count.
+    coordinates, so results do not depend on worker count.  Each int field
+    must be an integer (not a bool) and each float field finite; any value the
+    sweep cannot run raises ConfigError naming its field.
     """
 
     master_seed: int = 0
@@ -83,10 +86,18 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.grid_sizes or any(p < 1 for p in self.grid_sizes):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_integer(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_finite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be nonnegative")
+        if not self.grid_sizes or not all(_is_integer(p) and p >= 1 for p in self.grid_sizes):
             raise ConfigError("grid_sizes must be positive integers")
-        if not self.exponents or any(k <= 0 for k in self.exponents):
-            raise ConfigError("exponents must be positive")
+        if not self.exponents or not all(_is_finite(k) and k > 0 for k in self.exponents):
+            raise ConfigError("exponents must be positive finite numbers")
         keys = [_exponent_key(k) for k in self.exponents]
         if len(set(keys)) != len(keys):
             raise ConfigError("exponents must differ after rounding to 3 decimals, "
@@ -144,6 +155,14 @@ class SweepConfig:
         out["grid_sizes"] = list(self.grid_sizes)
         out["exponents"] = list(self.exponents)
         return out
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -275,11 +294,6 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
     return risks, sizes
 
 
-def _run_cell_task(args) -> SweepRow:
-    cfg_dict, p, k = args
-    return run_cell(SweepConfig.from_dict(cfg_dict), p, k)
-
-
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Run every (grid size, exponent) cell, in config order.
 
@@ -289,11 +303,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     cells = [(p, k) for p in cfg.grid_sizes for k in cfg.exponents]
     if cfg.workers == 1:
         return [run_cell(cfg, p, k) for p, k in cells]
-    payload = cfg.to_dict()
     threads = max(1, len(os.sched_getaffinity(0)) // cfg.workers)
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_set_threads,
                              initargs=(threads,)) as pool:
-        futures = [pool.submit(_run_cell_task, (payload, p, k)) for p, k in cells]
+        futures = [pool.submit(run_cell, cfg, p, k) for p, k in cells]
         return [f.result() for f in futures]
 
 
@@ -453,8 +466,7 @@ def run_examples() -> ExamplesReport:
     """
     tol = fx.GOLDEN_TOL
     report = ExamplesReport()
-    ds = fx.reference_dataset()
-    y = fx.reference_route()
+    ds, cov, prior, y = _fixture_setting("reference")
     s1, s2 = y.segment_ids
 
     counters = fx.GOLDEN_COUNTERS
@@ -465,11 +477,7 @@ def run_examples() -> ExamplesReport:
     report.rows.append(GoldenRow("counters", "n_joint", counters["n_joint"],
                                  float(ds.n_subset([s1, s2])), 0.0))
 
-    cov = fx.reference_covariance()
-    prior = fx.reference_prior()
-    model = PosteriorModel(ds, cov, prior)
-    pred = model.predict(y)
-    opt = risk_optimal(ds, y, cov, prior, model=model)
+    pred, opt = _bayes_case(ds, cov, prior, y)
     coefs, *exact = _conditioned_bayes(ds, y, cov, prior)
     _expansion_rows(report, "bayes", coefs, exact, pred, opt,
                     BAYES_EXACT_TOL, advisory=False)
@@ -531,13 +539,26 @@ ORACLE_FIXTURES = {
 }
 
 
+def _fixture_setting(fixture: str) -> tuple[TripDataset, CovarianceModel, PriorSpec, Route]:
+    """(dataset, covariance, prior, route) of one oracle fixture: the
+    reference history under the fixture's covariance, prior and route."""
+    case = ORACLE_FIXTURES[fixture]
+    return fx.reference_dataset(), case.covariance(), case.prior(), case.route()
+
+
+def _bayes_case(ds: TripDataset, cov: CovarianceModel, prior: PriorSpec,
+                y) -> tuple[Prediction, RiskReport]:
+    """The Bayes-optimal prediction of y and its exact risk, from one posterior."""
+    model = PosteriorModel(ds, cov, prior)
+    return model.predict(y), risk_optimal(ds, y, cov, prior, model=model)
+
+
 def _optimal_cases(fixture: str):
     """Yield (golden group, golden table, weights, prediction, exact risk) for
     each optimally weighted segment, grouped and route estimator of one
     fixture."""
     case = ORACLE_FIXTURES[fixture]
-    ds = fx.reference_dataset()
-    cov, prior, y = case.covariance(), case.prior(), case.route()
+    ds, cov, prior, y = _fixture_setting(fixture)
     group, table = case.seg
     phis = optimal_seg_weights(ds, y, cov, prior)
     yield (group, table, phis, predict_segment(ds, y, phis, prior),
@@ -567,11 +588,7 @@ def oracle_cases(fixture: str) -> list[tuple[str, Prediction, float]]:
                           f"choose {', '.join(ORACLE_FIXTURES)}")
     cases = [(f"{group.removeprefix(fixture + '_')}_optimal", pred, rep.total)
              for group, _, _, pred, rep in _optimal_cases(fixture)]
-    case = ORACLE_FIXTURES[fixture]
-    if case.bayes:
-        ds, cov, prior = fx.reference_dataset(), case.covariance(), case.prior()
-        model = PosteriorModel(ds, cov, prior)
-        y = case.route()
-        cases.append(("bayes_optimal", model.predict(y),
-                      risk_optimal(ds, y, cov, prior, model=model).total))
+    if ORACLE_FIXTURES[fixture].bayes:
+        pred, opt = _bayes_case(*_fixture_setting(fixture))
+        cases.append(("bayes_optimal", pred, opt.total))
     return cases

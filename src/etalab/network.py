@@ -244,16 +244,11 @@ def classify_pair(a: Segment, b: Segment) -> str | None:
 class SegmentGraph:
     """Weighted adjacency over the segments of a network."""
 
-    def __init__(self, network: RoadNetwork, rule: str = AdjacencyRule.CALIBRATED,
-                 weights: Mapping[str, float] | None = None):
+    def __init__(self, network: RoadNetwork, rule: str = AdjacencyRule.CALIBRATED):
         self.network = network
         self.rule = rule
-        w = dict(weights) if weights is not None else dict(AdjacencyRule.class_weights(rule))
-        missing = set(PAIR_CLASSES) - set(w)
-        if missing:
-            raise ValueError(f"missing class weights: {sorted(missing)}")
-        self.weights = w
-        self.adjacency = _class_adjacency(network, w)
+        self.weights = AdjacencyRule.class_weights(rule)
+        self.adjacency = _class_adjacency(network, self.weights)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -286,7 +281,6 @@ def _class_adjacency(network: RoadNetwork, weights: Mapping[str, float]) -> np.n
     return a
 
 
-def segment_graph(network: RoadNetwork, rule: str = AdjacencyRule.CALIBRATED,
-                  weights: Mapping[str, float] | None = None) -> SegmentGraph:
+def segment_graph(network: RoadNetwork, rule: str = AdjacencyRule.CALIBRATED) -> SegmentGraph:
     """Build the segment adjacency graph for a network under a named rule."""
-    return SegmentGraph(network, rule=rule, weights=weights)
+    return SegmentGraph(network, rule=rule)

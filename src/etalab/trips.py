@@ -181,8 +181,7 @@ class TripDataset:
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[Route],
-                 times: np.ndarray | None = None,
-                 theta: np.ndarray | None = None):
+                 times: np.ndarray | None = None):
         routes = tuple(routes)
         self.network = network
         self.offsets = np.cumsum([0] + [len(r) for r in routes], dtype=np.int64)
@@ -193,7 +192,7 @@ class TripDataset:
             if times.shape != self.flat.shape:
                 raise ValueError(f"times must have the shape of flat, not {times.shape}")
         self.times = times
-        self.theta = None if theta is None else np.asarray(theta, dtype=np.float64)
+        self.theta = None  # the latent segment times, set by synthesize_times
 
     @classmethod
     def _from_arrays(cls, network: RoadNetwork, flat: np.ndarray,

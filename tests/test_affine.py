@@ -21,7 +21,7 @@ from etalab.estimators import (
     predict_route,
     predict_segment,
 )
-from etalab.harness import ORACLE_FIXTURES, oracle_cases
+from etalab.harness import ORACLE_FIXTURES, _fixture_setting, oracle_cases
 from etalab.network import build_grid
 from etalab.risk import (
     _noise_scales,
@@ -175,9 +175,7 @@ def test_risk_affine_matches_closed_forms(seed):
 
 @pytest.mark.parametrize("fixture", list(ORACLE_FIXTURES))
 def test_risk_affine_matches_oracle_fixtures(fixture):
-    ds = fx.reference_dataset()
-    entry = ORACLE_FIXTURES[fixture]
-    cov, prior = entry.covariance(), entry.prior()
+    ds, cov, prior, _ = _fixture_setting(fixture)
     for name, pred, closed in oracle_cases(fixture):
         exact = risk_affine(pred, ds, cov, prior).total
         assert abs(exact - closed) <= 1e-12 * max(1.0, abs(closed)), name

@@ -4,6 +4,7 @@ import pytest
 
 from etalab import fixtures
 from etalab.cli import main
+from etalab.harness import ConfigError, SweepConfig
 
 
 def test_examples_exit_code_reflects_golden_state(capsys, monkeypatch):
@@ -56,6 +57,35 @@ def test_sweep_bad_config_exit_2(tmp_path, capsys):
     assert "exponents must differ" in capsys.readouterr().err
 
 
+_BAD_SWEEP_CONFIGS = [
+    ("n_predict", 2.5),
+    ("workers", 1.5),
+    ("master_seed", -1),
+    ("master_seed", 1.5),
+    ("white", float("inf")),
+    ("grid_sizes", [2.5]),
+    ("grid_sizes", [True]),
+    ("tau2", float("nan")),
+]
+
+
+@pytest.mark.parametrize("key,value", _BAD_SWEEP_CONFIGS,
+                         ids=[f"{k}={v}" for k, v in _BAD_SWEEP_CONFIGS])
+def test_sweep_rejects_config_it_cannot_run(tmp_path, capsys, key, value):
+    # each of these once ran, crashed with a raw error or wrote a wrong CSV
+    payload = {"grid_sizes": [3], "exponents": [1.0], "n_predict": 3, key: value}
+    with pytest.raises(ConfigError, match=key):
+        SweepConfig.from_dict(payload)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))  # inf and nan as Infinity and NaN
+    out_path = tmp_path / "rows.csv"
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out_path),
+                 "--manifest", str(tmp_path / "manifest.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out_path.exists()
+
+
 def test_oracle_fast(capsys):
     code = main(["oracle", "--fixture", "merge", "--replicates", "20000",
                  "--seed", "0"])
@@ -71,6 +101,18 @@ def test_oracle_rejects_replicates_below_one(capsys, replicates):
     assert code == 2
     assert "config error" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--fixture", "merge", "--replicates", "10", "--seed", "-1"],
+    ["diag", "--covariance", "diffusion:p=2", "--seed", "-1"],
+])
+def test_negative_seed_is_a_config_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "config error: --seed must be at least 0, got -1\n"
+    assert captured.out == ""
 
 
 def test_oracle_unknown_fixture(capsys):
@@ -123,3 +165,23 @@ def test_diag_csv_roundtrip(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_segments"] == 48
+
+
+def _bad_csv(tmp_path, kind):
+    path = tmp_path / "cov.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non_numeric":
+        path.write_text("0,1\n1.0\nx,1.0\n")
+    elif kind == "empty":
+        path.write_text("")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non_numeric", "empty"])
+def test_diag_bad_csv_is_a_config_error(tmp_path, capsys, kind):
+    code = main(["diag", "--covariance", f"csv:{_bad_csv(tmp_path, kind)}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: cannot read covariance csv")
+    assert captured.out == ""

@@ -198,6 +198,12 @@ def test_csv_rejects_non_psd():
         CovarianceModel.from_csv(buf)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank_lines"])
+def test_csv_rejects_empty_file(text):
+    with pytest.raises(ValueError, match="empty"):
+        CovarianceModel.from_csv(io.StringIO(text))
+
+
 def _spectrum_cases():
     graph = segment_graph(build_grid(3), rule=AdjacencyRule.SHARE_ANY_ENDPOINT)
     yield "reference", reference_covariance

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_fixture
 from etalab.estimators import (
@@ -150,6 +151,22 @@ def test_route_prediction_empty_neighborhood():
     assert pred.value == pytest.approx(2 * reference_prior().mu, abs=1e-14)
 
 
+def test_route_prediction_resolves_weights_like_one_block():
+    # predict_route reads its weight from _resolve_weights with the
+    # neighborhood as the one block: a rule on M, an explicit phi zeroed on
+    # an empty neighborhood, and indep_optimal refused without a covariance
+    ds, y, prior = _timed_reference(), reference_route(), reference_prior()
+    nb = resolve_neighborhood(ds, y, reference_route_neighborhood())
+    assert predict_route(ds, y, nb, WeightRule.ratio(2.0), prior).detail["weight"] == 0.5
+    assert predict_route(ds, y, nb, 0.25, prior).detail["weight"] == 0.25
+    rev = type(y).from_vertices(ds.network, [(1, 2), (1, 1), (1, 0)])
+    none = resolve_neighborhood(ds, rev, NeighborhoodSpec.exact_route())
+    assert predict_route(ds, rev, none, 0.25, prior).detail["weight"] == 0.0
+    for n in (nb, none):
+        with pytest.raises(ValueError, match="indep_optimal"):
+            predict_route(ds, y, n, WeightRule.indep_optimal(), prior)
+
+
 def test_route_prediction_exact_single_member():
     ds = _timed_reference()
     y = ds.routes[3]
@@ -283,6 +300,19 @@ def test_bayes_intercept_identity():
     mu = reference_prior().mu
     assert pred.intercept == pytest.approx(
         mu * (len(y) - pred.coefficient_sum()), abs=1e-10)
+
+
+def test_bayes_predict_runs_one_cholesky_solve(monkeypatch):
+    model = PosteriorModel(reference_dataset(), reference_covariance(), reference_prior())
+    y = reference_route()
+    calls = []
+    real = scipy.linalg.cho_solve
+    monkeypatch.setattr(scipy.linalg, "cho_solve",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    pred = model.predict(y)
+    assert len(calls) == 1
+    # the risk it carries is the one risk_terms solves for again
+    assert (pred.detail["variance"], pred.detail["bias2"]) == model.risk_terms(y)
 
 
 def test_bayes_weight_vector_solves_q():
