@@ -14,6 +14,8 @@ CovarianceModel.  Three constructions are provided:
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -198,7 +200,13 @@ class CovarianceModel:
 def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
                          white: float = 0.0,
                          variant: str = LaplacianVariant.SYMMETRIC) -> CovarianceModel:
-    """Heat-kernel covariance u * exp(-v * L) + white * I on a segment graph."""
+    """Heat-kernel covariance u * exp(-v * L) + white * I on a segment graph.
+
+    u, v and white must be finite and nonnegative.
+    """
+    for name, value in (("u", u), ("v", v), ("white", white)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     n = graph.network.n_segments
     meta = {
         "kind": "diffusion",
@@ -241,7 +249,13 @@ class FeatureLaw:
 
 def gram_covariance(n_segments: int, m: int, law: str = FeatureLaw.UNIF_NEG1_1,
                     seed: int | np.random.Generator = 0) -> CovarianceModel:
-    """Random Gram covariance K^T K / m^2 with K an (m, S) iid feature matrix."""
+    """Random Gram covariance K^T K / m^2 with K an (m, S) iid feature matrix.
+
+    n_segments S and m must be integers >= 1.
+    """
+    for name, value in (("n_segments", n_segments), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if law == FeatureLaw.UNIF_NEG1_1:
         k = rng.uniform(-1.0, 1.0, size=(m, n_segments))

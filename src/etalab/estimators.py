@@ -418,17 +418,17 @@ def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
 class PosteriorModel:
     """Gaussian-model posterior machinery shared across predicting routes.
 
-    Accumulates the information matrix W once (the expensive part), factors
-    Q = W + I / tau2, and then serves per-route weight vectors, predictions,
-    and exact risks with cheap triangular solves.
+    Accumulates Q = W + I / tau2 once (the expensive part; no W is kept),
+    factors it in place, and then serves per-route weight vectors,
+    predictions, and exact risks with cheap triangular solves.
 
     W is the sum over trips of inv(sigma[r, r]) scattered into the (r, r)
     positions of trip route r.  One pass over the trips' sigma blocks
-    (`TripDataset._sigma_blocks`) builds it together with
+    (`TripDataset._sigma_blocks`) adds it into Q together with
     `quadratic_sums`, the per-trip sums of sigma[r, r] that
     `TripDataset.quadratic_sums` also gives: a thread pool inverts and sums
-    each chunk of blocks, and this thread adds the chunks into W in chunk
-    order, so W does not depend on the thread count.  The pool has one
+    each chunk of blocks, and this thread adds the chunks into Q in chunk
+    order, so Q does not depend on the thread count.  The pool has one
     thread per core, or its share of the cores inside run_sweep's worker
     processes.
     """
@@ -438,7 +438,8 @@ class PosteriorModel:
         self.cov = cov
         self.prior = prior
         n = ds.network.n_segments
-        w = np.zeros(n * n)
+        # Q in Fortran order through its flat view: cho_factor overwrites it
+        q_flat = np.zeros(n * n)
         self.quadratic_sums = np.zeros(ds.n_trips)
         threads = _THREADS or len(os.sched_getaffinity(0))
         pending: deque = deque()
@@ -446,7 +447,7 @@ class PosteriorModel:
         def add_oldest() -> None:
             trips, cells, invs, sums = pending.popleft()
             self.quadratic_sums[trips] = sums.result()
-            np.add.at(w, cells.ravel(), invs.ravel())
+            np.add.at(q_flat, cells.ravel(), invs.ravel())
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for trips, _, ids, blocks in ds._sigma_blocks(cov):
@@ -457,9 +458,7 @@ class PosteriorModel:
                     add_oldest()
             while pending:
                 add_oldest()
-        self.w = w.reshape(n, n)
-        # Q in Fortran order, so that cho_factor overwrites it instead of copying
-        q = self.w.copy(order="F")
+        q = q_flat.reshape(n, n, order="F")
         q[np.diag_indices(n)] += 1.0 / prior.tau2
         try:
             self._cho = scipy.linalg.cho_factor(q, lower=True, overwrite_a=True,
@@ -482,34 +481,32 @@ class PosteriorModel:
 
     def risk_terms(self, y) -> tuple[float, float]:
         """(variance, squared bias) of the Bayes-optimal prediction for y."""
-        one = TripDataset._one_route(self.ds.network, _route_ids(y))
-        variance, bias2 = self._risk_terms(one)
-        return float(variance[0]), float(bias2[0])
+        _, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, _route_ids(y)))
+        return float(total[0] - bias2[0]), float(bias2[0])
 
-    def _risk_terms(self, routes: TripDataset) -> tuple[np.ndarray, np.ndarray]:
-        """Per route of a store: (variance, squared bias) of its prediction."""
-        return self._terms(self._weights(routes))
-
-    def _terms(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per column g_r of G = `_weights(routes)`: variance g_r' W g_r and
-        squared bias g_r' g_r / tau2.  G and WG are segments x routes arrays."""
-        return (np.einsum("sr,sr->r", g, self.w @ g),
-                np.einsum("sr,sr->r", g, g) / self.prior.tau2)
+    def _terms(self, routes: TripDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per route of a store, from one solve G = `_weights(routes)`: (G, risk
+        e_r' g_r, squared bias g_r' g_r / tau2).  Q g_r = e_r makes the variance
+        g_r' W g_r = e_r' g_r - g_r' g_r / tau2 their difference."""
+        g = self._weights(routes)
+        total = np.bincount(routes.trip_of, weights=g[routes.flat, routes.trip_of],
+                            minlength=routes.n_trips)
+        return g, total, np.einsum("sr,sr->r", g, g) / self.prior.tau2
 
     def predict(self, y) -> Prediction:
         """Per trip, coefficients sigma[r, r]^-1 g[r]: one batched solve per
         route length, after the one Cholesky solve for g, which also gives the risk."""
         ids = _route_ids(y)
-        g = self._weights(TripDataset._one_route(self.ds.network, ids))
-        variance, bias2 = (float(v[0]) for v in self._terms(g))
+        g, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, ids))
+        risk, bias2 = float(total[0]), float(bias2[0])
         flat = self.ds.flat
         coef = np.zeros(flat.size)
         for _, pos, seg, blocks in self.ds._sigma_blocks(self.cov):
             coef[pos] = np.linalg.solve(blocks, g[seg])[..., 0]
         intercept = self.prior.mu * (len(ids) - float(coef.sum()))
         pred = Prediction("bayes_optimal", ids, intercept, coef, self.ds.offsets,
-                          detail={"variance": variance, "bias2": bias2,
-                                  "risk": variance + bias2})
+                          detail={"variance": risk - bias2, "bias2": bias2,
+                                  "risk": risk})
         return _finish(pred, self.ds)
 
 
@@ -530,11 +527,11 @@ def _invert_chunk(cov: CovarianceModel, trips: np.ndarray, ids: np.ndarray,
                   blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """One chunk's share of the information pass, run in a worker thread.
 
-    Fills `cells` with the flat positions in W of the blocks' entries,
-    overwrites `blocks` with their inverses and returns their sums.  Worker
-    threads allocate from malloc arenas of their own, which keep freed memory
-    resident, so the large arrays come from the caller and the inverses are
-    taken _INV_BYTES of blocks at a time.
+    Fills `cells` with the blocks' entries' cells in the flat, Fortran-ordered
+    Q (entry (s, t) at t * n + s), overwrites `blocks` with their inverses and
+    returns their sums.  Worker threads allocate from malloc arenas of their
+    own, which keep freed memory resident, so the large arrays come from the
+    caller and the inverses are taken _INV_BYTES of blocks at a time.
     """
     n = cov.n_segments
     # a principal block longer than sigma's rank is singular, though inv may
@@ -542,7 +539,7 @@ def _invert_chunk(cov: CovarianceModel, trips: np.ndarray, ids: np.ndarray,
     if blocks.shape[1] > cov.rank:
         raise _singular_block(cov, trips[0], blocks.shape[1])
     sums = blocks.sum(axis=(1, 2))
-    np.add(ids[:, :, None] * n, ids[:, None, :], out=cells)
+    np.add(ids[:, None, :] * n, ids[:, :, None], out=cells)
     rows = max(1, _INV_BYTES // blocks[0].nbytes)
     for a in range(0, len(blocks), rows):
         part = blocks[a:a + rows]

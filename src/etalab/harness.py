@@ -261,8 +261,8 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
     risks and the lower bound, in the order of CSV_COLUMNS, and a (2, routes)
     array of the route methods' neighborhood sizes.  Each batch of
     _ROUTE_BATCH routes reads each route's pair counts from the incidence,
-    resolves each method's neighborhoods at once, takes one Bayes solve, and
-    evaluates the route risks as array formulas.
+    resolves each method's neighborhoods at once, reads the Bayes risks
+    e_r' g_r from one solve, and evaluates the route risks as array formulas.
     """
     ds, cov, prior = model.ds, model.cov, model.prior
     rule = WeightRule.ratio(cfg.ratio_lam)
@@ -287,8 +287,7 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
                                                               prior)
                 risks[slot, cols] = variance + (length + off + on)
                 sizes[slot - 1, cols] = mom.size
-            variance, bias2 = model._risk_terms(batch)
-            risks[3, cols] = variance + bias2
+            risks[3, cols] = model._terms(batch)[1]
             risks[4, cols] = [lower_bound(ds, y, cov, prior, pair=pair)
                               for y, pair in zip(ys, pairs)]
     return risks, sizes

@@ -185,3 +185,18 @@ def test_diag_bad_csv_is_a_config_error(tmp_path, capsys, kind):
     assert code == 2
     assert captured.err.startswith("config error: cannot read covariance csv")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("descriptor, name", [
+    ("diffusion:p=3,v=-1", "v"),
+    ("diffusion:p=3,u=nan", "u"),
+    ("diffusion:p=3,white=inf", "white"),
+    ("gram:p=3,m=0", "m"),
+    ("gram:p=3,m=-2", "m"),
+])
+def test_diag_bad_covariance_parameter_is_a_config_error(capsys, descriptor, name):
+    code = main(["diag", "--covariance", descriptor])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: bad descriptor value: {name} must be")
+    assert captured.out == ""

@@ -95,24 +95,95 @@ def test_quadratic_sums_match_loop(seed):
     assert np.allclose(ds.quadratic_sums(fx.cov), expect, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", [7, 8])
-def test_information_matrix_matches_loop(seed):
-    fx = _fixture(seed)
-    ds, sigma = fx.ds, fx.cov.sigma
-    expect = np.zeros_like(sigma)
+def _loop_information(ds, sigma):
+    """W = sum over trips of inv(sigma[r, r]) scattered into (r, r), one entry at a time."""
+    out = np.zeros_like(sigma)
     for r in ds.routes:
         inv = np.linalg.inv(sigma[np.ix_(r.segment_ids, r.segment_ids)])
         for a, s in enumerate(r.segment_ids):
             for b, t in enumerate(r.segment_ids):
-                expect[s, t] += inv[a, b]
-    got = PosteriorModel(ds, fx.cov, fx.prior).w
+                out[s, t] += inv[a, b]
+    return out
+
+
+def _factored_q(model):
+    """L L' from the model's Cholesky factor of Q = W + I/tau2."""
+    chol = np.tril(model._cho[0])
+    return chol @ chol.T
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_information_matrix_matches_loop(seed):
+    fx = _fixture(seed)
+    ds, sigma = fx.ds, fx.cov.sigma
+    expect = _loop_information(ds, sigma) + np.eye(len(sigma)) / fx.prior.tau2
+    got = _factored_q(PosteriorModel(ds, fx.cov, fx.prior))
     assert np.allclose(got, expect, rtol=0, atol=1e-10)
     # a budget below one block gives one-trip chunks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trips, "_BLOCK_BYTES", 1)
         assert all(t.size == 1 for t, *_ in ds._sigma_blocks(fx.cov))
-        got = PosteriorModel(ds, fx.cov, fx.prior).w
+        got = _factored_q(PosteriorModel(ds, fx.cov, fx.prior))
     assert np.allclose(got, expect, rtol=0, atol=1e-10)
+
+
+def test_posterior_keeps_one_square_matrix():
+    fx = _fixture(13)
+    model = PosteriorModel(fx.ds, fx.cov, fx.prior)
+    n = fx.net.n_segments
+    square = []
+    for name, v in vars(model).items():
+        if name in ("ds", "cov"):
+            continue
+        for i, a in enumerate(v if isinstance(v, tuple) else (v,)):
+            if isinstance(a, np.ndarray) and a.shape == (n, n):
+                square.append(f"{name}[{i}]" if isinstance(v, tuple) else name)
+    assert square == ["_cho[0]"]
+    assert model._cho[0].flags.f_contiguous
+
+
+@pytest.mark.parametrize("seed", [14, 15])
+def test_bayes_risks_match_dense_solve(seed):
+    fx = _fixture(seed)
+    ds, sigma, tau2 = fx.ds, fx.cov.sigma, fx.prior.tau2
+    q = _loop_information(ds, sigma) + np.eye(len(sigma)) / tau2
+    routes = TripDataset(fx.net, sample_routes(ODLaw(fx.net.p, 1.0), fx.net, fx.rng, 12))
+    model = PosteriorModel(ds, fx.cov, fx.prior)
+    g, total, bias2 = model._terms(routes)
+    for r, y in enumerate(routes.routes):
+        e = np.zeros(len(sigma))
+        e[list(y.segment_ids)] = 1.0
+        expect = e @ np.linalg.solve(q, e)
+        assert total[r] == pytest.approx(expect, rel=1e-12, abs=0)
+        variance, b2 = model.risk_terms(y)
+        assert (variance + b2) == pytest.approx(expect, rel=1e-12, abs=0)
+        assert abs(risk_optimal(ds, y, fx.cov, fx.prior, model=model).total
+                   - total[r]) <= np.spacing(total[r])
+        assert b2 == pytest.approx(g[:, r] @ g[:, r] / tau2, rel=1e-12, abs=0)
+        # the variance that the solve implies is g' W g
+        assert variance == pytest.approx(g[:, r] @ (q @ g[:, r]) - b2, rel=0,
+                                         abs=1e-12 * expect)
+
+
+def test_prior_only_bayes_variance_is_unclamped():
+    """With no trips Q = I/tau2, so g = tau2 e and the variance is 0 in exact
+    arithmetic; read as total - bias2 it is the rounding of the solve, a few
+    ulp of the total of either sign, and nothing clamps it."""
+    fx = _fixture(0)
+    ds, prior = TripDataset(fx.net, []), PriorSpec(mu=fx.prior.mu, tau2=0.5)
+    routes = TripDataset(fx.net, sample_routes(ODLaw(fx.net.p, 1.0), fx.net, fx.rng, 12))
+    model = PosteriorModel(ds, fx.cov, prior)
+    _, total, bias2 = model._terms(routes)
+    assert np.allclose(total, np.diff(routes.offsets) * prior.tau2, rtol=1e-15, atol=0)
+    assert np.all(np.abs(total - bias2) <= 4 * np.spacing(total))
+    for r, y in enumerate(routes.routes):
+        variance, b2 = model.risk_terms(y)
+        assert (variance, b2) == (total[r] - bias2[r], bias2[r])
+        detail = model.predict(y).detail
+        assert (detail["variance"], detail["risk"]) == (variance, total[r])
+        # RiskReport.total adds the split back: the total to within 1 ulp
+        report = risk_optimal(ds, y, fx.cov, prior, model=model)
+        assert abs(report.total - total[r]) <= np.spacing(total[r])
 
 
 def test_empty_inputs():
@@ -127,7 +198,9 @@ def test_empty_inputs():
     assert ds.n_subset(y) == 0
     assert ds.quadratic_sums(fx.cov).size == 0
     assert list(ds._sigma_blocks(fx.cov)) == []
-    assert not PosteriorModel(ds, fx.cov, fx.prior).w.any()
+    n = fx.net.n_segments
+    empty = _factored_q(PosteriorModel(ds, fx.cov, fx.prior))
+    assert np.allclose(empty, np.eye(n) / fx.prior.tau2, rtol=1e-15, atol=0)
     for spec in (NeighborhoodSpec.exact_route(), NeighborhoodSpec.od_exact()):
         assert resolve_neighborhood(ds, fx.y, spec).size == 0
 
@@ -171,7 +244,6 @@ def test_information_pass_independent_of_threads(seed, monkeypatch):
         monkeypatch.setattr(estimators, "_THREADS", threads)
         models.append(PosteriorModel(fx.ds, fx.cov, fx.prior))
     for m in models[1:]:
-        assert np.array_equal(m.w, models[0].w)
         assert np.array_equal(m.quadratic_sums, models[0].quadratic_sums)
         assert np.array_equal(m._cho[0], models[0]._cho[0])
     assert np.array_equal(models[0].quadratic_sums, fx.ds.quadratic_sums(fx.cov))
