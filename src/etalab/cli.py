@@ -116,6 +116,8 @@ def _parse_covariance(descriptor: str) -> tuple[CovarianceModel, int | None]:
 
 
 def _cmd_diag(args) -> int:
+    if args.routes < 0:
+        raise ConfigError(f"--routes must be at least 0, got {args.routes}")
     cov, p = _parse_covariance(args.covariance)
     routes = None
     if p is not None and args.routes > 0:

@@ -9,13 +9,15 @@ from which every traversal counter the estimators use is derived.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy import stats
+from scipy.special import betaln
 
 from .covariance import CovarianceModel
 from .network import DIRECTIONS, RoadNetwork
@@ -92,24 +94,31 @@ class ODLaw:
 
     All four endpoint coordinates are iid beta-binomial(p, alpha, alpha)
     draws, which concentrates trips near the grid edges for alpha < 1 and is
-    uniform at alpha = 1.  Draws with origin equal to destination are
-    rejected and resampled.
+    uniform at alpha = 1.  Each coordinate is drawn as scipy's betabinom
+    draws it, a beta(alpha, alpha) probability and then a binomial count.
+    Draws with origin equal to destination are rejected and resampled.
     """
 
     def __init__(self, p: int, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if p < 1:
-            raise ValueError("grid size p must be at least 1")
+        if not isinstance(p, numbers.Integral) or isinstance(p, bool) or p < 1:
+            raise ValueError(f"grid size p must be an integer >= 1, got {p!r}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
         self.p = int(p)
         self.alpha = float(alpha)
-        self._dist = stats.betabinom(self.p, self.alpha, self.alpha)
 
     def pmf(self, k) -> np.ndarray | float:
-        return self._dist.pmf(k)
+        """P(coordinate = k) by scipy's betabinom formula; 0 off the integers 0..p."""
+        k = np.asarray(k, dtype=np.float64)
+        inside = (k >= 0) & (k <= self.p) & (k == np.floor(k))
+        k = np.where(inside, k, 0.0)  # keep betaln's arguments valid off the support
+        n, a = self.p, self.alpha
+        log_pmf = (-np.log(n + 1) - betaln(n - k + 1, k + 1)
+                   + betaln(k + a, n - k + a) - betaln(a, a))
+        return np.where(inside, np.exp(log_pmf), 0.0)[()]
 
     def pmf_vector(self) -> np.ndarray:
-        return self._dist.pmf(np.arange(self.p + 1))
+        return self.pmf(np.arange(self.p + 1))
 
     def sample_od(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, 4) array of [oi, oj, di, dj] rows with origin != destination."""
@@ -120,8 +129,8 @@ class ODLaw:
             drawn += need.size
             if drawn > _RESAMPLE_CAP:
                 raise RuntimeError("origin-destination rejection sampling exceeded cap")
-            block = self._dist.rvs(size=(need.size, 4), random_state=rng)
-            out[need] = block
+            shape = (need.size, 4)
+            out[need] = rng.binomial(self.p, rng.beta(self.alpha, self.alpha, shape), shape)
             same = (out[need, 0] == out[need, 2]) & (out[need, 1] == out[need, 3])
             need = need[same]
         return out
@@ -146,8 +155,11 @@ def sample_trips(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
     Otherwise the two single-turn L-shaped shortest routes are equally
     likely, chosen by an explicit coin flip; a coin of 1 moves along the
     first coordinate (i) first.  The draws are `law.sample_od(rng, n)`, then
-    `rng.integers(0, 2, size=n)`, in that order.
+    `rng.integers(0, 2, size=n)`, in that order.  A law for another grid
+    size raises ValueError before any draw.
     """
+    if law.p != network.p:
+        raise ValueError(f"OD law is for a {law.p}-grid, network is a {network.p}-grid")
     od = law.sample_od(rng, n)
     coins = rng.integers(0, 2, size=n)
     oi, oj, di, dj = od.T

@@ -106,12 +106,13 @@ def test_oracle_rejects_replicates_below_one(capsys, replicates):
 @pytest.mark.parametrize("argv", [
     ["oracle", "--fixture", "merge", "--replicates", "10", "--seed", "-1"],
     ["diag", "--covariance", "diffusion:p=2", "--seed", "-1"],
+    ["diag", "--covariance", "diffusion:p=2", "--routes", "-4"],
 ])
 def test_negative_seed_is_a_config_error(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "config error: --seed must be at least 0, got -1\n"
+    assert captured.err == f"config error: {argv[-2]} must be at least 0, got {argv[-1]}\n"
     assert captured.out == ""
 
 

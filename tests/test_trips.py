@@ -1,10 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_fixture
+import etalab
 from etalab.covariance import PSD_RTOL, CovarianceModel, diffusion_covariance, gram_covariance
 from etalab.fixtures import (
     GOLDEN_COUNTERS,
@@ -95,11 +100,65 @@ def test_od_pmf_corner_heavy():
     assert (law.pmf(0) / law.pmf(5)) ** 2 > 50.0
 
 
-def test_od_law_validation():
-    with pytest.raises(ValueError):
-        ODLaw(3, 0.0)
-    with pytest.raises(ValueError):
-        ODLaw(0, 1.0)
+@pytest.mark.parametrize("p, alpha, name", [
+    (2.7, 1.0, "p"),
+    (True, 1.0, "p"),
+    (0, 1.0, "p"),
+    (-2, 1.0, "p"),
+    (3, float("nan"), "alpha"),
+    (3, float("inf"), "alpha"),
+    (3, 0.0, "alpha"),
+    (3, -0.5, "alpha"),
+])
+def test_od_law_validation(p, alpha, name):
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        ODLaw(p, alpha)
+
+
+def test_import_leaves_out_scipy_stats():
+    # importing scipy.stats costs every process most of a second; the OD law
+    # needs only scipy.special
+    env = dict(os.environ, PYTHONPATH=str(Path(etalab.__file__).parents[1]))
+    code = "import sys, etalab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
+def _betabinom_sample_od(dist, rng, size):
+    """sample_od's rejection loop over scipy's own betabinom draws."""
+    out = np.empty((size, 4), dtype=np.int64)
+    need = np.arange(size)
+    while need.size:
+        out[need] = dist.rvs(size=(need.size, 4), random_state=rng)
+        need = need[(out[need, 0] == out[need, 2]) & (out[need, 1] == out[need, 3])]
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 20, 30])
+def test_od_law_is_scipy_betabinom(p):
+    from scipy import stats
+
+    for alpha in (0.3, 0.5, 1.0, 1.7, 4.0):
+        law, dist = ODLaw(p, alpha), stats.betabinom(p, alpha, alpha)
+        assert np.array_equal(law.pmf_vector(), dist.pmf(np.arange(p + 1)))
+        for k in (-1, p + 1, 1.5):
+            assert law.pmf(k) == dist.pmf(k) == 0.0
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(law.sample_od(rng, 300), _betabinom_sample_od(dist, ref, 300))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sampling_rejects_a_law_for_another_grid():
+    net, rng = build_grid(3), np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for sample in (lambda: sample_trips(ODLaw(4, 1.0), net, rng, 1),
+                   lambda: sample_routes(ODLaw(4, 1.0), net, rng, 5),
+                   lambda: sample_route(ODLaw(2, 1.0), net, rng)):
+        with pytest.raises(ValueError, match=r"OD law is for a \d-grid, network is a 3-grid"):
+            sample()
+    assert rng.bit_generator.state == state
 
 
 def test_sample_od_never_degenerate():
