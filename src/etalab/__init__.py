@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 # every counter is numpy/scipy array code; kept so run records stay comparable
 kernel_backend = "numpy"
 
-from .covariance import (CovarianceModel, LaplacianVariant, assumption_diagnostics,
-                         diffusion_covariance, explicit_covariance, gram_covariance,
-                         normalized_laplacian)
+from .covariance import (CovarianceModel, assumption_diagnostics, diffusion_covariance,
+                         explicit_covariance, gram_covariance, normalized_laplacian)
 from .estimators import (PosteriorModel, Prediction, WeightRule,
                          optimal_gseg_weights, optimal_route_weight,
                          optimal_seg_weights, predict_bayes_optimal, predict_gseg,
@@ -33,7 +32,7 @@ __all__ = [
     "kernel_backend",
     "AdjacencyRule", "RoadNetwork", "Segment", "SegmentGraph", "build_grid",
     "segment_graph",
-    "CovarianceModel", "LaplacianVariant", "assumption_diagnostics",
+    "CovarianceModel", "assumption_diagnostics",
     "diffusion_covariance", "explicit_covariance", "gram_covariance",
     "normalized_laplacian",
     "Neighborhood", "NeighborhoodKind", "NeighborhoodSpec", "ODLaw", "PriorSpec",

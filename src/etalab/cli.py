@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -65,19 +66,18 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_covariance(descriptor: str) -> tuple[CovarianceModel, int | None]:
+def _parse_covariance(descriptor: str) -> CovarianceModel:
     """Build a covariance from a compact descriptor.
 
     Formats: "diffusion:p=10,u=1,v=1,white=1,rule=calibrated",
     "gram:p=3,m=50,law=unif_neg1_1,seed=0", or "csv:path.csv".
-    Returns the model and, when known, the grid size for route sampling.
     """
     kind, _, rest = descriptor.partition(":")
     if kind == "csv":
         if not rest:
             raise ConfigError("csv descriptor needs a path: csv:FILE")
         try:
-            return CovarianceModel.from_csv(rest), None
+            return CovarianceModel.from_csv(rest)
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read covariance csv {rest!r}: {e}") from None
     opts = {}
@@ -112,15 +112,21 @@ def _parse_covariance(descriptor: str) -> tuple[CovarianceModel, int | None]:
         raise ConfigError(f"bad descriptor value: {e}") from None
     if opts:
         raise ConfigError(f"unknown descriptor options: {sorted(opts)}")
-    return cov, p
+    return cov
 
 
 def _cmd_diag(args) -> int:
     if args.routes < 0:
         raise ConfigError(f"--routes must be at least 0, got {args.routes}")
-    cov, p = _parse_covariance(args.covariance)
+    cov = _parse_covariance(args.covariance)
     routes = None
-    if p is not None and args.routes > 0:
+    if args.routes > 0:
+        # a p-grid has 4p(p+1) segments; routes are sampled on the grid of sigma's size
+        n = cov.n_segments
+        p = (math.isqrt(n + 1) - 1) // 2
+        if p < 1 or 4 * p * (p + 1) != n:
+            raise ConfigError(f"cannot sample routes for a {n}-segment covariance: no "
+                              f"p-grid has {n} segments (4p(p+1)); use --routes 0")
         rng = np.random.default_rng(args.seed)
         ds = sample_trips(ODLaw(p, 1.0), build_grid(p), rng, args.routes)
         routes = np.split(ds.flat, ds.offsets[1:-1])

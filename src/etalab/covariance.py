@@ -26,7 +26,6 @@ from .network import SegmentGraph
 
 __all__ = [
     "CovarianceModel",
-    "LaplacianVariant",
     "normalized_laplacian",
     "diffusion_covariance",
     "gram_covariance",
@@ -38,32 +37,17 @@ __all__ = [
 PSD_RTOL = 1e-8
 
 
-class LaplacianVariant:
-    # D^{-1/2} (D - A) D^{-1/2}, the standard symmetric normalization
-    SYMMETRIC = "symmetric"
-    # D^{-1/2} (D - A) D^{1/2}, a non-symmetric similarity transform kept for
-    # calibration experiments; its heat kernel is symmetrized before use
-    AS_PRINTED = "as_printed"
-
-
-def normalized_laplacian(graph: SegmentGraph, variant: str = LaplacianVariant.SYMMETRIC) -> np.ndarray:
+def normalized_laplacian(graph: SegmentGraph) -> np.ndarray:
+    """The symmetric normalized Laplacian D^{-1/2} (D - A) D^{-1/2} of a segment graph."""
     a = graph.adjacency
     d = a.sum(axis=1)
     if np.any(d <= 0):
         bad = int(np.argmin(d))
         raise ValueError(f"segment {bad} has zero adjacency degree; cannot normalize")
-    if variant == LaplacianVariant.SYMMETRIC:
-        inv_sqrt = 1.0 / np.sqrt(d)
-        lap = -a * inv_sqrt[:, None] * inv_sqrt[None, :]
-        np.fill_diagonal(lap, 1.0)
-        return (lap + lap.T) / 2.0
-    if variant == LaplacianVariant.AS_PRINTED:
-        inv_sqrt = 1.0 / np.sqrt(d)
-        sqrt = np.sqrt(d)
-        lap = -a * inv_sqrt[:, None] * sqrt[None, :]
-        lap[np.diag_indices_from(lap)] = d
-        return lap
-    raise ValueError(f"unknown Laplacian variant {variant!r}")
+    inv_sqrt = 1.0 / np.sqrt(d)
+    lap = -a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    np.fill_diagonal(lap, 1.0)
+    return (lap + lap.T) / 2.0
 
 
 class CovarianceModel:
@@ -79,8 +63,8 @@ class CovarianceModel:
 
     @classmethod
     def _with_eigenvalues(cls, sigma: np.ndarray, meta: Mapping[str, object],
-                          eigenvalues: np.ndarray | None) -> "CovarianceModel":
-        """Wrap a sigma whose ascending eigenvalues are known (None: solve for them)."""
+                          eigenvalues: np.ndarray) -> "CovarianceModel":
+        """Wrap a sigma whose ascending eigenvalues are already known."""
         model = cls.__new__(cls)
         model._build(sigma, meta, eigenvalues)
         return model
@@ -89,6 +73,8 @@ class CovarianceModel:
         sigma = np.ascontiguousarray(np.asarray(sigma, dtype=np.float64))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square matrix")
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma must have finite entries")
         if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
             raise ValueError("sigma must be symmetric")
         self.sigma = (sigma + sigma.T) / 2.0
@@ -198,8 +184,7 @@ class CovarianceModel:
 
 
 def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
-                         white: float = 0.0,
-                         variant: str = LaplacianVariant.SYMMETRIC) -> CovarianceModel:
+                         white: float = 0.0) -> CovarianceModel:
     """Heat-kernel covariance u * exp(-v * L) + white * I on a segment graph.
 
     u, v and white must be finite and nonnegative.
@@ -215,29 +200,21 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
         "u": float(u),
         "v": float(v),
         "white": float(white),
-        "variant": variant,
     }
     if v == 0.0:
         # exp(0) is the identity; keep it bit-exact rather than round-tripped
         # through an eigendecomposition
         return CovarianceModel((u + white) * np.eye(n), meta=meta)
-    lap = normalized_laplacian(graph, variant=variant)
-    if variant == LaplacianVariant.SYMMETRIC:
-        evals, evecs = np.linalg.eigh(lap)
-        del lap
-        heat = np.exp(-v * evals)
-        # sigma = V diag(u e^{-v lambda} + white) V', so L's eigh gives its spectrum
-        eigenvalues = np.sort(u * heat + white)
-        # X = V diag(e^{-v lambda / 2}) in place; numpy runs X @ X.T as one
-        # symmetric rank-k update, so the kernel comes out exactly symmetric
-        evecs *= np.sqrt(heat)
-        sigma = evecs @ evecs.T
-        del evecs
-        sigma *= u
-    else:
-        kernel = scipy.linalg.expm(-v * lap)
-        sigma = u * (kernel + kernel.T) / 2.0
-        eigenvalues = None
+    evals, evecs = np.linalg.eigh(normalized_laplacian(graph))
+    heat = np.exp(-v * evals)
+    # sigma = V diag(u e^{-v lambda} + white) V', so L's eigh gives its spectrum
+    eigenvalues = np.sort(u * heat + white)
+    # X = V diag(e^{-v lambda / 2}) in place; numpy runs X @ X.T as one
+    # symmetric rank-k update, so the kernel comes out exactly symmetric
+    evecs *= np.sqrt(heat)
+    sigma = evecs @ evecs.T
+    del evecs
+    sigma *= u
     sigma[np.diag_indices(n)] += white
     return CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
 

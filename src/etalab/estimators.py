@@ -12,6 +12,7 @@ phi(0) = 0, so estimators with no support fall back to the prior mean.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -61,8 +62,8 @@ class WeightRule:
 
     @classmethod
     def ratio(cls, lam: float = 1.0) -> "WeightRule":
-        if lam <= 0:
-            raise ValueError("ratio rule needs lam > 0")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"ratio rule needs a finite lam > 0, got {lam!r}")
         return cls(cls.RATIO, lam=lam)
 
     @classmethod

@@ -11,7 +11,9 @@ head_j), and that index is the canonical segment id used everywhere else.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -37,8 +39,7 @@ class Segment:
     head: tuple[int, int]
 
     def __post_init__(self) -> None:
-        di = self.head[0] - self.tail[0]
-        dj = self.head[1] - self.tail[1]
+        di, dj = self.direction
         if abs(di) + abs(dj) != 1:
             raise ValueError(f"segment endpoints must be grid-adjacent: {self.tail}->{self.head}")
 
@@ -63,19 +64,23 @@ class RoadNetwork:
     `endpoints` holds one row [tail_i, tail_j, head_i, head_j] per segment
     id.  `segment_table[i*(p+1) + j, d]` is the id of the segment leaving
     vertex (i, j) in direction DIRECTIONS[d], or -1 at the grid's edge.
+    Segment objects are built from `endpoints` on the first read of `segments`.
     """
 
     def __init__(self, p: int):
-        if p < 1:
-            raise ValueError("grid size p must be >= 1")
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+            raise ValueError(f"grid size p must be an integer >= 1, got {p!r}")
         self.p = int(p)
-        self._segments: tuple[Segment, ...] = tuple(_grid_segments(self.p))
-        self._index: dict[Segment, int] = {s: i for i, s in enumerate(self._segments)}
-        self.endpoints = np.array([(*s.tail, *s.head) for s in self._segments], dtype=np.int64)
-        self.segment_table = np.full((self.n_vertices, len(DIRECTIONS)), -1, dtype=np.int64)
-        for i, s in enumerate(self._segments):
-            self.segment_table[s.tail[0] * (self.p + 1) + s.tail[1],
-                               DIRECTIONS.index(s.direction)] = i
+        width = self.p + 1
+        vi, vj = np.divmod(np.arange(width * width), width)
+        steps = np.array(DIRECTIONS)
+        hi, hj = vi[:, None] + steps[:, 0], vj[:, None] + steps[:, 1]
+        inside = (hi >= 0) & (hi <= self.p) & (hj >= 0) & (hj <= self.p)
+        # row-major order over (tail vertex, direction) is the canonical order
+        self.segment_table = np.full(inside.shape, -1, dtype=np.int64)
+        self.segment_table[inside] = np.arange(np.count_nonzero(inside))
+        tail = np.nonzero(inside)[0]
+        self.endpoints = np.column_stack((vi[tail], vj[tail], hi[inside], hj[inside]))
 
     @property
     def n_vertices(self) -> int:
@@ -83,26 +88,27 @@ class RoadNetwork:
 
     @property
     def n_segments(self) -> int:
-        return len(self._segments)
+        return len(self.endpoints)
 
-    @property
+    @cached_property
     def segments(self) -> tuple[Segment, ...]:
-        return self._segments
+        return tuple(Segment((ti, tj), (hi, hj)) for ti, tj, hi, hj in self.endpoints.tolist())
 
     def vertices(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.p + 1) for j in range(self.p + 1)]
 
     def segment(self, seg_id: int) -> Segment:
-        return self._segments[seg_id]
+        return self.segments[seg_id]
 
     def segment_id(self, tail: tuple[int, int], head: tuple[int, int]) -> int:
-        try:
-            return self._index[Segment(tuple(tail), tuple(head))]
-        except KeyError:
-            raise KeyError(f"no segment {tail}->{head} in a p={self.p} grid") from None
+        step = Segment(tuple(tail), tuple(head)).direction  # ValueError unless grid-adjacent
+        if not all(isinstance(c, numbers.Integral) and 0 <= c <= self.p for c in (*tail, *head)):
+            raise KeyError(f"no segment {tuple(tail)}->{tuple(head)} in a p={self.p} grid")
+        return int(self.segment_table[tail[0] * (self.p + 1) + tail[1], DIRECTIONS.index(step)])
 
     def reverse_id(self, seg_id: int) -> int:
-        return self._index[self._segments[seg_id].reversed()]
+        ti, tj, hi, hj = self.endpoints[seg_id].tolist()
+        return self.segment_id((hi, hj), (ti, tj))
 
     def out_segments(self, vertex: tuple[int, int]) -> tuple[int, ...]:
         i, j = vertex
@@ -140,17 +146,6 @@ class RoadNetwork:
 
     def __repr__(self) -> str:
         return f"RoadNetwork(p={self.p}, segments={self.n_segments})"
-
-
-def _grid_segments(p: int) -> Iterable[Segment]:
-    # tails in lexicographic order, each one's heads in DIRECTIONS order: the canonical order
-    out = []
-    for ti in range(p + 1):
-        for tj in range(p + 1):
-            for di, dj in DIRECTIONS:
-                if 0 <= ti + di <= p and 0 <= tj + dj <= p:
-                    out.append(Segment((ti, tj), (ti + di, tj + dj)))
-    return out
 
 
 def build_grid(p: int) -> RoadNetwork:
@@ -225,20 +220,29 @@ def classify_pair(a: Segment, b: Segment) -> str | None:
     Classes are mutually exclusive; chained pairs (head of one meets tail of
     the other) are split into straight continuations and turns, endpoint-
     sharing non-chained pairs into collinear and perpendicular, and the two
-    orientations of one undirected edge form the reverse class.
+    orientations of one undirected edge form the reverse class.  This is the
+    one-pair case of `_pair_classes`.
     """
     if a == b:
         raise ValueError("classify_pair expects two distinct segments")
-    if a.tail == b.head and a.head == b.tail:
-        return "reverse"
-    chained = a.head == b.tail or b.head == a.tail
-    va, vb = a.direction, b.direction
-    if chained:
-        return "straight" if va == vb else "turn"
-    if a.tail == b.tail or a.head == b.head:
-        cross = va[0] * vb[1] - va[1] * vb[0]
-        return "parallel_collinear" if cross == 0 else "parallel_perpendicular"
-    return None
+    k = _pair_classes(np.array([[*a.tail, *a.head]]), np.array([[*b.tail, *b.head]]))[0]
+    return PAIR_CLASSES[k] if k >= 0 else None
+
+
+def _pair_classes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """PAIR_CLASSES index of each pair of distinct segments, -1 where they share no endpoint.
+
+    `a` and `b` hold one [tail_i, tail_j, head_i, head_j] row per pair, as `endpoints` does.
+    """
+    into_b = np.all(a[:, 2:] == b[:, :2], axis=1)
+    into_a = np.all(b[:, 2:] == a[:, :2], axis=1)
+    shared_end = np.all(a[:, :2] == b[:, :2], axis=1) | np.all(a[:, 2:] == b[:, 2:], axis=1)
+    va, vb = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]
+    collinear = va[:, 0] * vb[:, 1] == va[:, 1] * vb[:, 0]
+    chained = into_a | into_b
+    # first match wins: reverse, straight, turn, parallel_collinear, parallel_perpendicular
+    return np.select([into_a & into_b, chained & np.all(va == vb, axis=1), chained,
+                      shared_end & collinear, shared_end], [4, 0, 1, 2, 3], -1)
 
 
 class SegmentGraph:
@@ -259,26 +263,26 @@ class SegmentGraph:
 
 
 def _class_adjacency(network: RoadNetwork, weights: Mapping[str, float]) -> np.ndarray:
-    """Dense weighted adjacency built vertex-locally.
+    """Dense weighted adjacency, built from the segments incident to each vertex.
 
-    Every related pair shares at least one vertex, so looping over the
-    incident segments of each vertex visits each pair a bounded number of
-    times regardless of grid size.
+    Every related pair shares at least one vertex, so classifying the pairs
+    among each vertex's (at most eight) incident segments visits every pair,
+    in one pass over `endpoints` whatever the grid size.
     """
-    n = network.n_segments
-    a = np.zeros((n, n))
-    for v in network.vertices():
-        incident = set(network.out_segments(v)) | set(network.in_segments(v))
-        ids = sorted(incident)
-        for x in range(len(ids)):
-            for y in range(x + 1, len(ids)):
-                i, j = ids[x], ids[y]
-                cls = classify_pair(network.segment(i), network.segment(j))
-                if cls is None:
-                    continue
-                a[i, j] = weights[cls]
-                a[j, i] = weights[cls]
-    return a
+    ends, table = network.endpoints, network.segment_table
+    # the segment entering a vertex from direction d is the reverse of the one
+    # leaving it in direction d, which leaves that one's head in direction 3 - d
+    reverse = table[ends[:, 2] * (network.p + 1) + ends[:, 3], 3 - np.nonzero(table >= 0)[1]]
+    incident = np.hstack((table, np.where(table >= 0, reverse[table], -1)))
+    x, y = np.triu_indices(incident.shape[1], k=1)
+    i, j = incident[:, x].ravel(), incident[:, y].ravel()
+    both = (i >= 0) & (j >= 0)
+    i, j = i[both], j[both]
+    w = np.array([weights[c] for c in PAIR_CLASSES])[_pair_classes(ends[i], ends[j])]
+    adjacency = np.zeros((network.n_segments, network.n_segments))
+    adjacency[i, j] = w
+    adjacency[j, i] = w
+    return adjacency
 
 
 def segment_graph(network: RoadNetwork, rule: str = AdjacencyRule.CALIBRATED) -> SegmentGraph:

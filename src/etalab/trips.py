@@ -53,8 +53,10 @@ class PriorSpec:
     tau2: float
 
     def __post_init__(self) -> None:
-        if self.tau2 <= 0:
-            raise ValueError("prior variance tau2 must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"prior mean mu must be finite, got {self.mu!r}")
+        if not (math.isfinite(self.tau2) and self.tau2 > 0):
+            raise ValueError(f"prior variance tau2 must be finite and positive, got {self.tau2!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,12 @@ class Route:
 
     @classmethod
     def from_segments(cls, network: RoadNetwork, segment_ids: Sequence[int]) -> "Route":
-        ids = tuple(int(i) for i in segment_ids)
+        ids = tuple(segment_ids)
+        for i in ids:
+            if not (_is_count(i) and i < network.n_segments):
+                raise ValueError(
+                    f"segment id {i!r} is not an integer in [0, {network.n_segments})")
+        ids = tuple(int(i) for i in ids)
         if not ids:
             raise ValueError("a route needs at least one segment")
         segs = [network.segment(i) for i in ids]
@@ -155,9 +162,12 @@ def sample_trips(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
     Otherwise the two single-turn L-shaped shortest routes are equally
     likely, chosen by an explicit coin flip; a coin of 1 moves along the
     first coordinate (i) first.  The draws are `law.sample_od(rng, n)`, then
-    `rng.integers(0, 2, size=n)`, in that order.  A law for another grid
-    size raises ValueError before any draw.
+    `rng.integers(0, 2, size=n)`, in that order.  An n that is not an
+    integer >= 0, or a law for another grid size, raises ValueError before
+    any draw.
     """
+    if not _is_count(n):
+        raise ValueError(f"trip count n must be an integer >= 0, got {n!r}")
     if law.p != network.p:
         raise ValueError(f"OD law is for a {law.p}-grid, network is a {network.p}-grid")
     od = law.sample_od(rng, n)
@@ -456,8 +466,8 @@ class NeighborhoodSpec:
     def __post_init__(self) -> None:
         if self.kind not in NeighborhoodKind.ALL:
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not _is_count(self.radius):
+            raise ValueError(f"radius must be an integer >= 0, got {self.radius!r}")
         if not (0 <= self.fraction <= 1):
             raise ValueError("fraction must lie in [0, 1]")
 
@@ -570,6 +580,11 @@ def _same_segments(ds: TripDataset, routes: TripDataset, route: np.ndarray,
     pair = np.repeat(np.arange(route.size), lens)
     same = np.bincount(pair, weights=differ, minlength=route.size) == 0
     return route[same], trip[same]
+
+
+def _is_count(value) -> bool:
+    """An integer >= 0 that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -168,6 +168,28 @@ def test_diag_csv_roundtrip(tmp_path, capsys):
     assert payload["n_segments"] == 48
 
 
+def test_diag_csv_of_grid_size_samples_routes(tmp_path, capsys):
+    # 48 segments is the p=3 grid's count, so routes are sampled on that grid
+    path = tmp_path / "cov.csv"
+    fixtures.reference_covariance().to_csv(path)
+    assert main(["diag", "--covariance", f"csv:{path}", "--routes", "7"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_routes_checked"] == 7
+    assert payload["route_block_min_eigenvalue"] > 0.0
+
+
+def test_diag_csv_of_other_size_needs_routes_zero(tmp_path, capsys):
+    path = tmp_path / "cov.csv"
+    path.write_text("0,1,2\n1.0\n0.0,1.0\n0.0,0.0,1.0\n")
+    assert main(["diag", "--covariance", f"csv:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot sample routes for a 3-segment covariance")
+    assert "--routes 0" in captured.err
+    assert main(["diag", "--covariance", f"csv:{path}", "--routes", "0"]) == 0
+    assert "n_routes_checked" not in json.loads(capsys.readouterr().out)
+
+
 def _bad_csv(tmp_path, kind):
     path = tmp_path / "cov.csv"
     if kind == "directory":

@@ -7,7 +7,6 @@ import scipy.linalg
 from etalab.covariance import (
     CovarianceModel,
     FeatureLaw,
-    LaplacianVariant,
     assumption_diagnostics,
     diffusion_covariance,
     explicit_covariance,
@@ -32,9 +31,7 @@ class _StubGraph:
 def test_laplacian_two_node_complete():
     graph = _StubGraph([[0.0, 1.0], [1.0, 0.0]])
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(normalized_laplacian(graph, LaplacianVariant.SYMMETRIC), expected)
-    # degree-1 regular: the similarity-transformed variant coincides
-    assert np.allclose(normalized_laplacian(graph, LaplacianVariant.AS_PRINTED), expected)
+    assert np.allclose(normalized_laplacian(graph), expected)
 
 
 def test_laplacian_matches_definition():
@@ -44,13 +41,9 @@ def test_laplacian_matches_definition():
     np.fill_diagonal(a, 0.0)
     graph = _StubGraph(a)
     d = a.sum(axis=1)
-    d_half = np.diag(np.sqrt(d))
     d_inv_half = np.diag(1.0 / np.sqrt(d))
     lap = np.diag(d) - a
-    assert np.allclose(normalized_laplacian(graph, LaplacianVariant.SYMMETRIC),
-                       d_inv_half @ lap @ d_inv_half, atol=1e-12)
-    assert np.allclose(normalized_laplacian(graph, LaplacianVariant.AS_PRINTED),
-                       d_inv_half @ lap @ d_half, atol=1e-12)
+    assert np.allclose(normalized_laplacian(graph), d_inv_half @ lap @ d_inv_half, atol=1e-12)
 
 
 def test_laplacian_zero_degree_rejected():
@@ -67,12 +60,6 @@ def test_laplacian_eigenvalues_bounded(grid3):
     assert evals[-1] <= 2.0 + 1e-9
 
 
-def test_laplacian_unknown_variant(grid3):
-    graph = segment_graph(grid3)
-    with pytest.raises(ValueError, match="variant"):
-        normalized_laplacian(graph, "rw")
-
-
 def test_covariance_model_validation():
     with pytest.raises(ValueError, match="square"):
         CovarianceModel(np.zeros((2, 3)))
@@ -80,6 +67,9 @@ def test_covariance_model_validation():
         CovarianceModel(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="min eigenvalue"):
         explicit_covariance(2, {(0, 0): 1.0, (1, 1): 1.0, (0, 1): -1.1})
+    for bad in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf])):
+        with pytest.raises(ValueError, match="finite entries"):
+            CovarianceModel(bad)
 
 
 def test_explicit_covariance_boundary_psd_accepted():
@@ -114,22 +104,6 @@ def test_diffusion_identity_limit(grid3):
     graph = segment_graph(grid3)
     cov = diffusion_covariance(graph, u=1.0, v=0.0, white=0.25)
     assert np.array_equal(cov.sigma, 1.25 * np.eye(grid3.n_segments))
-
-
-def test_diffusion_literal_variant_not_psd(grid3):
-    # the similarity-transformed normalization yields an asymmetric heat
-    # kernel; even after symmetrizing, the result fails PSD validation on
-    # this graph, which is why the symmetric normalization is the default
-    graph = segment_graph(grid3, rule=AdjacencyRule.SHARE_ANY_ENDPOINT)
-    diffusion_covariance(graph, u=1.0, v=1.0, white=0.0,
-                         variant=LaplacianVariant.SYMMETRIC).validate_psd()
-    with pytest.raises(ValueError, match="min eigenvalue"):
-        diffusion_covariance(graph, u=1.0, v=1.0, white=0.0,
-                             variant=LaplacianVariant.AS_PRINTED)
-    # enough added white noise shifts it back to PSD
-    shifted = diffusion_covariance(graph, u=1.0, v=1.0, white=0.01,
-                                   variant=LaplacianVariant.AS_PRINTED)
-    assert shifted.min_eigenvalue() >= -1e-8
 
 
 def test_diffusion_offdiag_nonneg_calibrated():
@@ -211,8 +185,6 @@ def _spectrum_cases():
         yield f"diffusion-{u}-{v}-{white}", lambda u=u, v=v, white=white: \
             diffusion_covariance(graph, u=u, v=v, white=white)
     yield "diffusion-v0", lambda: diffusion_covariance(graph, u=1.0, v=0.0, white=0.25)
-    yield "as-printed", lambda: diffusion_covariance(
-        graph, u=1.0, v=1.0, white=0.01, variant=LaplacianVariant.AS_PRINTED)
     yield "gram-low-rank", lambda: gram_covariance(48, 3)
     yield "gram-full-rank", lambda: gram_covariance(10, 20, law=FeatureLaw.UNIF_0_1, seed=1)
     yield "explicit", negcov_covariance
@@ -259,9 +231,7 @@ def test_one_eigen_solve_per_construction(monkeypatch):
     # the Laplacian's eigh is the only solve; sigma's spectrum follows from it
     assert calls == [("eigh", (n, n))]
     for build in (lambda: gram_covariance(n, 3), negcov_covariance,
-                  lambda: diffusion_covariance(graph, v=0.0),
-                  lambda: diffusion_covariance(graph, white=0.01,
-                                               variant=LaplacianVariant.AS_PRINTED)):
+                  lambda: diffusion_covariance(graph, v=0.0)):
         calls.clear()
         build()
         assert calls == [("eigvalsh", (n, n))]

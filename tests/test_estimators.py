@@ -69,8 +69,9 @@ def test_weight_rule_values():
 
 
 def test_weight_rule_validation():
-    with pytest.raises(ValueError):
-        WeightRule.ratio(0.0)
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite lam > 0"):
+            WeightRule.ratio(lam)
     with pytest.raises(ValueError):
         WeightRule.indep_optimal().value(1)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,13 @@ def test_grid_counts(p, n_vertices, n_segments):
     assert net.n_segments == n_segments
 
 
+@pytest.mark.parametrize("p", [0, -2, 2.7, True, "3"], ids=repr)
+def test_grid_size_must_be_a_positive_integer(p):
+    message = f"grid size p must be an integer >= 1, got {p!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_grid(p)
+
+
 def test_segment_requires_grid_adjacency():
     Segment((0, 0), (0, 1))
     Segment((2, 1), (1, 1))
@@ -51,6 +59,27 @@ def test_segment_id_roundtrip(grid3):
         rid = grid3.reverse_id(sid)
         assert grid3.segment(rid) == seg.reversed()
         assert grid3.reverse_id(rid) == sid
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_segment_lookups_roundtrip(p):
+    net = build_grid(p)
+    for sid in range(net.n_segments):
+        seg = net.segment(sid)
+        assert net.segment_id(seg.tail, seg.head) == sid
+        rid = net.reverse_id(sid)
+        assert net.segment(rid) == seg.reversed()
+        assert net.reverse_id(rid) == sid
+    outs = [s for v in net.vertices() for s in net.out_segments(v)]
+    ins = [s for v in net.vertices() for s in net.in_segments(v)]
+    # every segment leaves exactly one vertex and enters exactly one
+    assert sorted(outs) == sorted(ins) == list(range(net.n_segments))
+    for v in net.vertices():
+        assert all(net.segment(s).tail == v for s in net.out_segments(v))
+        assert all(net.segment(s).head == v for s in net.in_segments(v))
+    for tail, head in (((p, p), (p + 1, p)), ((0.5, 0), (1.5, 0)), ((0, 0.0), (0, 1.0))):
+        with pytest.raises(KeyError):
+            net.segment_id(tail, head)
 
 
 def test_segment_ordering_is_canonical(grid3):
@@ -171,3 +200,47 @@ def test_calibrated_weights_frozen():
     assert CALIBRATED_CLASS_WEIGHTS["straight"] == 1.0
     for w in CALIBRATED_CLASS_WEIGHTS.values():
         assert 0.0 < w < 2.5
+
+
+def _classify_reference(a, b):
+    """Scalar pair classification, written out case by case."""
+    if a.tail == b.head and a.head == b.tail:
+        return "reverse"
+    va, vb = a.direction, b.direction
+    if a.head == b.tail or b.head == a.tail:
+        return "straight" if va == vb else "turn"
+    if a.tail == b.tail or a.head == b.head:
+        cross = va[0] * vb[1] - va[1] * vb[0]
+        return "parallel_collinear" if cross == 0 else "parallel_perpendicular"
+    return None
+
+
+def _adjacency_reference(net, weights):
+    """The per-vertex loop: classify every pair of segments incident to a vertex."""
+    a = np.zeros((net.n_segments, net.n_segments))
+    for v in net.vertices():
+        ids = sorted(set(net.out_segments(v)) | set(net.in_segments(v)))
+        for x in range(len(ids)):
+            for y in range(x + 1, len(ids)):
+                i, j = ids[x], ids[y]
+                cls = _classify_reference(net.segment(i), net.segment(j))
+                if cls is not None:
+                    a[i, j] = a[j, i] = weights[cls]
+    return a
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("rule", AdjacencyRule.ALL)
+def test_adjacency_matches_per_vertex_loop(p, rule):
+    net = build_grid(p)
+    got = segment_graph(net, rule=rule).adjacency
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _adjacency_reference(net, AdjacencyRule.class_weights(rule)))
+
+
+def test_classify_pair_matches_reference_on_every_pair():
+    segs = build_grid(2).segments
+    for a in segs:
+        for b in segs:
+            if a != b:
+                assert classify_pair(a, b) == _classify_reference(a, b)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,14 +33,6 @@ from etalab.trips import (
 )
 
 
-def test_prior_spec_validation():
-    PriorSpec(mu=0.0, tau2=0.5)
-    with pytest.raises(ValueError):
-        PriorSpec(mu=0.0, tau2=0.0)
-    with pytest.raises(ValueError):
-        PriorSpec(mu=0.0, tau2=-1.0)
-
-
 def test_route_from_segments_validation(grid3):
     ids = grid3.path_segments([(1, 0), (1, 1), (1, 2)])
     r = Route.from_segments(grid3, ids)
@@ -56,6 +49,36 @@ def test_route_from_segments_validation(grid3):
     back_forth = [ids[0], grid3.reverse_id(ids[0]), ids[0]]
     with pytest.raises(ValueError):
         Route.from_segments(grid3, back_forth)
+
+
+@pytest.mark.parametrize("bad", [-1, 48, 1.7, True, np.float64(2.0)], ids=repr)
+def test_route_from_segments_rejects_bad_ids(grid3, bad):
+    message = f"segment id {bad!r} is not an integer in [0, 48)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Route.from_segments(grid3, [bad])
+
+
+@pytest.mark.parametrize("bad", [-1, 48, 1.7, True])
+def test_from_jsonl_rejects_bad_segment_id(grid3, tmp_path, bad):
+    # outside input: a -1 would read as the last segment and fail later in n_s
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps({"route": [bad]}) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"segment id {bad!r} is not an integer")):
+        TripDataset.from_jsonl(grid3, path)
+
+
+def test_prior_spec_validation():
+    PriorSpec(mu=0.0, tau2=0.5)
+    with pytest.raises(ValueError):
+        PriorSpec(mu=0.0, tau2=0.0)
+    with pytest.raises(ValueError):
+        PriorSpec(mu=0.0, tau2=-1.0)
+    for mu in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            PriorSpec(mu=mu, tau2=0.5)
+    for tau2 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau2 must be finite and positive"):
+            PriorSpec(mu=0.0, tau2=tau2)
 
 
 def test_route_rejects_revisited_vertex(grid3):
@@ -159,6 +182,19 @@ def test_sampling_rejects_a_law_for_another_grid():
         with pytest.raises(ValueError, match=r"OD law is for a \d-grid, network is a 3-grid"):
             sample()
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True, "3"], ids=repr)
+def test_sampling_rejects_a_bad_trip_count(n):
+    net, rng = build_grid(3), np.random.default_rng(0)
+    state = rng.bit_generator.state
+    message = f"trip count n must be an integer >= 0, got {n!r}"
+    for sample in (lambda: sample_trips(ODLaw(3, 1.0), net, rng, n),
+                   lambda: sample_routes(ODLaw(3, 1.0), net, rng, n)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample()
+    assert rng.bit_generator.state == state
+    assert sample_trips(ODLaw(3, 1.0), net, rng, 0).n_trips == 0
 
 
 def test_sample_od_never_degenerate():
@@ -529,6 +565,10 @@ def test_neighborhood_spec_validation():
         NeighborhoodSpec.od_ball(-1)
     with pytest.raises(ValueError):
         NeighborhoodSpec.od_ball_growing(1.5)
+    for radius in (1.5, 1.0, True):
+        message = f"radius must be an integer >= 0, got {radius!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NeighborhoodSpec.od_ball(radius)
 
 
 def test_reference_ball_members():
