@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .covariance import CovarianceModel
-from .trips import Neighborhood, PriorSpec, Route, TripDataset, _ranges
+from .trips import Neighborhood, PriorSpec, Route, TripDataset, _leading_sums, _ranges
 
 __all__ = [
     "WeightRule",
@@ -424,50 +424,23 @@ class PosteriorModel:
     predictions, and exact risks with cheap triangular solves.
 
     W is the sum over trips of inv(sigma[r, r]) scattered into the (r, r)
-    positions of trip route r.  One pass over the trips' sigma blocks
-    (`TripDataset._sigma_blocks`) adds it into Q together with
-    `quadratic_sums`, the per-trip sums of sigma[r, r] that
-    `TripDataset.quadratic_sums` also gives: a thread pool inverts and sums
-    each chunk of blocks, and this thread adds the chunks into Q in chunk
-    order, so Q does not depend on the thread count.  The pool has one
-    thread per core, or its share of the cores inside run_sweep's worker
-    processes.
+    positions of trip route r.  It is built one route family at a time
+    (`_information`), and the same pass gives `quadratic_sums`, the per-trip
+    sums of sigma[r, r], equal to `TripDataset.quadratic_sums`.
     """
 
     def __init__(self, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec):
         self.ds = ds
         self.cov = cov
         self.prior = prior
-        n = ds.network.n_segments
-        # Q in Fortran order through its flat view: cho_factor overwrites it
-        q_flat = np.zeros(n * n)
-        self.quadratic_sums = np.zeros(ds.n_trips)
-        threads = _THREADS or len(os.sched_getaffinity(0))
-        pending: deque = deque()
-
-        def add_oldest() -> None:
-            trips, cells, invs, sums = pending.popleft()
-            self.quadratic_sums[trips] = sums.result()
-            np.add.at(q_flat, cells.ravel(), invs.ravel())
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for trips, _, ids, blocks in ds._sigma_blocks(cov):
-                cells = np.empty(blocks.shape, dtype=np.int64)
-                pending.append((trips, cells, blocks, pool.submit(
-                    _invert_chunk, cov, trips, ids, blocks, cells)))
-                if len(pending) > threads:
-                    add_oldest()
-            while pending:
-                add_oldest()
-        q = q_flat.reshape(n, n, order="F")
-        q[np.diag_indices(n)] += 1.0 / prior.tau2
+        q, self.quadratic_sums = _information(ds, cov, prior.tau2)
         try:
             self._cho = scipy.linalg.cho_factor(q, lower=True, overwrite_a=True,
                                                 check_finite=False)
         except np.linalg.LinAlgError as err:
             raise np.linalg.LinAlgError(
                 f"W + I/tau2 is not positive definite ({err}): covariance rank "
-                f"{cov.rank} of {n}") from None
+                f"{cov.rank} of {cov.n_segments}") from None
 
     def weight_vector(self, y) -> np.ndarray:
         """g solving (W + I / tau2) g = indicator(y)."""
@@ -511,9 +484,6 @@ class PosteriorModel:
         return _finish(pred, self.ds)
 
 
-# bytes of blocks per np.linalg.inv call in the information pass
-_INV_BYTES = 2 ** 16
-
 # threads of the information pass; None means one per core.  run_sweep's
 # worker processes set it so that its workers do not oversubscribe the cores.
 _THREADS: int | None = None
@@ -524,37 +494,105 @@ def _set_threads(threads: int) -> None:
     _THREADS = threads
 
 
-def _invert_chunk(cov: CovarianceModel, trips: np.ndarray, ids: np.ndarray,
-                  blocks: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """One chunk's share of the information pass, run in a worker thread.
+def _information(ds: TripDataset, cov: CovarianceModel,
+                 tau2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q = W + I / tau2 in Fortran order, and the trips' quadratic sums.
 
-    Fills `cells` with the blocks' entries' cells in the flat, Fortran-ordered
-    Q (entry (s, t) at t * n + s), overwrites `blocks` with their inverses and
-    returns their sums.  Worker threads allocate from malloc arenas of their
-    own, which keep freed memory resident, so the large arrays come from the
-    caller and the inverses are taken _INV_BYTES of blocks at a time.
+    A family whose longest route s has block S = sigma[s, s] = L L' gives
+    each member of length l the inverse sum_{i<l} u_i u_i', u_i the rows of
+    U = L^-1.  So the family adds U' diag(w) U into Q[s, s], w_i counting
+    its members longer than i, and its members' quadratic sums are S's
+    leading-block sums.  A thread pool works the chunks of
+    `TripDataset._family_chunks`; this thread adds them into Q with
+    np.add.at in chunk order, so Q does not depend on the thread count.  The
+    pool has one thread per core, or its share of the cores inside
+    run_sweep's worker processes.
     """
     n = cov.n_segments
-    # a principal block longer than sigma's rank is singular, though inv may
-    # return huge entries for it instead of raising
-    if blocks.shape[1] > cov.rank:
-        raise _singular_block(cov, trips[0], blocks.shape[1])
-    sums = blocks.sum(axis=(1, 2))
-    np.add(ids[:, None, :] * n, ids[:, :, None], out=cells)
-    rows = max(1, _INV_BYTES // blocks[0].nbytes)
-    for a in range(0, len(blocks), rows):
-        part = blocks[a:a + rows]
-        try:
-            part[...] = np.linalg.inv(part)
-        except np.linalg.LinAlgError:
-            # name the first trip whose block alone is rejected
-            for trip, block in zip(trips[a:a + rows], part):
-                try:
-                    np.linalg.inv(block)
-                except np.linalg.LinAlgError:
-                    raise _singular_block(cov, trip, len(block)) from None
-            raise
+    # a principal block longer than sigma's rank is singular, though its
+    # Cholesky factor may come out without an error
+    if np.diff(ds.offsets).max(initial=0) > cov.rank:
+        raise _first_singular(ds, cov)
+    # Q through its flat view: cho_factor overwrites it in place
+    q_flat = np.zeros(n * n)
+    sums = np.empty(ds.n_trips)
+    threads = _THREADS or len(os.sched_getaffinity(0))
+    pending: deque = deque()
+
+    def add_oldest() -> None:
+        members, cells, blocks, done = pending.popleft()
+        sums[members] = done.result()
+        np.add.at(q_flat, cells.ravel(), blocks.ravel())
+
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for members, lengths, local, ids in ds._family_chunks():
+                # the arrays that outlive the call come from this thread
+                cells = np.empty(ids.shape + ids.shape[1:], dtype=np.int64)
+                blocks = np.empty(cells.shape)
+                pending.append((members, cells, blocks, pool.submit(
+                    _family_chunk, cov.sigma, lengths, local, ids, cells, blocks)))
+                if len(pending) > threads:
+                    add_oldest()
+            while pending:
+                add_oldest()
+    except np.linalg.LinAlgError as err:
+        raise _first_singular(ds, cov) or err from None
+    q = q_flat.reshape(n, n, order="F")
+    q[np.diag_indices(n)] += 1.0 / tau2
+    return q, sums
+
+
+def _family_chunk(sigma: np.ndarray, lengths: np.ndarray, local: np.ndarray,
+                  ids: np.ndarray, cells: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """One chunk of families' share of the information pass, run in a worker thread.
+
+    Fills `cells` with the flat cells ids[a] * n + ids[b] of the blocks'
+    entries (a, b), gathers the blocks S from sigma's C-ordered flat view at
+    those cells into `blocks`, overwrites them with U' diag(w) U, U =
+    chol(S)^-1, and returns the members' quadratic sums, read off S's
+    leading-block sums.  In the Fortran-ordered Q the same cells are the
+    transposed entries, which a symmetric product leaves alone.  Worker
+    threads allocate from malloc arenas of their own, which keep freed memory
+    resident, so the chunks are small.
+    """
+    m, length = ids.shape
+    np.add(ids[:, :, None] * sigma.shape[0], ids[:, None, :], out=cells)
+    np.take(sigma.ravel(), cells, out=blocks)
+    sums = _leading_sums(blocks)[local, lengths - 1]
+    # w[f, i]: the members of family f longer than i, a suffix sum of their lengths
+    ends = np.bincount(local * (length + 1) + lengths, minlength=m * (length + 1))
+    w = np.cumsum(ends.reshape(m, length + 1)[:, ::-1], axis=1)[:, -2::-1]
+    u = np.linalg.inv(np.linalg.cholesky(blocks))
+    np.matmul(u.transpose(0, 2, 1) * w[:, None, :], u, out=blocks)
     return sums
+
+
+def _first_singular(ds: TripDataset, cov: CovarianceModel) -> np.linalg.LinAlgError | None:
+    """The error naming the first trip, by route length and then id, whose
+    sigma block is singular, or None when no block is.
+
+    A block is singular when its route is longer than cov.rank or when the
+    Cholesky factorisation (LAPACK dpotrf) of its family's block fails at or
+    before its length.
+    """
+    rank = cov.rank
+    bad_trips, bad_lengths = [], []
+    for members, lengths, local, ids in ds._family_chunks():
+        ids = ids[:, :rank]
+        fail = np.full(ids.shape[0], rank + 1)
+        for f, block in enumerate(cov.sigma[ids[:, :, None], ids[:, None, :]]):
+            info = scipy.linalg.lapack.dpotrf(block, lower=1)[1]
+            if info > 0:
+                fail[f] = info
+        bad = lengths >= fail[local]
+        bad_trips.append(members[bad])
+        bad_lengths.append(lengths[bad])
+    trips, lengths = np.concatenate(bad_trips), np.concatenate(bad_lengths)
+    if not trips.size:
+        return None
+    first = np.lexsort((trips, lengths))[0]
+    return _singular_block(cov, int(trips[first]), int(lengths[first]))
 
 
 def _singular_block(cov: CovarianceModel, trip: int, length: int) -> np.linalg.LinAlgError:

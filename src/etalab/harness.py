@@ -223,7 +223,8 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     """Compute one sweep cell: exact average risks over fresh routes.
 
     The row's `stages` holds the seconds spent in each stage of the cell and
-    its `counters` the cell's trip count and, per route method, the mean and
+    its `counters` the cell's trip count, its distinct routes and route
+    families (`TripDataset._families`) and, per route method, the mean and
     smallest neighborhood and the number of routes that fell back to the
     prior (an empty neighborhood).
     """
@@ -244,7 +245,9 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
         cov.precision
     risks, sizes = _route_risks(cfg, model, predicting, stages)
     logs = np.log10(risks.mean(axis=1))
-    counters = {"n_hist": n_hist}
+    families = ds._families
+    counters = {"n_hist": n_hist, "distinct_routes": families.n_routes,
+                "route_families": families.n_families}
     for name, size in zip(("route", "route_grow"), sizes):
         counters[name] = {"neighborhood_mean": float(size.mean()),
                           "neighborhood_min": int(size.min()),

@@ -44,6 +44,14 @@ _RESAMPLE_CAP = 10 ** 6
 # small enough that a few chunks in flight stay far below the n x n arrays
 _BLOCK_BYTES = 4 * 2 ** 20
 
+# bytes of family blocks per chunk of TripDataset._family_chunks: the
+# information pass's worker threads keep each chunk's transients in malloc
+# arenas of their own, so the chunks stay small
+_FAMILY_BYTES = 2 ** 18
+
+# entries of `flat` per block of TripDataset._families' search for turns
+_TURN_BLOCK = 2 ** 20
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -193,6 +201,41 @@ def sample_trips(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
     return TripDataset._from_arrays(network, network.segment_table[vertex, code], offsets)
 
 
+@dataclass(frozen=True)
+class _RouteFamilies:
+    """Trips grouped into families of nested routes (`TripDataset._families`).
+
+    Every member of a family travels a leading prefix of the family's longest
+    route.  `order` lists the trips by family, and within a family from the
+    longest route down, ties in id order; family f's members are
+    order[bounds[f]:bounds[f + 1]], so its first member is its longest.  The
+    families are numbered by the length of their longest route, then by key.
+    A distinct route is a (family, length) pair, and there are `n_routes`.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    n_routes: int
+
+    @property
+    def n_families(self) -> int:
+        return self.bounds.size - 1
+
+    @property
+    def longest(self) -> np.ndarray:
+        """Per family, its longest member (the lowest id among the longest)."""
+        return self.order[self.bounds[:-1]]
+
+
+def _leading_sums(blocks: np.ndarray) -> np.ndarray:
+    """(m, L) sums of the leading principal blocks of symmetric (m, L, L)
+    blocks B: entry l - 1 is 1' B[:l, :l] 1, the running sum over i < l of
+    B[i, i] + 2 sum_{j<i} B[i, j]."""
+    diag = np.arange(blocks.shape[-1])
+    rows = np.cumsum(blocks, axis=2)[:, diag, diag]
+    return np.cumsum(2.0 * rows - blocks[:, diag, diag], axis=1)
+
+
 class TripDataset:
     """Historical trips over one network, with counters for the estimators.
 
@@ -293,6 +336,106 @@ class TripDataset:
         order = np.argsort(keys, kind="stable")
         return keys[order], order
 
+    @cached_property
+    def _families(self) -> _RouteFamilies:
+        """The trips' route families, derived from `flat` and `offsets`.
+
+        A route with at most one turn is keyed by its first segment, the
+        position P where its final straight run starts (0 for a straight
+        route) and the segment at P.  The key fixes the route up to P and the
+        direction after it, so routes with one key are prefixes of one
+        another.  A route with two or more turns (only a store read from
+        JSONL has one) has no such key: its family holds the trips of that
+        very route.  Directions come from one int8 per entry of `flat`, read
+        in blocks of _TURN_BLOCK entries; only the turns' positions are kept
+        as integers.
+        """
+        flat, offsets, n_seg = self.flat, self.offsets, self.network.n_segments
+        n = self.n_trips
+        length = np.diff(offsets)
+        # the direction code of each segment: ids run over the table row-major
+        heading = np.nonzero(self.network.segment_table >= 0)[1].astype(np.int8)
+        # the turns, found in blocks of `flat` so that the int8 steps stay
+        # small: step i of a block compares entries a + i and a + i + 1
+        turns = [np.zeros(0, dtype=np.int64)]
+        for a in range(0, flat.size - 1, _TURN_BLOCK):
+            b = min(a + _TURN_BLOCK, flat.size - 1)
+            step = np.diff(heading[flat[a:b + 1]])
+            # from one trip's last entry to the next's first
+            step[offsets[np.searchsorted(offsets, a + 1):np.searchsorted(offsets, b + 1)]
+                 - (a + 1)] = 0
+            turns.append(np.flatnonzero(step) + (a + 1))
+        turn = np.concatenate(turns)
+        del turns
+        trip = np.searchsorted(offsets, turn, side="right")
+        trip -= 1
+        turn -= offsets[trip]
+        last = np.zeros(n, dtype=np.int64)
+        np.maximum.at(last, trip, turn)
+        multi = np.flatnonzero(np.bincount(trip, minlength=n) >= 2)
+        del turn, trip
+        top = int(length.max(initial=1)) * n_seg
+        key = flat[offsets[:-1] + last]
+        last *= n_seg
+        key += last
+        del last
+        key += flat[offsets[:-1]] * top
+        if multi.size:
+            # past every one-turn key: one key per distinct route, its first trip
+            seen: dict[bytes, int] = {}
+            first = [seen.setdefault(flat[offsets[t]:offsets[t + 1]].tobytes(), t)
+                     for t in multi.tolist()]
+            key[multi] = top * n_seg + np.array(first)
+        # by key, then longest first, then id
+        order = np.lexsort((-length, key))
+        key = key[order]
+        new_family = np.ones(n, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new_family[1:])
+        del key
+        # a distinct route starts at the first trip and wherever the family or
+        # the length changes
+        sorted_length = length[order]
+        new_route = sorted_length[1:] != sorted_length[:-1]
+        del sorted_length
+        new_route |= new_family[1:]
+        n_routes = int(np.count_nonzero(new_route)) + min(n, 1)
+        # renumber the families by the length of their longest route, then by key
+        starts = np.flatnonzero(new_family)
+        size = np.diff(np.r_[starts, n])
+        by_length = np.argsort(length[order[starts]], kind="stable")
+        order = order[_ranges(starts[by_length], size[by_length])]
+        return _RouteFamilies(order=order, bounds=np.r_[0, np.cumsum(size[by_length])],
+                              n_routes=n_routes)
+
+    def _family_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
+                                               np.ndarray]]:
+        """Families in chunks: (members, lengths, local, ids).
+
+        Per chunk of m families whose longest routes have one length L: the
+        (m, L) segment ids `ids` of those routes, the families' member trips
+        in `_families.order`, their route lengths, and the row of `ids` that
+        each member belongs to (`local`).  Chunks walk the lengths in
+        increasing order and the families in order, and hold at most
+        _FAMILY_BYTES of float64 (L, L) blocks (one family's when that alone
+        is larger).
+        """
+        fam = self._families
+        offsets = self.offsets
+        longest = fam.longest
+        flen = offsets[longest + 1] - offsets[longest]
+        # the families come sorted by flen: one run of families per length
+        firsts = np.flatnonzero(np.diff(flen, prepend=0))
+        for a, b in zip(firsts, np.r_[firsts[1:], flen.size]):
+            length = int(flen[a])
+            rows = max(1, _FAMILY_BYTES // (8 * length * length))
+            span = np.arange(length)
+            for f in range(a, b, rows):
+                g = min(f + rows, b)
+                members = fam.order[fam.bounds[f]:fam.bounds[g]]
+                local = np.repeat(np.arange(g - f), np.diff(fam.bounds[f:g + 1]))
+                yield (members, offsets[members + 1] - offsets[members], local,
+                       self.flat[offsets[longest[f:g], None] + span])
+
     def _sigma_blocks(self, cov: CovarianceModel, select: np.ndarray | None = None
                       ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Trips' covariance blocks in chunks: (trips, pos, ids, blocks).
@@ -350,10 +493,13 @@ class TripDataset:
         return np.bincount(self.flat[entries], minlength=self.network.n_segments)
 
     def quadratic_sums(self, cov: CovarianceModel) -> np.ndarray:
-        """Per-trip sums of covariance entries over the route's segment pairs."""
-        out = np.zeros(self.n_trips)
-        for trips, _, _, blocks in self._sigma_blocks(cov):
-            out[trips] = blocks.sum(axis=(1, 2))
+        """Per-trip sums of covariance entries over the route's segment pairs:
+        the leading-block sums of each route family's block."""
+        sigma = cov.sigma
+        out = np.empty(self.n_trips)
+        for members, lengths, local, ids in self._family_chunks():
+            sums = _leading_sums(sigma[ids[:, :, None], ids[:, None, :]])
+            out[members] = sums[local, lengths - 1]
         return out
 
     def segment_time_sums(self, center: float = 0.0) -> np.ndarray:

@@ -262,3 +262,21 @@ def test_rank_deficient_precision_raises():
     assert cov.rank == 3
     with pytest.raises(np.linalg.LinAlgError, match="rank 3 of 48"):
         cov.precision
+
+
+@pytest.mark.parametrize("p", [3, 10, 20])
+def test_diffusion_sigma_is_exactly_symmetric(p):
+    """The X X' product makes the diffusion kernel exactly symmetric, so it is
+    stored as built, with no symmetrising copy."""
+    graph = segment_graph(build_grid(p), rule=AdjacencyRule.CALIBRATED)
+    sigma = diffusion_covariance(graph, u=1.0, v=1.0, white=1.0).sigma
+    assert np.array_equal(sigma, sigma.T)
+
+
+def test_outside_sigma_is_checked_and_symmetrised():
+    sigma = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    cov = CovarianceModel(sigma)
+    assert np.array_equal(cov.sigma, cov.sigma.T)
+    assert cov.sigma[0, 1] == (0.5 + (0.5 + 1e-12)) / 2
+    with pytest.raises(ValueError, match="symmetric"):
+        CovarianceModel(np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from etalab import fixtures as fx
@@ -13,6 +14,7 @@ from etalab.harness import (
     GoldenRow,
     SweepConfig,
     SweepRow,
+    _cell_seed,
     emit_csv,
     emit_manifest,
     oracle_cases,
@@ -20,6 +22,8 @@ from etalab.harness import (
     run_examples,
     run_sweep,
 )
+from etalab.network import build_grid
+from etalab.trips import ODLaw, sample_trips
 
 
 def _tiny_config(**over):
@@ -169,6 +173,30 @@ def test_manifest_records_cell_stages_and_counters(tmp_path):
         [(r.grid_size, r.alpha) for r in rows]
     assert [c["stages"] for c in cells] == [r.stages for r in rows]
     assert [c["counters"] for c in cells] == [r.counters for r in rows]
+
+
+def _route_key(net, ids):
+    """A brute-force family key: for at most one turn, the first segment, the
+    start P of the last straight run and the segment at P; else the route."""
+    heading = [net.segment(s).direction for s in ids]
+    turns = [i for i in range(1, len(ids)) if heading[i] != heading[i - 1]]
+    if len(turns) > 1:
+        return ("route", ids)
+    start = turns[-1] if turns else 0
+    return (ids[0], start, ids[start])
+
+
+def test_run_cell_counts_distinct_routes_and_families():
+    cfg = _tiny_config(master_seed=3, exponents=(2.5,))
+    row = run_cell(cfg, 4, 2.5)
+    hist_ss, _ = _cell_seed(cfg, 4, 2.5).spawn(2)
+    net = build_grid(4)
+    ds = sample_trips(ODLaw(4, cfg.od_alpha), net, np.random.default_rng(hist_ss),
+                      math.ceil(4 ** 2.5))
+    routes = {r.segment_ids for r in ds.routes}
+    assert row.counters["distinct_routes"] == len(routes)
+    assert row.counters["route_families"] == len({_route_key(net, r) for r in routes})
+    assert row.counters["route_families"] < row.counters["distinct_routes"] < ds.n_trips
 
 
 def test_golden_row_formatting():

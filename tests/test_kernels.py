@@ -4,6 +4,8 @@ Every counter is derived from the sparse trip x segment incidence matrix; the
 references below loop over `ds.routes` one trip and one segment at a time.
 The trips' covariance blocks come from one chunked generator; its consumers
 are held to references that gather each whole route-length group at once.
+The information pass and the quadratic sums work one route family at a time;
+they are held to per-trip inverses and block sums.
 """
 import os
 from concurrent.futures import Future
@@ -13,11 +15,11 @@ import pytest
 
 from conftest import random_fixture
 from etalab import estimators, harness, trips
-from etalab.covariance import CovarianceModel, gram_covariance
+from etalab.covariance import CovarianceModel, diffusion_covariance, gram_covariance
 from etalab.estimators import PosteriorModel, predict_bayes_optimal
-from etalab.network import build_grid
+from etalab.network import AdjacencyRule, build_grid, segment_graph
 from etalab.risk import mc_risk, risk_optimal
-from etalab.trips import (NeighborhoodSpec, ODLaw, PriorSpec, TripDataset,
+from etalab.trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
                           resolve_neighborhood, sample_routes, sample_trips,
                           synthesize_times)
 
@@ -119,10 +121,12 @@ def test_information_matrix_matches_loop(seed):
     expect = _loop_information(ds, sigma) + np.eye(len(sigma)) / fx.prior.tau2
     got = _factored_q(PosteriorModel(ds, fx.cov, fx.prior))
     assert np.allclose(got, expect, rtol=0, atol=1e-10)
-    # a budget below one block gives one-trip chunks
+    # a budget below one block gives one-trip chunks, and one-family chunks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trips, "_BLOCK_BYTES", 1)
+        mp.setattr(trips, "_FAMILY_BYTES", 1)
         assert all(t.size == 1 for t, *_ in ds._sigma_blocks(fx.cov))
+        assert all(ids.shape[0] == 1 for *_, ids in ds._family_chunks())
         got = _factored_q(PosteriorModel(ds, fx.cov, fx.prior))
     assert np.allclose(got, expect, rtol=0, atol=1e-10)
 
@@ -236,9 +240,8 @@ def _many_trips(seed, n_trips=400):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_information_pass_independent_of_threads(seed, monkeypatch):
     fx = _many_trips(seed)
-    monkeypatch.setattr(trips, "_BLOCK_BYTES", 2048)
-    monkeypatch.setattr(estimators, "_INV_BYTES", 1024)
-    assert sum(1 for _ in fx.ds._sigma_blocks(fx.cov)) > 20
+    monkeypatch.setattr(trips, "_FAMILY_BYTES", 1024)
+    assert sum(1 for _ in fx.ds._family_chunks()) > 20
     models = []
     for threads in (1, 2, 3):
         monkeypatch.setattr(estimators, "_THREADS", threads)
@@ -410,10 +413,144 @@ def test_route_longer_than_rank_raises(seed):
 
 
 def test_indefinite_information_matrix_names_the_rank(monkeypatch):
-    # without the rank check, seed 500's inverted blocks make Q indefinite
     fx = random_fixture(500, with_times=True)
     monkeypatch.setattr(CovarianceModel, "rank", property(lambda self: self.n_segments))
     n = fx.net.n_segments
+    # without the rank check, the family factors still reject seed 500's
+    # singular blocks and name the first such trip
+    match = rf"sigma block of trip \d+ \(route length \d+\) is singular: covariance rank {n} of {n}"
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        PosteriorModel(fx.ds, fx.cov, fx.prior)
+    # an indefinite Q from the pass is named by cho_factor's re-raise
+    monkeypatch.setattr(estimators, "_information",
+                        lambda ds, cov, tau2: (-np.eye(n, order="F"), np.zeros(ds.n_trips)))
     match = rf"W \+ I/tau2 is not positive definite \(.*\): covariance rank {n} of {n}"
     with pytest.raises(np.linalg.LinAlgError, match=match):
         PosteriorModel(fx.ds, fx.cov, fx.prior)
+
+
+# ---------------------------------------------------------------------------
+# route families
+
+
+def _two_turn_store(tmp_path):
+    """A JSONL store on a 4-grid: two two-turn paths A and B with the same
+    first segment, P = 4 and segment at P, a copy of A, an L that A's first
+    four segments nest, a prefix of that L and a straight prefix."""
+    net = build_grid(4)
+    paths = [
+        [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 3)],  # A: R R D D R
+        [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)],  # B: R D R D R
+        [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 3)],  # A again
+        [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)],          # R R D D
+        [(0, 0), (0, 1), (0, 2), (1, 2)],                  # R R D
+        [(0, 0), (0, 1), (0, 2)],                          # R R
+    ]
+    path = tmp_path / "trips.jsonl"
+    TripDataset(net, [Route.from_vertices(net, v) for v in paths]).to_jsonl(path)
+    return TripDataset.from_jsonl(net, path)
+
+
+def _family_of(fam):
+    """Per trip, its family."""
+    family = np.empty(fam.order.size, dtype=np.int64)
+    family[fam.order] = np.repeat(np.arange(fam.n_families), np.diff(fam.bounds))
+    return family
+
+
+def _stores(tmp_path):
+    sampled = _many_trips(0)
+    yield "sampled", sampled.ds, sampled.cov
+    fx = _fixture(7)
+    yield "fixture", fx.ds, fx.cov
+    jsonl = _two_turn_store(tmp_path)
+    graph = segment_graph(jsonl.network, rule=AdjacencyRule.CALIBRATED)
+    yield "jsonl", jsonl, diffusion_covariance(graph, u=1.0, v=1.0, white=0.5)
+
+
+def test_family_members_are_prefixes_of_the_longest(tmp_path):
+    for _, ds, _ in _stores(tmp_path):
+        fam = ds._families
+        family = _family_of(fam)
+        assert sorted(fam.order.tolist()) == list(range(ds.n_trips))
+        for trip, route in enumerate(ds.routes):
+            longest = ds.routes[fam.longest[family[trip]]].segment_ids
+            assert longest[:len(route)] == route.segment_ids
+        # each family lists its members longest first, ties in id order
+        lengths = np.diff(ds.offsets)
+        for f in range(fam.n_families):
+            members = fam.order[fam.bounds[f]:fam.bounds[f + 1]]
+            assert np.all(family[members] == f)
+            assert [(-lengths[t], t) for t in members] == sorted(
+                (-lengths[t], t) for t in members)
+
+
+def test_distinct_routes_are_family_length_pairs(tmp_path):
+    for _, ds, _ in _stores(tmp_path):
+        assert ds._families.n_routes == len({r.segment_ids for r in ds.routes})
+    ds = sample_trips(ODLaw(6, 0.7), build_grid(6), np.random.default_rng(11), 5000)
+    routes = {r.segment_ids for r in ds.routes}
+    assert ds._families.n_routes == len(routes) < ds.n_trips
+
+
+def test_two_turn_paths_keep_their_own_families(tmp_path):
+    ds = _two_turn_store(tmp_path)
+    family = _family_of(ds._families)
+    a, b, a_again, l_shape, l_prefix, straight = family
+    assert a != b
+    assert a == a_again
+    assert l_shape == l_prefix
+    assert len({a, b, l_shape, straight}) == 4
+    assert ds._families.n_families == 4
+
+
+def test_family_index_independent_of_turn_blocks(tmp_path, monkeypatch):
+    for _, ds, _ in _stores(tmp_path):
+        fam = ds._families
+        for block in (1, 2, 5, 64):
+            monkeypatch.setattr(trips, "_TURN_BLOCK", block)
+            again = TripDataset._from_arrays(ds.network, ds.flat, ds.offsets)._families
+            assert np.array_equal(again.order, fam.order)
+            assert np.array_equal(again.bounds, fam.bounds)
+            assert again.n_routes == fam.n_routes
+
+
+def test_family_chunks_cover_each_trip_once(tmp_path, monkeypatch):
+    for budget in (1, 1024, _WHOLE_GROUPS):
+        monkeypatch.setattr(trips, "_FAMILY_BYTES", budget)
+        for _, ds, _ in _stores(tmp_path):
+            seen, lengths = [], []
+            for members, lens, local, ids in ds._family_chunks():
+                assert ids.shape[0] * ids.shape[1] ** 2 * 8 <= budget or ids.shape[0] == 1
+                assert np.array_equal(lens, np.diff(ds.offsets)[members])
+                # every member travels a prefix of its row's route
+                for t, row in zip(members, local):
+                    r = ds.routes[t].segment_ids
+                    assert tuple(ids[row, :len(r)]) == r
+                assert np.array_equal(np.unique(local), np.arange(ids.shape[0]))
+                seen.extend(members.tolist())
+                lengths.append(ids.shape[1])
+            assert sorted(seen) == list(range(ds.n_trips))
+            assert lengths == sorted(lengths)
+
+
+def _per_trip_information(ds, cov, tau2):
+    """Q = sum over trips of inv(sigma[r, r]) in (r, r), plus I/tau2, and the
+    per-trip block sums, one trip at a time."""
+    q = np.eye(cov.n_segments) / tau2
+    sums = np.zeros(ds.n_trips)
+    for t, r in enumerate(ds.routes):
+        block = cov.block(r.segment_ids)
+        q[np.ix_(r.segment_ids, r.segment_ids)] += np.linalg.inv(block)
+        sums[t] = block.sum()
+    return q, sums
+
+
+def test_family_pass_matches_per_trip_inverses(tmp_path):
+    tau2 = 0.7
+    for name, ds, cov in _stores(tmp_path):
+        expect_q, expect_sums = _per_trip_information(ds, cov, tau2)
+        q, sums = estimators._information(ds, cov, tau2)
+        assert np.max(np.abs(q - expect_q)) <= 1e-13 * np.max(np.abs(expect_q)), name
+        assert np.max(np.abs(sums - expect_sums)) <= 1e-15 * np.max(np.abs(expect_sums)), name
+        assert np.array_equal(ds.quadratic_sums(cov), sums)
