@@ -21,8 +21,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from .network import SegmentGraph
+from .network import SYMMETRIES, SegmentGraph
 
 __all__ = [
     "CovarianceModel",
@@ -38,16 +39,21 @@ PSD_RTOL = 1e-8
 
 
 def normalized_laplacian(graph: SegmentGraph) -> np.ndarray:
-    """The symmetric normalized Laplacian D^{-1/2} (D - A) D^{-1/2} of a segment graph."""
+    """The symmetric normalized Laplacian D^{-1/2} (D - A) D^{-1/2} of a segment graph.
+
+    Off the diagonal it is -A o (s s'), s = d^{-1/2}, formed in one n x n
+    array: s_i s_j == s_j s_i, so a symmetric A gives an exactly symmetric L.
+    """
     a = graph.adjacency
     d = a.sum(axis=1)
     if np.any(d <= 0):
         bad = int(np.argmin(d))
         raise ValueError(f"segment {bad} has zero adjacency degree; cannot normalize")
     inv_sqrt = 1.0 / np.sqrt(d)
-    lap = -a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    lap = np.multiply.outer(-inv_sqrt, inv_sqrt)
+    lap *= a
     np.fill_diagonal(lap, 1.0)
-    return (lap + lap.T) / 2.0
+    return lap
 
 
 class CovarianceModel:
@@ -208,23 +214,89 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
         # exp(0) is the identity; keep it bit-exact rather than round-tripped
         # through an eigendecomposition
         return CovarianceModel((u + white) * np.eye(n), meta=meta)
-    # sigma is allocated ahead of the eigendecomposition's n x n arrays, so
-    # that freeing them leaves no hole in the heap under it: made after them,
-    # it kept about 22 MB more resident after a p=20 build
+    symmetries = graph.network.symmetries
+    _check_invariant(graph.adjacency, symmetries)
+    # sigma and X are allocated ahead of the build's other arrays: once L
+    # is freed, glibc raises its mmap threshold to L's size, and an X made
+    # after that came from the heap and stayed resident when freed (25 MB
+    # more after a p=20 build)
     sigma = np.empty((n, n))
-    evals, evecs = np.linalg.eigh(normalized_laplacian(graph))
-    heat = np.exp(-v * evals)
-    # sigma = V diag(u e^{-v lambda} + white) V', so L's eigh gives its spectrum
-    eigenvalues = np.sort(u * heat + white)
-    # X = V diag(e^{-v lambda / 2}) in place; numpy runs X @ X.T as one
-    # symmetric rank-k update, so the kernel comes out exactly symmetric
-    # and CovarianceModel stores it with no symmetrising copy
-    evecs *= np.sqrt(heat)
-    np.matmul(evecs, evecs.T, out=sigma)
-    del evecs
+    x = np.empty((n, n))
+    lap = normalized_laplacian(graph)
+    # L commutes with the involutions, so B_j' L B_k = 0 for j != k and
+    # L = sum_k B_k E_k diag(lambda_k) E_k' B_k' from one eigh per block;
+    # X = [B_k E_k diag(e^{-v lambda_k / 2})] gives sigma = u X X' + white I
+    heat = []
+    col = 0
+    for b in _symmetry_blocks(symmetries):
+        evals, evecs = np.linalg.eigh(b.T @ (b.T @ lap).T)
+        heat.append(np.exp(-v * evals))
+        x[:, col:col + evals.size] = b @ (evecs * np.sqrt(heat[-1]))
+        col += evals.size
+    del lap
+    # sigma's spectrum is the union of the blocks' u e^{-v lambda} + white
+    eigenvalues = np.sort(u * np.concatenate(heat) + white)
+    # numpy runs X @ X.T as one symmetric rank-k update, so the kernel comes
+    # out exactly symmetric and CovarianceModel stores it with no symmetrising copy
+    np.matmul(x, x.T, out=sigma)
+    del x
     sigma *= u
     sigma[np.diag_indices(n)] += white
     return CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
+
+
+def _check_invariant(adjacency: np.ndarray, symmetries: np.ndarray) -> None:
+    """Raise ValueError unless the adjacency is symmetric and invariant under
+    every involution; reads only its nonzero entries.
+
+    A permutation that maps every nonzero entry onto an equal entry maps
+    the zeros onto zeros too, since it permutes the pairs.
+    """
+    flat = np.flatnonzero(adjacency)
+    i, j = np.divmod(flat, adjacency.shape[1])
+    w = adjacency.ravel()[flat]
+    if not np.array_equal(adjacency[j, i], w):
+        raise ValueError("the segment adjacency is not symmetric")
+    for name, perm in zip(SYMMETRIES, symmetries):
+        if not np.array_equal(adjacency[perm[i], perm[j]], w):
+            raise ValueError(f"the segment adjacency is not invariant under the grid's "
+                             f"{name}, so the symmetry split of its Laplacian does not hold")
+
+
+def _symmetry_blocks(symmetries: np.ndarray) -> list[scipy.sparse.csc_matrix]:
+    """The nonempty blocks B_k of an orthonormal basis that block-diagonalises
+    every matrix commuting with the involutions in `symmetries`.
+
+    The involutions commute and generate the group Z2^3, whose element b
+    applies involution t for each bit t set in b.  Block k holds one column
+    per orbit, the projection sum_b chi_k(b) e_{b(r)} of the orbit's smallest
+    segment r under the character chi_k(b) = (-1)^popcount(k & b).  It is
+    zero when chi_k is not 1 on the stabiliser H of r; otherwise each orbit
+    member gets |H| chi_k(b) and the column's norm is sqrt(8 |H|).
+    """
+    n = symmetries.shape[1]
+    images = np.empty((8, n), dtype=np.intp)
+    images[0] = np.arange(n)
+    for b in range(1, 8):
+        top = b.bit_length() - 1
+        images[b] = symmetries[top][images[b - (1 << top)]]
+    reps = np.unique(images.min(axis=0))
+    orbits = images[:, reps]
+    parity = np.array([bin(x).count("1") % 2 for x in range(8)])
+    chi = 1 - 2 * parity[np.bitwise_and.outer(np.arange(8), np.arange(8))]
+    # sum over the stabiliser of chi_k: |H| or 0, for each character and orbit
+    stabiliser = chi @ (orbits == reps)
+    blocks = []
+    for k in range(8):
+        keep = np.nonzero(stabiliser[k])[0]
+        if keep.size == 0:
+            continue
+        values = chi[k][:, None] / np.sqrt(8.0 * stabiliser[k, keep])
+        cols = np.broadcast_to(np.arange(keep.size), values.shape)
+        # a member reached by several group elements sums their entries
+        blocks.append(scipy.sparse.csc_matrix(
+            (values.ravel(), (orbits[:, keep].ravel(), cols.ravel())), shape=(n, keep.size)))
+    return blocks
 
 
 class FeatureLaw:

@@ -427,6 +427,7 @@ class PosteriorModel:
     positions of trip route r.  It is built one route family at a time
     (`_information`), and the same pass gives `quadratic_sums`, the per-trip
     sums of sigma[r, r], equal to `TripDataset.quadratic_sums`.
+    `q_rcond` is LAPACK's estimate of 1 / cond_1(Q), from Q's Cholesky factor.
     """
 
     def __init__(self, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec):
@@ -434,6 +435,9 @@ class PosteriorModel:
         self.cov = cov
         self.prior = prior
         q, self.quadratic_sums = _information(ds, cov, prior.tau2)
+        # Q's 1-norm before cho_factor overwrites it; Q is in Fortran order,
+        # so dlange reads it in place
+        q_norm = scipy.linalg.lapack.dlange("1", q)
         try:
             self._cho = scipy.linalg.cho_factor(q, lower=True, overwrite_a=True,
                                                 check_finite=False)
@@ -441,6 +445,10 @@ class PosteriorModel:
             raise np.linalg.LinAlgError(
                 f"W + I/tau2 is not positive definite ({err}): covariance rank "
                 f"{cov.rank} of {cov.n_segments}") from None
+        rcond, info = scipy.linalg.lapack.dpocon(self._cho[0], q_norm, uplo="L")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpocon failed with info {info}")
+        self.q_rcond = float(rcond)
 
     def weight_vector(self, y) -> np.ndarray:
         """g solving (W + I / tau2) g = indicator(y)."""

@@ -224,9 +224,11 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
 
     The row's `stages` holds the seconds spent in each stage of the cell and
     its `counters` the cell's trip count, its distinct routes and route
-    families (`TripDataset._families`) and, per route method, the mean and
-    smallest neighborhood and the number of routes that fell back to the
-    prior (an empty neighborhood).
+    families (`TripDataset._families`), the numerical health of the cell
+    (`q_rcond`, the reciprocal 1-norm condition estimate of W + I/tau2, and
+    `sigma_condition`, sigma's lambda_max / lambda_min) and, per route
+    method, the mean and smallest neighborhood and the number of routes that
+    fell back to the prior (an empty neighborhood).
     """
     stages: dict[str, float] = {}
     net = build_grid(p)
@@ -247,7 +249,8 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     logs = np.log10(risks.mean(axis=1))
     families = ds._families
     counters = {"n_hist": n_hist, "distinct_routes": families.n_routes,
-                "route_families": families.n_families}
+                "route_families": families.n_families, "q_rcond": model.q_rcond,
+                "sigma_condition": float(cov.eigenvalues[-1] / cov.eigenvalues[0])}
     for name, size in zip(("route", "route_grow"), sizes):
         counters[name] = {"neighborhood_mean": float(size.mean()),
                           "neighborhood_min": int(size.min()),

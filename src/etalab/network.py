@@ -25,6 +25,7 @@ __all__ = [
     "AdjacencyRule",
     "PAIR_CLASSES",
     "CALIBRATED_CLASS_WEIGHTS",
+    "SYMMETRIES",
     "build_grid",
     "classify_pair",
     "segment_graph",
@@ -56,6 +57,10 @@ class Segment:
 
 # Step directions (di, dj), in the canonical order of a vertex's outgoing segments.
 DIRECTIONS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+# The grid's three commuting involutions, in the row order of
+# `RoadNetwork.symmetries`; every adjacency rule is invariant under each.
+SYMMETRIES = ("reflection in i", "reflection in j", "reversal")
 
 
 class RoadNetwork:
@@ -97,6 +102,23 @@ class RoadNetwork:
     def vertices(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.p + 1) for j in range(self.p + 1)]
 
+    @cached_property
+    def symmetries(self) -> np.ndarray:
+        """(3, n_segments) segment-id permutations, one per name in SYMMETRIES.
+
+        Row k maps each segment id to the id of its image under the k-th
+        involution of the grid; each row is one `segment_table` lookup.
+        """
+        ti, tj, hi, hj = self.endpoints.T
+        direction = np.nonzero(self.segment_table >= 0)[1]
+        width = self.p + 1
+        # reflection in i swaps DIRECTIONS 0 and 3, reflection in j swaps 1
+        # and 2, and the reverse leaves the head in direction 3 - d
+        return np.stack((
+            self.segment_table[(self.p - ti) * width + tj, np.array([3, 1, 2, 0])[direction]],
+            self.segment_table[ti * width + self.p - tj, np.array([0, 2, 1, 3])[direction]],
+            self.segment_table[hi * width + hj, 3 - direction]))
+
     def segment(self, seg_id: int) -> Segment:
         return self.segments[seg_id]
 
@@ -107,8 +129,7 @@ class RoadNetwork:
         return int(self.segment_table[tail[0] * (self.p + 1) + tail[1], DIRECTIONS.index(step)])
 
     def reverse_id(self, seg_id: int) -> int:
-        ti, tj, hi, hj = self.endpoints[seg_id].tolist()
-        return self.segment_id((hi, hj), (ti, tj))
+        return int(self.symmetries[2][seg_id])
 
     def out_segments(self, vertex: tuple[int, int]) -> tuple[int, ...]:
         i, j = vertex
@@ -270,9 +291,8 @@ def _class_adjacency(network: RoadNetwork, weights: Mapping[str, float]) -> np.n
     in one pass over `endpoints` whatever the grid size.
     """
     ends, table = network.endpoints, network.segment_table
-    # the segment entering a vertex from direction d is the reverse of the one
-    # leaving it in direction d, which leaves that one's head in direction 3 - d
-    reverse = table[ends[:, 2] * (network.p + 1) + ends[:, 3], 3 - np.nonzero(table >= 0)[1]]
+    # the segments entering a vertex are the reverses of those leaving it
+    reverse = network.symmetries[2]
     incident = np.hstack((table, np.where(table >= 0, reverse[table], -1)))
     x, y = np.triu_indices(incident.shape[1], k=1)
     i, j = incident[:, x].ravel(), incident[:, y].ravel()

@@ -3,10 +3,12 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from etalab.covariance import (
     CovarianceModel,
     FeatureLaw,
+    _symmetry_blocks,
     assumption_diagnostics,
     diffusion_covariance,
     explicit_covariance,
@@ -228,8 +230,11 @@ def test_one_eigen_solve_per_construction(monkeypatch):
     n = graph.network.n_segments
     calls = _count_calls(monkeypatch)
     diffusion_covariance(graph, u=1.0, v=1.0, white=0.5)
-    # the Laplacian's eigh is the only solve; sigma's spectrum follows from it
-    assert calls == [("eigh", (n, n))]
+    # one eigh per symmetry block of the Laplacian, none of them n x n; sigma's
+    # spectrum follows from theirs
+    assert calls and all(name == "eigh" for name, _ in calls)
+    assert all(shape[0] < n for _, shape in calls)
+    assert sum(shape[0] for _, shape in calls) == n
     for build in (lambda: gram_covariance(n, 3), negcov_covariance,
                   lambda: diffusion_covariance(graph, v=0.0)):
         calls.clear()
@@ -271,6 +276,77 @@ def test_diffusion_sigma_is_exactly_symmetric(p):
     graph = segment_graph(build_grid(p), rule=AdjacencyRule.CALIBRATED)
     sigma = diffusion_covariance(graph, u=1.0, v=1.0, white=1.0).sigma
     assert np.array_equal(sigma, sigma.T)
+
+
+def _dense_diffusion(graph, u, v, white):
+    """The heat kernel and its spectrum from one dense eigh of the Laplacian."""
+    evals, evecs = np.linalg.eigh(normalized_laplacian(graph))
+    heat = np.exp(-v * evals)
+    sigma = u * (evecs * heat) @ evecs.T + white * np.eye(len(evals))
+    return sigma, np.sort(u * heat + white)
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_blocked_diffusion_matches_dense_eigh(p):
+    net = build_grid(p)
+    for rule in AdjacencyRule.ALL:
+        graph = segment_graph(net, rule=rule)
+        for u, v, white in [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (0.7, 3.0, 1.0), (1.5, 10.0, 0.0)]:
+            cov = diffusion_covariance(graph, u=u, v=v, white=white)
+            sigma, eigenvalues = _dense_diffusion(graph, u, v, white)
+            scale = max(1.0, float(np.abs(sigma).max()))
+            assert np.max(np.abs(cov.sigma - sigma)) <= 1e-14 * scale
+            assert np.max(np.abs(cov.eigenvalues - eigenvalues)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 10])
+def test_symmetry_basis_is_orthonormal(p):
+    net = build_grid(p)
+    blocks = _symmetry_blocks(net.symmetries)
+    basis = scipy.sparse.hstack(blocks).toarray()
+    assert basis.shape == (net.n_segments, net.n_segments)
+    assert np.max(np.abs(basis.T @ basis - np.eye(net.n_segments))) <= 1e-14
+    assert all(np.diff(b.indptr).max() <= 8 for b in blocks)
+    # each block is invariant: L maps it into itself
+    lap = normalized_laplacian(segment_graph(net))
+    for a, b in enumerate(blocks):
+        for c in blocks[a + 1:]:
+            assert np.max(np.abs(b.T @ (lap @ c.toarray()))) <= 1e-14
+
+
+def test_edited_adjacency_fails_the_invariance_check():
+    net = build_grid(3)
+    graph = segment_graph(net)
+    s = net.segment_id((0, 0), (0, 1))
+    t = net.segment_id((0, 1), (0, 2))
+    # one straight pair, doubled in both directions: symmetric, but not
+    # matched by its mirror image in i
+    graph.adjacency[s, t] = graph.adjacency[t, s] = 2.0
+    with pytest.raises(ValueError, match="reflection in i"):
+        diffusion_covariance(graph)
+    graph.adjacency[s, t] = 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        diffusion_covariance(graph)
+    # the same edit at all four mirror images: only the reversal breaks
+    graph = segment_graph(net)
+    reflect_i, reflect_j, _ = net.symmetries
+    for perm in (np.arange(net.n_segments), reflect_i, reflect_j, reflect_i[reflect_j]):
+        graph.adjacency[perm[s], perm[t]] = graph.adjacency[perm[t], perm[s]] = 2.0
+    with pytest.raises(ValueError, match="reversal"):
+        diffusion_covariance(graph)
+
+
+@pytest.mark.parametrize("p", [2, 5, 20])
+def test_laplacian_is_exactly_symmetric(p):
+    rng = np.random.default_rng(p)
+    a = rng.uniform(0.0, 1.0, size=(40, 40))
+    a = np.triu(a, 1)
+    a += a.T
+    lap = normalized_laplacian(_StubGraph(a))
+    assert np.array_equal(lap, lap.T)
+    for rule in AdjacencyRule.ALL:
+        lap = normalized_laplacian(segment_graph(build_grid(p), rule=rule))
+        assert np.array_equal(lap, lap.T)
 
 
 def test_outside_sigma_is_checked_and_symmetrised():

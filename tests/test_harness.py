@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from etalab import fixtures as fx
+from etalab.estimators import PosteriorModel
 from etalab.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -15,6 +16,7 @@ from etalab.harness import (
     SweepConfig,
     SweepRow,
     _cell_seed,
+    _sweep_covariance,
     emit_csv,
     emit_manifest,
     oracle_cases,
@@ -23,7 +25,7 @@ from etalab.harness import (
     run_sweep,
 )
 from etalab.network import build_grid
-from etalab.trips import ODLaw, sample_trips
+from etalab.trips import ODLaw, PriorSpec, sample_trips
 
 
 def _tiny_config(**over):
@@ -184,6 +186,20 @@ def _route_key(net, ids):
         return ("route", ids)
     start = turns[-1] if turns else 0
     return (ids[0], start, ids[start])
+
+
+def test_run_cell_reports_condition_numbers():
+    cfg = _tiny_config(master_seed=3, exponents=(2.5,))
+    row = run_cell(cfg, 4, 2.5)
+    cov = _sweep_covariance(4, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
+    assert row.counters["sigma_condition"] == pytest.approx(np.linalg.cond(cov.sigma),
+                                                            rel=1e-10)
+    hist_ss, _ = _cell_seed(cfg, 4, 2.5).spawn(2)
+    ds = sample_trips(ODLaw(4, cfg.od_alpha), build_grid(4), np.random.default_rng(hist_ss),
+                      math.ceil(4 ** 2.5))
+    chol = np.tril(PosteriorModel(ds, cov, PriorSpec(cfg.mu, cfg.tau2))._cho[0])
+    exact = 1.0 / np.linalg.cond(chol @ chol.T, 1)
+    assert exact / 10.0 <= row.counters["q_rcond"] <= exact * 10.0
 
 
 def test_run_cell_counts_distinct_routes_and_families():

@@ -131,6 +131,15 @@ def test_information_matrix_matches_loop(seed):
     assert np.allclose(got, expect, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("seed", [7, 8])
+def test_q_rcond_estimates_the_condition_of_q(seed):
+    fx = _fixture(seed)
+    q = _loop_information(fx.ds, fx.cov.sigma) + np.eye(fx.net.n_segments) / fx.prior.tau2
+    exact = 1.0 / np.linalg.cond(q, 1)
+    rcond = PosteriorModel(fx.ds, fx.cov, fx.prior).q_rcond
+    assert exact / 10.0 <= rcond <= exact * 10.0
+
+
 def test_posterior_keeps_one_square_matrix():
     fx = _fixture(13)
     model = PosteriorModel(fx.ds, fx.cov, fx.prior)

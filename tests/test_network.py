@@ -8,6 +8,7 @@ from etalab.network import (
     PAIR_CLASSES,
     AdjacencyRule,
     CALIBRATED_CLASS_WEIGHTS,
+    SYMMETRIES,
     RoadNetwork,
     Segment,
     build_grid,
@@ -80,6 +81,23 @@ def test_segment_lookups_roundtrip(p):
     for tail, head in (((p, p), (p + 1, p)), ((0.5, 0), (1.5, 0)), ((0, 0.0), (0, 1.0))):
         with pytest.raises(KeyError):
             net.segment_id(tail, head)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_symmetries_map_segments_to_their_images(p):
+    net = build_grid(p)
+    images = (lambda a, b: (p - a, b), lambda a, b: (a, p - b))
+    for sid, seg in enumerate(net.segments):
+        for flip, perm in zip(images, net.symmetries[:2]):
+            assert net.segment(perm[sid]) == Segment(flip(*seg.tail), flip(*seg.head))
+        assert net.segment(net.symmetries[2][sid]) == seg.reversed()
+    for perm in net.symmetries:
+        assert np.array_equal(perm[perm], np.arange(net.n_segments))
+    # the three involutions commute
+    for a in net.symmetries:
+        for b in net.symmetries:
+            assert np.array_equal(a[b], b[a])
+    assert len(SYMMETRIES) == len(net.symmetries)
 
 
 def test_segment_ordering_is_canonical(grid3):
