@@ -3,10 +3,11 @@
 Runs `harness.run_cell` on the p=10, k=3 smoke cell, the p=20, k=4 headline
 cell and the p=30, k=4 cell (master seed 0, default SweepConfig otherwise).
 Each repetition of a cell runs in a fresh process, so it builds its own
-covariance and precision, and its peak resident memory (`ru_maxrss`) is its
-own.  For each cell and repetition the record holds the total seconds
-(time.perf_counter), the seconds of each stage that run_cell times, the peak
-memory in MB and the cell's counters.  It also times `mc_risk` alone, in this
+covariance, and its peak resident memory (`ru_maxrss`) is its own.  For each
+cell and repetition the record holds the total seconds (time.perf_counter),
+the seconds of each stage that run_cell times, the peak memory in MB and
+the cell's counters, which include each stage's memory mark
+(`stage_peak_mb`).  It also times `mc_risk` alone, in this
 process, on a Monte Carlo oracle setup: the segment, grouped-segment, route
 and Bayes predictions of a few routes on a p=10 grid with ceil(10**3.5)
 synthesized trips, 1000 replicates each in batches of 250.  Run from the

@@ -17,7 +17,7 @@ import io
 import math
 import numbers
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -56,12 +56,49 @@ def normalized_laplacian(graph: SegmentGraph) -> np.ndarray:
     return lap
 
 
+class _PrecisionKernel(NamedTuple):
+    """One symmetry block's share of the precision: Psi = sum_k B_k P_k B_k'.
+
+    A row of B_k has at most one nonzero, so B_k is kept as two arrays over
+    the segments: each segment's column `col` in the block and its character
+    coefficient `coef` (0, with column 0, for a segment outside the block).
+    `kernel` is the block's m x m P_k = E_k diag(1 / h_k) E_k', with E_k the
+    block's eigenvectors and h_k sigma's eigenvalues on it.
+    """
+
+    col: np.ndarray
+    coef: np.ndarray
+    kernel: np.ndarray
+
+    @classmethod
+    def of_block(cls, b: scipy.sparse.csc_matrix, evecs: np.ndarray,
+                 h: np.ndarray) -> "_PrecisionKernel":
+        n, m = b.shape
+        col = np.zeros(n, dtype=np.intp)
+        col[b.indices] = np.repeat(np.arange(m), np.diff(b.indptr))
+        coef = np.zeros(n)
+        coef[b.indices] = b.data
+        # F F' with F = E_k diag(h^{-1/2}) is one symmetric rank-k update, so
+        # P_k comes out exactly symmetric
+        f = evecs / np.sqrt(h)
+        return cls(col, coef, f @ f.T)
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """(c c') o P_k[col, col] over the segments idx."""
+        c = self.coef[idx]
+        j = self.col[idx]
+        return np.multiply.outer(c, c) * self.kernel[np.ix_(j, j)]
+
+
 class CovarianceModel:
     """Dense symmetric PSD covariance over network segments.
 
     Its ascending eigenvalues are computed once, when the model is built, and
     stored as ``eigenvalues``; validation, ``min_eigenvalue``, ``rank`` and
-    ``precision`` read them instead of solving for them again.
+    ``precision`` read them instead of solving for them again.  A full-rank
+    diffusion covariance (v > 0) also keeps its precision as one small kernel
+    per symmetry block, from which ``precision_block`` reads any principal
+    block of the precision without forming it.
     """
 
     def __init__(self, sigma: np.ndarray, meta: Mapping[str, object] | None = None):
@@ -90,6 +127,8 @@ class CovarianceModel:
         self.meta = dict(meta or {})
         self.eigenvalues = np.linalg.eigvalsh(self.sigma) if eigenvalues is None else eigenvalues
         self.validate_psd()
+        # set by diffusion_covariance for a full-rank heat kernel; see precision_block
+        self._kernels: tuple[_PrecisionKernel, ...] | None = None
 
     @property
     def n_segments(self) -> int:
@@ -131,6 +170,24 @@ class CovarianceModel:
         for i in range(n - 1):
             psi[i, i + 1:] = psi[i + 1:, i]
         return psi
+
+    def precision_block(self, ids: Sequence[int]) -> np.ndarray:
+        """The principal block precision[ids, ids] of the inverse covariance.
+
+        A model with precision kernels (a full-rank diffusion covariance,
+        v > 0) sums each symmetry block's share, (c_k c_k') o P_k[col_k,
+        col_k], and never forms the n x n precision.  Any other model (gram,
+        explicit, CSV, diffusion with v = 0 or a singular one) has no
+        symmetry blocks and reads the block from ``precision``, so a
+        rank-deficient sigma raises its ``np.linalg.LinAlgError``.
+        """
+        idx = np.asarray(ids, dtype=np.intp)
+        if self._kernels is None:
+            return self.precision[np.ix_(idx, idx)]
+        out = np.zeros((idx.size, idx.size))
+        for kernel in self._kernels:
+            out += kernel.block(idx)
+        return out
 
     def block(self, ids: Sequence[int]) -> np.ndarray:
         idx = np.asarray(ids, dtype=np.intp)
@@ -226,23 +283,30 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
     # L commutes with the involutions, so B_j' L B_k = 0 for j != k and
     # L = sum_k B_k E_k diag(lambda_k) E_k' B_k' from one eigh per block;
     # X = [B_k E_k diag(e^{-v lambda_k / 2})] gives sigma = u X X' + white I
-    heat = []
+    blocks = []
     col = 0
     for b in _symmetry_blocks(symmetries):
         evals, evecs = np.linalg.eigh(b.T @ (b.T @ lap).T)
-        heat.append(np.exp(-v * evals))
-        x[:, col:col + evals.size] = b @ (evecs * np.sqrt(heat[-1]))
+        heat = np.exp(-v * evals)
+        x[:, col:col + evals.size] = b @ (evecs * np.sqrt(heat))
         col += evals.size
+        # sigma's eigenvalues on the block: u e^{-v lambda} + white
+        blocks.append((b, evecs, u * heat + white))
     del lap
-    # sigma's spectrum is the union of the blocks' u e^{-v lambda} + white
-    eigenvalues = np.sort(u * np.concatenate(heat) + white)
+    # sigma's spectrum is the union of the blocks'
+    eigenvalues = np.sort(np.concatenate([h for _, _, h in blocks]))
     # numpy runs X @ X.T as one symmetric rank-k update, so the kernel comes
     # out exactly symmetric and CovarianceModel stores it with no symmetrising copy
     np.matmul(x, x.T, out=sigma)
     del x
     sigma *= u
     sigma[np.diag_indices(n)] += white
-    return CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
+    model = CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
+    # the precision is sum_k B_k E_k diag(1 / h_k) E_k' B_k'; a singular
+    # sigma keeps no kernels, and precision_block raises precision's error
+    if model.rank == n:
+        model._kernels = tuple(_PrecisionKernel.of_block(*block) for block in blocks)
+    return model
 
 
 def _check_invariant(adjacency: np.ndarray, symmetries: np.ndarray) -> None:

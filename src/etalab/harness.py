@@ -209,14 +209,29 @@ def _cell_seed(cfg: SweepConfig, p: int, k: float) -> np.random.SeedSequence:
     return np.random.SeedSequence([cfg.master_seed, int(p), _exponent_key(k)])
 
 
+def _peak_rss_mb(status: str = "/proc/self/status") -> float | None:
+    """The process's peak resident memory so far (VmHWM) in MB, or None
+    where the platform has no such status file or field."""
+    try:
+        with open(status) as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 @contextmanager
-def _timed(stages: dict[str, float], name: str):
-    """Add the seconds spent in the block to stages[name]."""
+def _timed(stages: dict[str, float], name: str, peaks: dict[str, float | None]):
+    """Add the seconds spent in the block to stages[name], and set
+    peaks[name] to the process's peak memory at its end."""
     start = time.perf_counter()
     try:
         yield
     finally:
         stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
+        peaks[name] = _peak_rss_mb()
 
 
 def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
@@ -226,31 +241,40 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     its `counters` the cell's trip count, its distinct routes and route
     families (`TripDataset._families`), the numerical health of the cell
     (`q_rcond`, the reciprocal 1-norm condition estimate of W + I/tau2, and
-    `sigma_condition`, sigma's lambda_max / lambda_min) and, per route
-    method, the mean and smallest neighborhood and the number of routes that
-    fell back to the prior (an empty neighborhood).
+    `sigma_condition`, sigma's lambda_max / lambda_min), per route method,
+    the mean and smallest neighborhood and the number of routes that fell
+    back to the prior (an empty neighborhood), and `stage_peak_mb`: per
+    stage, the process's peak resident memory in MB (VmHWM) at the end of
+    the stage, or None where /proc/self/status is missing.  The mark is the
+    process's, so a cell that runs after a larger one in the same process
+    reads that one's peak.
     """
     stages: dict[str, float] = {}
+    peaks: dict[str, float | None] = {}
     net = build_grid(p)
-    with _timed(stages, "covariance"):
+    with _timed(stages, "covariance", peaks):
         cov = _sweep_covariance(p, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
     prior = PriorSpec(mu=cfg.mu, tau2=cfg.tau2)
     law = ODLaw(p, cfg.od_alpha)
     hist_ss, pred_ss = _cell_seed(cfg, p, k).spawn(2)
     n_hist = int(math.ceil(p ** k))
-    with _timed(stages, "sampling"):
+    with _timed(stages, "sampling", peaks):
         ds = sample_trips(law, net, np.random.default_rng(hist_ss), n_hist)
         predicting = sample_trips(law, net, np.random.default_rng(pred_ss), cfg.n_predict)
-    with _timed(stages, "posterior"):
+    with _timed(stages, "posterior", peaks):
         model = PosteriorModel(ds, cov, prior)
-    with _timed(stages, "precision"):
-        cov.precision
-    risks, sizes = _route_risks(cfg, model, predicting, stages)
+    with _timed(stages, "precision", peaks):
+        # what lower_bound's precision blocks need: nothing more for the
+        # kernels of a full-rank diffusion covariance, the n x n precision
+        # (or its rank error) otherwise
+        cov.precision_block(())
+    risks, sizes = _route_risks(cfg, model, predicting, stages, peaks)
     logs = np.log10(risks.mean(axis=1))
     families = ds._families
     counters = {"n_hist": n_hist, "distinct_routes": families.n_routes,
                 "route_families": families.n_families, "q_rcond": model.q_rcond,
-                "sigma_condition": float(cov.eigenvalues[-1] / cov.eigenvalues[0])}
+                "sigma_condition": float(cov.eigenvalues[-1] / cov.eigenvalues[0]),
+                "stage_peak_mb": peaks}
     for name, size in zip(("route", "route_grow"), sizes):
         counters[name] = {"neighborhood_mean": float(size.mean()),
                           "neighborhood_min": int(size.min()),
@@ -260,7 +284,8 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
 
 
 def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDataset,
-                 stages: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+                 stages: dict[str, float], peaks: dict[str, float | None] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact risks of every predicting route, evaluated in batches.
 
     Returns a (5, routes) array of the segment, route, route_grow and Bayes
@@ -269,7 +294,10 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
     _ROUTE_BATCH routes reads each route's pair counts from the incidence,
     resolves each method's neighborhoods at once, reads the Bayes risks
     e_r' g_r from one solve, and evaluates the route risks as array formulas.
+    Each stage's seconds add up in `stages`, and `peaks` gets its memory
+    mark as in run_cell.
     """
+    peaks = {} if peaks is None else peaks
     ds, cov, prior = model.ds, model.cov, model.prior
     rule = WeightRule.ratio(cfg.ratio_lam)
     specs = (NeighborhoodSpec.od_exact(),
@@ -280,12 +308,12 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
         batch = predicting._slice(a, a + _ROUTE_BATCH)
         cols = slice(a, a + batch.n_trips)
         ys = np.split(batch.flat, batch.offsets[1:-1])
-        with _timed(stages, "pair_counts"):
+        with _timed(stages, "pair_counts", peaks):
             pairs = [ds.pair_counts(y) for y in ys]
-        with _timed(stages, "neighborhoods"):
+        with _timed(stages, "neighborhoods", peaks):
             moments = [_neighborhood_moments(ds, batch, resolve_neighborhoods(ds, batch, spec),
                                              cov, model.quadratic_sums) for spec in specs]
-        with _timed(stages, "risks"):
+        with _timed(stages, "risks", peaks):
             risks[0, cols] = [risk_seg(ds, y, rule, cov, prior, pair=pair).total
                               for y, pair in zip(ys, pairs)]
             for slot, mom in enumerate(moments, start=1):

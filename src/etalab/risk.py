@@ -168,14 +168,14 @@ def lower_bound(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
     """Gaussian information lower bound on the risk of any estimator for y.
 
     |y|^2 over the observed plus prior information about the route total,
-    using the full-network precision matrix.  With no data it equals the
-    prior risk |y| * tau2.
+    using y's block of the full-network precision matrix
+    (`CovarianceModel.precision_block`).  With no data it equals the prior
+    risk |y| * tau2.
     """
     ids = _route_ids(y)
     if pair is None:
         pair = ds.pair_counts(ids)
-    idx = np.asarray(ids, dtype=np.intp)
-    psi = cov.precision[np.ix_(idx, idx)]
+    psi = cov.precision_block(ids)
     info = float((pair * psi).sum()) + len(ids) / prior.tau2
     return len(ids) ** 2 / info
 

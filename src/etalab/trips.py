@@ -178,27 +178,42 @@ def sample_trips(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
         raise ValueError(f"trip count n must be an integer >= 0, got {n!r}")
     if law.p != network.p:
         raise ValueError(f"OD law is for a {law.p}-grid, network is a {network.p}-grid")
-    od = law.sample_od(rng, n)
-    coins = rng.integers(0, 2, size=n)
+    width = network.p + 1
+    steps, codes, jump = _legs(law.sample_od(rng, n), rng.integers(0, 2, size=n), width)
+    offsets = np.r_[0, np.cumsum(steps.sum(axis=1))]
+    # at most two flat-sized int64 arrays are alive at once; the direction
+    # codes are int8
+    code = np.repeat(codes.ravel(), steps.ravel())
+    del steps, codes
+    move = np.array([a * width + b for a, b in DIRECTIONS])
+    # one running sum of the vertex moves gives every step's head, once each
+    # trip's first move also jumps from the previous destination to its origin
+    vertex = move[code]
+    vertex[offsets[:-1]] += jump
+    np.cumsum(vertex, out=vertex)
+    vertex -= move[code]  # now the tail of each step
+    # segment_table[vertex, code], read from the raveled table
+    vertex *= len(DIRECTIONS)
+    vertex += code
+    return TripDataset._from_arrays(network, np.take(network.segment_table.ravel(), vertex),
+                                    offsets)
+
+
+def _legs(od: np.ndarray, coins: np.ndarray, width: int
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per trip of `sample_trips`: its two straight legs in travel order, as
+    (n, 2) step counts and int8 codes into DIRECTIONS, and the vertex jump
+    from the previous trip's destination to its origin (vertex (i, j) is
+    i * width + j).  An aligned trip has an empty leg, so its coin is moot.
+    """
     oi, oj, di, dj = od.T
-    # each trip's two straight legs in travel order: step counts and codes
-    # into DIRECTIONS; an aligned trip has an empty leg, so its coin is moot
     steps = np.column_stack((np.abs(di - oi), np.abs(dj - oj)))
-    codes = np.column_stack((np.where(di > oi, 3, 0), np.where(dj > oj, 2, 1)))
+    codes = np.column_stack((np.where(di > oi, np.int8(3), np.int8(0)),
+                             np.where(dj > oj, np.int8(2), np.int8(1))))
     j_first = coins == 0
     steps[j_first] = steps[j_first, ::-1]
     codes[j_first] = codes[j_first, ::-1]
-    offsets = np.r_[0, np.cumsum(steps.sum(axis=1))]
-    code = np.repeat(codes.ravel(), steps.ravel())
-    width = network.p + 1
-    move = np.array([a * width + b for a, b in DIRECTIONS])[code]
-    # one running sum of the vertex moves gives every step's head, once each
-    # trip's first move also jumps from the previous destination to its origin
-    vertex = move.copy()
-    vertex[offsets[:-1]] += (oi * width + oj) - np.r_[0, (di * width + dj)[:-1]]
-    np.cumsum(vertex, out=vertex)
-    vertex -= move  # now the tail of each step
-    return TripDataset._from_arrays(network, network.segment_table[vertex, code], offsets)
+    return steps, codes, (oi * width + oj) - np.r_[0, (di * width + dj)[:-1]]
 
 
 @dataclass(frozen=True)
@@ -295,12 +310,14 @@ class TripDataset:
 
     @cached_property
     def incidence(self) -> scipy.sparse.csc_matrix:
-        """Trip x segment 0/1 matrix A (CSC, int32): row n marks the segments of trip n.
+        """Trip x segment 0/1 matrix A (CSC, int8 ones, int32 indices): row n
+        marks the segments of trip n.
 
         Column s lists the trips through segment s, so the joint counts over
-        a route y, A[:, y]' A[:, y], read only y's columns.
+        a route y, A[:, y]' A[:, y], read only y's columns.  A count can pass
+        127, so a product of two slices of A is taken in int64 (`pair_counts`).
         """
-        ones = np.ones(self.flat.size, dtype=np.int32)
+        ones = np.ones(self.flat.size, dtype=np.int8)
         return scipy.sparse.csr_matrix(
             (ones, self.flat, self.offsets),
             shape=(self.n_trips, self.network.n_segments)).tocsc()
@@ -482,8 +499,12 @@ class TripDataset:
         b = self.incidence[:, np.asarray(y, dtype=np.int64)]
         if members is not None:
             b = b[np.asarray(members, dtype=np.int64)]
-        # int64: check_nb_condition multiplies three counts together
-        return (b.T @ b).toarray().astype(np.int64)
+        # int64, not the incidence's int8: a count passes 127, and
+        # check_nb_condition multiplies three counts together.  The slice is
+        # a matrix of its own, so only its data is replaced (astype would
+        # also copy its indices)
+        b.data = b.data.astype(np.int64)
+        return (b.T @ b).toarray()
 
     def subset_counts(self, members: np.ndarray) -> np.ndarray:
         """Per-segment traversal counts restricted to the listed trips."""

@@ -107,6 +107,20 @@ def test_route_batches_do_not_change_the_risks(monkeypatch):
     assert set(stages) == {"pair_counts", "neighborhoods", "risks"}
 
 
+def test_lower_bound_from_kernels_matches_dense_precision():
+    """The cell's lower bounds read precision blocks from the diffusion
+    kernels; each stays within 1e-12 relative of the bound from the n x n
+    precision."""
+    cfg = harness.SweepConfig(master_seed=0, grid_sizes=(10,), exponents=(3.0,))
+    ds, predicting, model = _cell(cfg, 10, 3.0)
+    cov, prior = model.cov, model.prior
+    assert cov._kernels is not None
+    for y in np.split(predicting.flat, predicting.offsets[1:-1]):
+        psi = cov.precision[np.ix_(y, y)]
+        dense = y.size ** 2 / (float((ds.pair_counts(y) * psi).sum()) + y.size / prior.tau2)
+        assert lower_bound(ds, y, cov, prior) == pytest.approx(dense, rel=RTOL, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # neighborhoods against their L1 definitions
 

@@ -356,3 +356,68 @@ def test_outside_sigma_is_checked_and_symmetrised():
     assert cov.sigma[0, 1] == (0.5 + (0.5 + 1e-12)) / 2
     with pytest.raises(ValueError, match="symmetric"):
         CovarianceModel(np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]))
+
+
+def _precision_id_sets(cov, rng):
+    """Every segment, a shuffled subset, the reversed ids, one id and none."""
+    n = cov.n_segments
+    return [np.arange(n), rng.permutation(n)[:max(1, n // 3)], np.arange(n)[::-1],
+            [n // 2], []]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
+def test_precision_block_matches_dense_precision(p):
+    """The kernels' blocks against the n x n precision (dpotri), to 1e-12 of
+    the block's largest entry; white = 0 only at v <= 3, where sigma stays
+    well conditioned."""
+    rng = np.random.default_rng(p)
+    for rule in AdjacencyRule.ALL:
+        graph = segment_graph(build_grid(p), rule=rule)
+        for u, v, white in [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (0.7, 3.0, 0.0), (1.5, 10.0, 1.0)]:
+            cov = diffusion_covariance(graph, u=u, v=v, white=white)
+            assert cov._kernels is not None
+            for ids in _precision_id_sets(cov, rng):
+                idx = np.asarray(ids, dtype=np.intp)
+                block = cov.precision_block(ids)
+                dense = cov.precision[np.ix_(idx, idx)]
+                assert block.shape == dense.shape == (idx.size, idx.size)
+                if idx.size:
+                    assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
+                    assert np.array_equal(block, block.T)
+
+
+def test_precision_block_without_kernels_reads_the_precision():
+    """Models with no symmetry blocks take the dense path exactly."""
+    graph = segment_graph(build_grid(3))
+    for cov in (gram_covariance(12, 40), explicit_covariance(5, {(0, 1): 0.4}),
+                diffusion_covariance(graph, u=1.0, v=0.0, white=0.5),
+                _csv_roundtrip(diffusion_covariance(graph, u=1.0, v=1.0, white=0.5))):
+        assert cov._kernels is None
+        ids = [cov.n_segments - 1, 0, 2]
+        assert np.array_equal(cov.precision_block(ids), cov.precision[np.ix_(ids, ids)])
+
+
+def test_precision_block_raises_the_precision_error():
+    # heat e^{-40 lambda} leaves 16 of 48 eigenvalues above the rank threshold
+    singular = diffusion_covariance(segment_graph(build_grid(3)), u=1.0, v=40.0, white=0.0)
+    assert singular.rank == 16
+    for cov in (singular, gram_covariance(48, 3)):
+        with pytest.raises(np.linalg.LinAlgError) as dense:
+            cov.precision
+        with pytest.raises(np.linalg.LinAlgError) as block:
+            cov.precision_block([0, 1])
+        assert str(block.value) == str(dense.value)
+    with pytest.raises(np.linalg.LinAlgError, match="rank 16 of 48"):
+        singular.precision_block([])
+
+
+def test_precision_kernels_hold_an_eighth_of_sigma():
+    cov = diffusion_covariance(segment_graph(build_grid(10)), u=1.0, v=1.0, white=1.0)
+    n = cov.n_segments
+    sizes = [k.kernel.shape[0] for k in cov._kernels]
+    assert sum(sizes) == n
+    assert sum(m * m for m in sizes) <= n * n / 8 * 1.05
+    for k in cov._kernels:
+        # one column per segment of the block, and the block's own ids
+        inside = k.coef != 0
+        assert np.array_equal(np.sort(np.unique(k.col[inside])), np.arange(k.kernel.shape[0]))

@@ -3,11 +3,12 @@ import dataclasses
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from etalab import fixtures as fx
+from etalab import fixtures as fx, harness
 from etalab.estimators import PosteriorModel
 from etalab.harness import (
     CSV_COLUMNS,
@@ -175,6 +176,37 @@ def test_manifest_records_cell_stages_and_counters(tmp_path):
         [(r.grid_size, r.alpha) for r in rows]
     assert [c["stages"] for c in cells] == [r.stages for r in rows]
     assert [c["counters"] for c in cells] == [r.counters for r in rows]
+    for row in rows:
+        # one memory mark per timed stage, MB or None where /proc is missing
+        peaks = row.counters["stage_peak_mb"]
+        assert set(peaks) == set(row.stages)
+        assert all(v is None or v > 0.0 for v in peaks.values())
+        if os.path.exists("/proc/self/status"):
+            # VmHWM never falls: the stages that run once read rising marks
+            marks = [peaks[name] for name in ("covariance", "sampling", "posterior", "precision")]
+            assert marks == sorted(marks)
+
+
+def test_peak_rss_mb_reads_vmhwm(tmp_path):
+    status = tmp_path / "status"
+    status.write_text("Name:\tpython3\nVmPeak:\t  9000 kB\nVmHWM:\t  2048 kB\n")
+    assert harness._peak_rss_mb(str(status)) == 2.0
+    status.write_text("Name:\tpython3\n")
+    assert harness._peak_rss_mb(str(status)) is None
+    assert harness._peak_rss_mb(str(tmp_path / "missing")) is None
+
+
+@pytest.mark.parametrize("v", [1.0, 0.0])
+def test_run_cell_reads_precision_blocks_only(v):
+    """A diffusion cell reads the lower bound's precision blocks from the
+    covariance's kernels and never forms the n x n precision; with v = 0 the
+    covariance has no symmetry blocks, and the dense precision serves."""
+    _sweep_covariance.cache_clear()
+    cfg = _tiny_config(grid_sizes=(4,), v=v)
+    run_cell(cfg, 4, 1.0)
+    cov = _sweep_covariance(4, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
+    assert (cov._kernels is None) == (v == 0.0)
+    assert ("precision" in cov.__dict__) == (v == 0.0)
 
 
 def _route_key(net, ids):

@@ -77,6 +77,34 @@ def test_pair_counts_match_loop(seed):
         assert ds.pair_counts(y, members=np.empty(0, dtype=np.int64)).sum() == 0
 
 
+@pytest.mark.parametrize("repeats", [300, 40_000])
+def test_counts_pass_the_incidence_dtype(repeats):
+    """The incidence stores int8 ones; counts past int8 (300) and int16
+    (40 000) must come out exact from every consumer of it."""
+    net = build_grid(4)
+    y = net.path_segments([(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)])
+    other = net.path_segments([(0, 1), (0, 2), (0, 3)])  # shares y's second segment
+    flat = np.concatenate([np.tile(y, repeats), other, other])
+    offsets = np.r_[np.arange(repeats + 1) * len(y), len(y) * repeats + np.array([2, 4])]
+    ds = TripDataset._from_arrays(net, flat, offsets)
+    expect = np.full((len(y), len(y)), repeats, dtype=np.int64)
+    expect[1, 1] += 2
+    assert ds.pair_counts(y).dtype == np.int64
+    assert np.array_equal(ds.pair_counts(y), expect)
+    members = np.arange(0, repeats, 2)
+    assert np.array_equal(ds.pair_counts(y, members=members),
+                          np.full((len(y), len(y)), members.size))
+    assert ds.n_subset(y) == repeats
+    assert ds.n_subset([y[1]]) == repeats + 2
+    assert np.array_equal(ds.trips_containing_all(y[:2]), np.arange(repeats))
+    # one block per leg of y: y's trips cover both, other's trips neither whole
+    member = np.zeros((len(y), 2))
+    member[:2, 0] = member[2:, 1] = 1.0
+    cover = estimators._block_cover(ds, y, member)
+    assert cover.sum(axis=0).tolist() == [repeats, repeats]
+    assert (cover.T @ cover).tolist() == [[repeats, repeats], [repeats, repeats]]
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 def test_n_subset_matches_loop(seed):
     fx = _fixture(seed)

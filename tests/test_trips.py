@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,27 @@ def test_sample_trips_matches_per_trip_reference(p, alpha, n):
         assert sample_routes(law, net, np.random.default_rng(seed), n) == expected
         for r in ds.routes:
             assert r == Route.from_segments(net, r.segment_ids)
+
+
+def test_sampling_and_incidence_transients_stay_small():
+    """Under tracemalloc, sample_trips holds at most about two flat-sized
+    int64 arrays at once, and the int8 incidence allocates less than 1.5x the
+    int64 flat it indexes (the CSR and the CSC of it are both held while the
+    CSC is built)."""
+    net, law = build_grid(12), ODLaw(12, 1.0)
+    sample_trips(law, net, np.random.default_rng(0), 10)
+    tracemalloc.start()
+    try:
+        ds = sample_trips(law, net, np.random.default_rng(1), 50_000)
+        _, sampling_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        ds.incidence
+        _, incidence_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sampling_peak <= 3.5 * ds.flat.nbytes
+    assert incidence_peak - before <= 1.5 * ds.flat.nbytes
 
 
 # ---------------------------------------------------------------------------
