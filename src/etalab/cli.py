@@ -42,7 +42,11 @@ def _cmd_examples(_args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(args.config)
     start = time.perf_counter()
-    rows = run_sweep(cfg)
+    try:
+        rows = run_sweep(cfg)
+    except np.linalg.LinAlgError as e:
+        # a singular covariance: u = 0, or white = 0 with a large v
+        raise ConfigError(str(e)) from None
     wall = time.perf_counter() - start
     emit_csv(rows, args.out)
     emit_manifest(cfg, args.manifest, wall, rows)

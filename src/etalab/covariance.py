@@ -38,22 +38,23 @@ __all__ = [
 PSD_RTOL = 1e-8
 
 
-def normalized_laplacian(graph: SegmentGraph) -> np.ndarray:
+def normalized_laplacian(graph: SegmentGraph) -> scipy.sparse.csr_matrix:
     """The symmetric normalized Laplacian D^{-1/2} (D - A) D^{-1/2} of a segment graph.
 
-    Off the diagonal it is -A o (s s'), s = d^{-1/2}, formed in one n x n
-    array: s_i s_j == s_j s_i, so a symmetric A gives an exactly symmetric L.
+    A sparse matrix, built from A's stored entries: off the diagonal it is
+    -(s_i s_j) a_ij, s = d^{-1/2}, and s_i s_j == s_j s_i, so a symmetric A
+    gives an exactly symmetric L.  Diagonal entries of A are ignored.
     """
-    a = graph.adjacency
-    d = a.sum(axis=1)
+    a = scipy.sparse.coo_matrix(graph.adjacency)
+    d = np.bincount(a.row, weights=a.data, minlength=a.shape[0])
     if np.any(d <= 0):
         bad = int(np.argmin(d))
         raise ValueError(f"segment {bad} has zero adjacency degree; cannot normalize")
     inv_sqrt = 1.0 / np.sqrt(d)
-    lap = np.multiply.outer(-inv_sqrt, inv_sqrt)
-    lap *= a
-    np.fill_diagonal(lap, 1.0)
-    return lap
+    off = a.row != a.col
+    i, j = a.row[off], a.col[off]
+    lap = scipy.sparse.csr_matrix((-(inv_sqrt[i] * inv_sqrt[j]) * a.data[off], (i, j)), a.shape)
+    return lap + scipy.sparse.identity(len(d), format="csr")
 
 
 class _PrecisionKernel(NamedTuple):
@@ -273,31 +274,25 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
         return CovarianceModel((u + white) * np.eye(n), meta=meta)
     symmetries = graph.network.symmetries
     _check_invariant(graph.adjacency, symmetries)
-    # sigma and X are allocated ahead of the build's other arrays: once L
-    # is freed, glibc raises its mmap threshold to L's size, and an X made
-    # after that came from the heap and stayed resident when freed (25 MB
-    # more after a p=20 build)
-    sigma = np.empty((n, n))
-    x = np.empty((n, n))
     lap = normalized_laplacian(graph)
     # L commutes with the involutions, so B_j' L B_k = 0 for j != k and
     # L = sum_k B_k E_k diag(lambda_k) E_k' B_k' from one eigh per block;
     # X = [B_k E_k diag(e^{-v lambda_k / 2})] gives sigma = u X X' + white I
+    x = np.empty((n, n))
     blocks = []
     col = 0
     for b in _symmetry_blocks(symmetries):
-        evals, evecs = np.linalg.eigh(b.T @ (b.T @ lap).T)
+        evals, evecs = np.linalg.eigh((b.T @ lap @ b).toarray())
         heat = np.exp(-v * evals)
         x[:, col:col + evals.size] = b @ (evecs * np.sqrt(heat))
         col += evals.size
         # sigma's eigenvalues on the block: u e^{-v lambda} + white
         blocks.append((b, evecs, u * heat + white))
-    del lap
     # sigma's spectrum is the union of the blocks'
     eigenvalues = np.sort(np.concatenate([h for _, _, h in blocks]))
     # numpy runs X @ X.T as one symmetric rank-k update, so the kernel comes
     # out exactly symmetric and CovarianceModel stores it with no symmetrising copy
-    np.matmul(x, x.T, out=sigma)
+    sigma = x @ x.T
     del x
     sigma *= u
     sigma[np.diag_indices(n)] += white
@@ -309,20 +304,13 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
     return model
 
 
-def _check_invariant(adjacency: np.ndarray, symmetries: np.ndarray) -> None:
-    """Raise ValueError unless the adjacency is symmetric and invariant under
-    every involution; reads only its nonzero entries.
-
-    A permutation that maps every nonzero entry onto an equal entry maps
-    the zeros onto zeros too, since it permutes the pairs.
-    """
-    flat = np.flatnonzero(adjacency)
-    i, j = np.divmod(flat, adjacency.shape[1])
-    w = adjacency.ravel()[flat]
-    if not np.array_equal(adjacency[j, i], w):
+def _check_invariant(adjacency: scipy.sparse.csr_matrix, symmetries: np.ndarray) -> None:
+    """Raise ValueError unless the sparse adjacency is symmetric and invariant
+    under every involution."""
+    if (adjacency != adjacency.T).nnz:
         raise ValueError("the segment adjacency is not symmetric")
     for name, perm in zip(SYMMETRIES, symmetries):
-        if not np.array_equal(adjacency[perm[i], perm[j]], w):
+        if (adjacency[perm][:, perm] != adjacency).nnz:
             raise ValueError(f"the segment adjacency is not invariant under the grid's "
                              f"{name}, so the symmetry split of its Laplacian does not hold")
 

@@ -96,6 +96,9 @@ class SweepConfig:
             raise ConfigError("master_seed must be nonnegative")
         if not self.grid_sizes or not all(_is_integer(p) and p >= 1 for p in self.grid_sizes):
             raise ConfigError("grid_sizes must be positive integers")
+        repeated = sorted({p for p in self.grid_sizes if self.grid_sizes.count(p) > 1})
+        if repeated:
+            raise ConfigError(f"grid_sizes must list each size once, repeated: {repeated}")
         if not self.exponents or not all(_is_finite(k) and k > 0 for k in self.exponents):
             raise ConfigError("exponents must be positive finite numbers")
         keys = [_exponent_key(k) for k in self.exponents]
@@ -284,7 +287,7 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
 
 
 def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDataset,
-                 stages: dict[str, float], peaks: dict[str, float | None] | None = None
+                 stages: dict[str, float], peaks: dict[str, float | None]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Exact risks of every predicting route, evaluated in batches.
 
@@ -297,7 +300,6 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
     Each stage's seconds add up in `stages`, and `peaks` gets its memory
     mark as in run_cell.
     """
-    peaks = {} if peaks is None else peaks
     ds, cov, prior = model.ds, model.cov, model.prior
     rule = WeightRule.ratio(cfg.ratio_lam)
     specs = (NeighborhoodSpec.od_exact(),

@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "Segment",
@@ -267,7 +268,7 @@ def _pair_classes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class SegmentGraph:
-    """Weighted adjacency over the segments of a network."""
+    """Weighted adjacency over the segments of a network, as a CSR matrix."""
 
     def __init__(self, network: RoadNetwork, rule: str = AdjacencyRule.CALIBRATED):
         self.network = network
@@ -277,18 +278,21 @@ class SegmentGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     def __repr__(self) -> str:
         return f"SegmentGraph(p={self.network.p}, rule={self.rule!r})"
 
 
-def _class_adjacency(network: RoadNetwork, weights: Mapping[str, float]) -> np.ndarray:
-    """Dense weighted adjacency, built from the segments incident to each vertex.
+def _class_adjacency(network: RoadNetwork,
+                     weights: Mapping[str, float]) -> scipy.sparse.csr_matrix:
+    """Sparse weighted adjacency, built from the segments incident to each vertex.
 
     Every related pair shares at least one vertex, so classifying the pairs
     among each vertex's (at most eight) incident segments visits every pair,
-    in one pass over `endpoints` whatever the grid size.
+    in one pass over `endpoints` whatever the grid size.  A reverse pair
+    shares both its vertices and is met twice; it is kept once, and a class
+    of weight 0 is not stored.
     """
     ends, table = network.endpoints, network.segment_table
     # the segments entering a vertex are the reverses of those leaving it
@@ -298,11 +302,12 @@ def _class_adjacency(network: RoadNetwork, weights: Mapping[str, float]) -> np.n
     i, j = incident[:, x].ravel(), incident[:, y].ravel()
     both = (i >= 0) & (j >= 0)
     i, j = i[both], j[both]
-    w = np.array([weights[c] for c in PAIR_CLASSES])[_pair_classes(ends[i], ends[j])]
-    adjacency = np.zeros((network.n_segments, network.n_segments))
-    adjacency[i, j] = w
-    adjacency[j, i] = w
-    return adjacency
+    k = _pair_classes(ends[i], ends[j])
+    w = np.array([weights[c] for c in PAIR_CLASSES])[k]
+    keep = (w != 0) & ((k != PAIR_CLASSES.index("reverse")) | (i < j))
+    # each pair is stored in one orientation, so adding the transpose mirrors it
+    half = scipy.sparse.csr_matrix((w[keep], (i[keep], j[keep])), shape=(len(ends),) * 2)
+    return half + half.T
 
 
 def segment_graph(network: RoadNetwork, rule: str = AdjacencyRule.CALIBRATED) -> SegmentGraph:

@@ -12,6 +12,7 @@ deterministic reference for every closed form.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -264,12 +265,11 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     fraction of its cost.  A batch holds at most `batch_size` replicates, and
     fewer when its draws (replicates x (segments involved + active trips)
     float64s) would pass _MC_BYTES; a batch of one replicate may.
-    `replicates` and `batch_size` must be at least 1.
+    `replicates` and `batch_size` must be integers (not bools) of at least 1.
     """
-    if replicates < 1:
-        raise ValueError(f"mc_risk needs replicates >= 1, got {replicates}")
-    if batch_size < 1:
-        raise ValueError(f"mc_risk needs batch_size >= 1, got {batch_size}")
+    for name, value in (("replicates", replicates), ("batch_size", batch_size)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"mc_risk needs {name} to be an integer >= 1, got {value!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ids = list(pred.route)
     flat = ds.flat

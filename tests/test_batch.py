@@ -70,7 +70,7 @@ CELLS = [
 def test_batched_cell_matches_per_route_functions(case, fields, p, k):
     cfg = harness.SweepConfig(grid_sizes=(p,), exponents=(k,), **fields)
     ds, predicting, model = _cell(cfg, p, k)
-    risks, sizes = harness._route_risks(cfg, model, predicting, {})
+    risks, sizes = harness._route_risks(cfg, model, predicting, {}, {})
     expect, expect_sizes = _per_route(cfg, model, predicting)
     np.testing.assert_allclose(risks, expect, rtol=RTOL, atol=0)
     assert np.array_equal(sizes, expect_sizes)
@@ -98,10 +98,10 @@ def test_route_batches_do_not_change_the_risks(monkeypatch):
     cfg = harness.SweepConfig(master_seed=11, grid_sizes=(4,), exponents=(2.0,),
                               n_predict=10)
     _, predicting, model = _cell(cfg, 4, 2.0)
-    whole, whole_sizes = harness._route_risks(cfg, model, predicting, {})
+    whole, whole_sizes = harness._route_risks(cfg, model, predicting, {}, {})
     monkeypatch.setattr(harness, "_ROUTE_BATCH", 3)
     stages = {}
-    parts, part_sizes = harness._route_risks(cfg, model, predicting, stages)
+    parts, part_sizes = harness._route_risks(cfg, model, predicting, stages, {})
     np.testing.assert_allclose(parts, whole, rtol=RTOL, atol=0)
     assert np.array_equal(part_sizes, whole_sizes)
     assert set(stages) == {"pair_counts", "neighborhoods", "risks"}

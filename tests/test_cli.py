@@ -65,6 +65,7 @@ _BAD_SWEEP_CONFIGS = [
     ("white", float("inf")),
     ("grid_sizes", [2.5]),
     ("grid_sizes", [True]),
+    ("grid_sizes", [3, 3]),
     ("tau2", float("nan")),
 ]
 
@@ -84,6 +85,24 @@ def test_sweep_rejects_config_it_cannot_run(tmp_path, capsys, key, value):
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("params,rank", [({"v": 40.0, "white": 0.0}, "rank 16 of 48"),
+                                         ({"u": 0.0, "white": 0.0}, "rank 0 of 48")])
+def test_sweep_on_singular_covariance_is_a_config_error(tmp_path, capsys, params, rank,
+                                                        workers):
+    payload = {"grid_sizes": [3], "exponents": [1.0], "n_predict": 3, "workers": workers,
+               **params}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out_path, man_path = tmp_path / "rows.csv", tmp_path / "manifest.json"
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out_path),
+                 "--manifest", str(man_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and rank in err
+    assert not out_path.exists() and not man_path.exists()
 
 
 def test_oracle_fast(capsys):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class _StubGraph:
 def test_laplacian_two_node_complete():
     graph = _StubGraph([[0.0, 1.0], [1.0, 0.0]])
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(normalized_laplacian(graph), expected)
+    assert np.allclose(normalized_laplacian(graph).toarray(), expected)
 
 
 def test_laplacian_matches_definition():
@@ -45,7 +46,8 @@ def test_laplacian_matches_definition():
     d = a.sum(axis=1)
     d_inv_half = np.diag(1.0 / np.sqrt(d))
     lap = np.diag(d) - a
-    assert np.allclose(normalized_laplacian(graph), d_inv_half @ lap @ d_inv_half, atol=1e-12)
+    assert np.allclose(normalized_laplacian(graph).toarray(), d_inv_half @ lap @ d_inv_half,
+                       atol=1e-12)
 
 
 def test_laplacian_zero_degree_rejected():
@@ -57,7 +59,7 @@ def test_laplacian_zero_degree_rejected():
 def test_laplacian_eigenvalues_bounded(grid3):
     graph = segment_graph(grid3, rule=AdjacencyRule.SHARE_ANY_ENDPOINT)
     lap = normalized_laplacian(graph)
-    evals = np.linalg.eigvalsh(lap)
+    evals = np.linalg.eigvalsh(lap.toarray())
     assert evals[0] >= -1e-9
     assert evals[-1] <= 2.0 + 1e-9
 
@@ -278,9 +280,24 @@ def test_diffusion_sigma_is_exactly_symmetric(p):
     assert np.array_equal(sigma, sigma.T)
 
 
+@pytest.mark.parametrize("p", [10, 20])
+def test_diffusion_build_holds_about_two_dense_arrays(p):
+    """The graph and its Laplacian are sparse, so X and sigma are the build's
+    only n x n arrays: its traced peak stays under 2.4 of them."""
+    net = build_grid(p)
+    n = net.n_segments
+    tracemalloc.start()
+    try:
+        diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * n * n * 8
+
+
 def _dense_diffusion(graph, u, v, white):
     """The heat kernel and its spectrum from one dense eigh of the Laplacian."""
-    evals, evecs = np.linalg.eigh(normalized_laplacian(graph))
+    evals, evecs = np.linalg.eigh(normalized_laplacian(graph).toarray())
     heat = np.exp(-v * evals)
     sigma = u * (evecs * heat) @ evecs.T + white * np.eye(len(evals))
     return sigma, np.sort(u * heat + white)
@@ -342,10 +359,13 @@ def test_laplacian_is_exactly_symmetric(p):
     a = rng.uniform(0.0, 1.0, size=(40, 40))
     a = np.triu(a, 1)
     a += a.T
-    lap = normalized_laplacian(_StubGraph(a))
+    lap = normalized_laplacian(_StubGraph(a)).toarray()
     assert np.array_equal(lap, lap.T)
     for rule in AdjacencyRule.ALL:
         lap = normalized_laplacian(segment_graph(build_grid(p), rule=rule))
+        # a CSR matrix with no stored zeros
+        assert lap.format == "csr" and lap.nnz == np.count_nonzero(lap.toarray())
+        lap = lap.toarray()
         assert np.array_equal(lap, lap.T)
 
 

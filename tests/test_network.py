@@ -178,7 +178,7 @@ def test_classify_pair_symmetric(grid3):
 ])
 def test_adjacency_symmetric_zero_diag(grid3, rule):
     g = segment_graph(grid3, rule=rule)
-    a = g.adjacency
+    a = g.adjacency.toarray()
     assert np.array_equal(a, a.T)
     assert np.all(np.diag(a) == 0.0)
     assert np.allclose(g.degrees, a.sum(axis=1))
@@ -252,8 +252,11 @@ def _adjacency_reference(net, weights):
 def test_adjacency_matches_per_vertex_loop(p, rule):
     net = build_grid(p)
     got = segment_graph(net, rule=rule).adjacency
-    assert got.dtype == np.float64
-    assert np.array_equal(got, _adjacency_reference(net, AdjacencyRule.class_weights(rule)))
+    reference = _adjacency_reference(net, AdjacencyRule.class_weights(rule))
+    assert got.format == "csr" and got.dtype == np.float64
+    assert np.array_equal(got.toarray(), reference)
+    # no stored zeros (weight-0 classes) and no doubled reverse pairs
+    assert got.nnz == np.count_nonzero(reference)
 
 
 def test_classify_pair_matches_reference_on_every_pair():

@@ -280,7 +280,10 @@ def test_mc_risk_batches_fit_the_byte_budget(monkeypatch, budget):
 
 
 @pytest.mark.parametrize("counts", [{"replicates": 0}, {"replicates": -3},
-                                    {"batch_size": 0}, {"batch_size": -1}])
+                                    {"batch_size": 0}, {"batch_size": -1},
+                                    {"replicates": float("nan")}, {"replicates": True},
+                                    {"replicates": 2.5}, {"batch_size": 2.5},
+                                    {"batch_size": True}])
 def test_mc_risk_rejects_counts_below_one(counts):
     ds, y = reference_dataset(), reference_route()
     cov, prior = reference_covariance(), reference_prior()
