@@ -206,9 +206,10 @@ class MCRisk:
     replicates: int
 
 
-# bytes of standard normals that one mc_risk batch draws: far above any batch of
-# the tests or benchmarks, far below a dense prediction's default batch on a
-# large cell (20 000 replicates x about 160 000 active trips, 26 GB, at p=20, k=4)
+# bytes of standard normals that one mc_risk batch draws (replicates x (segments
+# involved + 1) float64s): far above any batch of the tests or benchmarks, and
+# above a dense prediction's default batch at p=20, k=4 (20 000 replicates x
+# 1 681 = 269 MB), which it splits into five
 _MC_BYTES = 64 * 2 ** 20
 
 
@@ -219,7 +220,7 @@ def _noise_variances(pred: Prediction, ds: TripDataset, cov: CovarianceModel
     Returns a boolean per trip and, in trip order, c_n' sigma[r_n, r_n] c_n for
     each active trip n, with c_n its coefficients and r_n its route: the
     variance of the trip's noise term c_n . eps_n.  risk_affine sums them, and
-    mc_risk draws one normal per active trip at their square roots.
+    mc_risk sums their clamps (_noise_scales) into one normal per replicate.
     """
     live = np.zeros(ds.n_trips, dtype=bool)
     live[ds.trip_of[pred.coef != 0.0]] = True
@@ -258,13 +259,15 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
 
     The latent times are drawn per segment.  A trip's noise enters the error
     only as c_n . eps_n, which is Normal(0, c_n' sigma[r_n, r_n] c_n) and
-    independent across trips and of the latent times.  So each replicate
-    draws one standard normal per active trip, in trip order, scaled by
-    sqrt(c_n' sigma[r_n, r_n] c_n) (see _noise_scales, which factors no
-    block): the error has exactly the law of the per-entry draw, at a
-    fraction of its cost.  A batch holds at most `batch_size` replicates, and
-    fewer when its draws (replicates x (segments involved + active trips)
-    float64s) would pass _MC_BYTES; a batch of one replicate may.
+    independent across trips and of the latent times, so their sum is
+    Normal(0, sum_n c_n' sigma[r_n, r_n] c_n).  Each replicate therefore
+    draws one standard normal for the summed trip noise, scaled by the root
+    of the summed clamped variances (see _noise_scales, which factors no
+    block): the error has exactly the law of the per-entry draw, and a
+    replicate costs one normal per segment involved plus one, whatever the
+    trip count.  A batch holds at most `batch_size` replicates, and fewer
+    when its draws (replicates x (segments involved + 1) float64s) would
+    pass _MC_BYTES; a batch of one replicate may.
     `replicates` and `batch_size` must be integers (not bools) of at least 1.
     """
     for name, value in (("replicates", replicates), ("batch_size", batch_size)):
@@ -279,8 +282,10 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     used = np.union1d(ids, flat[active])
     d = np.bincount(flat[active], weights=pred.coef[active],
                     minlength=ds.network.n_segments)[used] - np.isin(used, ids)
+    # the summed trip noise is one normal per replicate at this scale
+    noise_sd = float(np.linalg.norm(scales))
     # replicates per batch whose float64 draws fit the budget
-    rows = max(1, _MC_BYTES // (8 * (used.size + scales.size)))
+    rows = max(1, _MC_BYTES // (8 * (used.size + 1)))
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -289,7 +294,7 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
         theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal((b, used.size))
         err = pred.intercept + theta @ d
         if scales.size:
-            err = err + rng.standard_normal((b, scales.size)) @ scales
+            err = err + noise_sd * rng.standard_normal(b)
         sq = err ** 2
         total += float(sq.sum())
         total_sq += float((sq ** 2).sum())
@@ -324,7 +329,10 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
 
     Under an elementwise-nonnegative covariance block and the neighborhood
     balance condition the segment estimator cannot lose; outside those
-    conditions a reversal is possible and is reported, not raised.
+    conditions a reversal is possible and is reported, not raised.  The block
+    counts as nonnegative when no entry is below -n * eps * max|sigma|, the
+    rounding scale that CovarianceModel.rank also allows: a diffusion sigma,
+    nonnegative in exact arithmetic, holds entries down to -3.1e-16 at p=20.
     """
     ids = _route_ids(y)
     phis = optimal_seg_weights(ds, ids, cov, prior)
@@ -332,8 +340,10 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
     phi_r = optimal_route_weight(ds, ids, nbhd, cov, prior)
     route = risk_route(ds, ids, nbhd, phi_r, cov, prior)
     idx = np.asarray(ids, dtype=np.intp)
-    block = cov.sigma[np.ix_(idx, idx)]
-    nonneg = bool(np.all(block >= 0.0))
+    sigma = cov.sigma
+    scale = max(float(sigma.max()), -float(sigma.min()))
+    tol = cov.n_segments * np.finfo(np.float64).eps * scale
+    nonneg = bool(np.all(sigma[np.ix_(idx, idx)] >= -tol))
     condition = check_nb_condition(ds, ids, nbhd)
     dominated = seg.total <= route.total + 1e-12
     out = {

@@ -38,7 +38,10 @@ __all__ = [
     "resolve_neighborhoods",
 ]
 
-_RESAMPLE_CAP = 10 ** 6
+# rejection rounds after which ODLaw.sample_od gives up: a round rejects a draw
+# with probability (sum_k pmf(k)^2)^2 <= 1/4, so a working law clears 10^9 draws
+# in about 15 rounds, and only a law that rejects (almost) everything reaches 64
+_RESAMPLE_ROUNDS = 64
 
 # bytes of covariance blocks that TripDataset._sigma_blocks gathers at once:
 # small enough that a few chunks in flight stay far below the n x n arrays
@@ -136,18 +139,23 @@ class ODLaw:
         return self.pmf(np.arange(self.p + 1))
 
     def sample_od(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, 4) array of [oi, oj, di, dj] rows with origin != destination."""
+        """(size, 4) array of [oi, oj, di, dj] rows with origin != destination.
+
+        Each round redraws the rejected rows; RuntimeError if rows are still
+        rejected after _RESAMPLE_ROUNDS rounds, whatever the size.
+        """
         out = np.empty((size, 4), dtype=np.int64)
         need = np.arange(size)
-        drawn = 0
-        while need.size:
-            drawn += need.size
-            if drawn > _RESAMPLE_CAP:
-                raise RuntimeError("origin-destination rejection sampling exceeded cap")
+        for _ in range(_RESAMPLE_ROUNDS):
+            if not need.size:
+                break
             shape = (need.size, 4)
             out[need] = rng.binomial(self.p, rng.beta(self.alpha, self.alpha, shape), shape)
             same = (out[need, 0] == out[need, 2]) & (out[need, 1] == out[need, 3])
             need = need[same]
+        if need.size:
+            raise RuntimeError(f"origin-destination rejection sampling left {need.size} "
+                               f"draws rejected after {_RESAMPLE_ROUNDS} rounds")
         return out
 
 

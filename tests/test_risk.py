@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_fixture
 from etalab import risk, trips
+from etalab.covariance import diffusion_covariance
 from etalab.estimators import (
     PosteriorModel,
     WeightRule,
@@ -35,6 +36,7 @@ from etalab.fixtures import (
     reference_route,
     reference_route_neighborhood,
 )
+from etalab.network import build_grid, segment_graph
 from etalab.risk import (
     RiskReport,
     check_nb_condition,
@@ -50,10 +52,12 @@ from etalab.risk import (
 from etalab.trips import (
     Neighborhood,
     NeighborhoodSpec,
+    ODLaw,
     PriorSpec,
     Route,
     TripDataset,
     resolve_neighborhood,
+    sample_trips,
 )
 
 
@@ -267,16 +271,47 @@ def test_mc_risk_batches_fit_the_byte_budget(monkeypatch, budget):
     monkeypatch.setattr(risk, "_MC_BYTES", budget)
     rng = _SpyGenerator(7)
     est = mc_risk(pred, fx.ds, fx.cov, fx.prior, replicates=4000, seed=rng)
-    # each batch asks for its latent draws, then for its trip noise draws
+    # each batch asks for its latent draws, then for one trip noise draw per
+    # replicate
     theta, noise = rng.shapes[::2], rng.shapes[1::2]
     rows = [b for b, _ in theta]
-    assert [b for b, _ in noise] == rows
+    assert noise == rows
     assert sum(rows) == 4000
-    width = theta[0][1] + noise[0][1]
+    width = theta[0][1] + 1
     assert all(b == 1 or 8 * b * width <= budget for b in rows)
     assert max(rows) == max(1, budget // (8 * width))
     exact = risk_affine(pred, fx.ds, fx.cov, fx.prior).total
     assert abs(est.mean - exact) <= 3.0 * est.se
+
+
+def _dense_bayes(seed, p, n_trips):
+    """A fixture and its Bayes prediction, which gives most trips a coefficient."""
+    fx = random_fixture(seed, cov_kind="diffusion", p=p, n_trips=n_trips)
+    pred = PosteriorModel(fx.ds, fx.cov, fx.prior).predict(fx.y)
+    live = np.array([np.any(c) for c in pred.coefficients])
+    assert live.mean() > 0.9
+    return fx, pred, live
+
+
+@pytest.mark.parametrize("n_trips", [30, 600])
+def test_mc_risk_draws_per_replicate_ignore_the_trip_count(n_trips):
+    # one normal per segment involved plus one for the summed trip noise
+    fx, pred, live = _dense_bayes(43, 4, n_trips)
+    used = np.union1d(fx.y.segment_ids, fx.ds.flat[live[fx.ds.trip_of]])
+    rng = _SpyGenerator(8)
+    mc_risk(pred, fx.ds, fx.cov, fx.prior, replicates=500, seed=rng)
+    drawn = sum(int(np.prod(shape)) for shape in rng.shapes)
+    assert drawn == 500 * (used.size + 1)
+
+
+def test_mc_risk_dense_bayes_matches_risk_affine():
+    fx, pred, _ = _dense_bayes(44, 5, 600)
+    exact = risk_affine(pred, fx.ds, fx.cov, fx.prior)
+    # the trip noise carries a real share of the risk, so a mis-scaled noise
+    # draw would show
+    assert exact.variance > 0.1 * exact.total
+    est = mc_risk(pred, fx.ds, fx.cov, fx.prior, replicates=20000, seed=9)
+    assert abs(est.mean - exact.total) <= 3.0 * est.se
 
 
 @pytest.mark.parametrize("counts", [{"replicates": 0}, {"replicates": -3},
@@ -338,6 +373,22 @@ def test_dominance_audit_reference():
     assert out["segment_dominates"]
     assert out["nonneg_covariance_block"]
     assert "note" not in out
+
+
+def test_dominance_audit_reads_the_diffusion_sigma_as_nonnegative():
+    # the sweep's diffusion sigma is nonnegative in exact arithmetic, yet holds
+    # negative entries at rounding scale; they must not read as a violated
+    # condition
+    net = build_grid(20)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    ds = sample_trips(ODLaw(20, 0.5), net, np.random.default_rng(0), 2000)
+    prior = PriorSpec(mu=1.0, tau2=1.0)
+    rounded = [y for y in ds.routes[:100]
+               if np.any(cov.sigma[np.ix_(y.segment_ids, y.segment_ids)] < 0.0)]
+    assert len(rounded) >= 5
+    for y in rounded[:5]:
+        nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact())
+        assert dominance_audit(ds, y, nb, cov, prior)["nonneg_covariance_block"]
 
 
 def test_dominance_audit_negcov_reversal():

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import random_fixture
 import etalab
+from etalab import trips
 from etalab.covariance import PSD_RTOL, CovarianceModel, diffusion_covariance, gram_covariance
 from etalab.fixtures import (
     GOLDEN_COUNTERS,
@@ -206,6 +207,38 @@ def test_sample_od_never_degenerate():
     assert np.all((od >= 0) & (od <= 2))
     same = (od[:, 0] == od[:, 2]) & (od[:, 1] == od[:, 3])
     assert not same.any()
+
+
+def test_sample_od_above_a_million_trips():
+    # the rejection rounds are bounded, not the draws, so any size runs, and the
+    # stream is the unbounded rejection loop's
+    from scipy import stats
+
+    law, n = ODLaw(30, 1.0), 1_100_000
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    od = law.sample_od(rng, n)
+    assert np.array_equal(od, _betabinom_sample_od(stats.betabinom(30, 1.0, 1.0), ref, n))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _RejectingGenerator(np.random.Generator):
+    """Draws every coordinate as 0, so every origin equals its destination."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.rounds = 0
+
+    def binomial(self, n, p, size=None):
+        self.rounds += 1
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_sample_od_stops_on_a_law_that_rejects_every_draw(monkeypatch):
+    monkeypatch.setattr(trips, "_RESAMPLE_ROUNDS", 5)
+    rng = _RejectingGenerator(0)
+    with pytest.raises(RuntimeError, match="left 10 draws rejected after 5 rounds"):
+        ODLaw(3, 1.0).sample_od(rng, 10)
+    assert rng.rounds == 5
 
 
 def test_sample_route_straight_when_aligned():
