@@ -189,14 +189,12 @@ def risk_affine(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     scattered onto the segments minus the indicator of y, the error is
     a + d . theta + sum_n c_n . eps_n, so the risk is
     (a + mu * sum d)^2 + tau2 |d|^2 (bias2, the latent part) plus
-    sum_n c_n' sigma[r_n, r_n] c_n (variance, the noise part).
+    sum_n max(c_n' sigma[r_n, r_n] c_n, 0) (variance, the noise part; see
+    _error_terms).
     """
-    n = ds.network.n_segments
-    on_route = np.isin(np.arange(n), pred.route)
-    d = np.bincount(ds.flat, weights=pred.coef, minlength=n) - on_route
-    variance = float(_noise_variances(pred, ds, cov)[1].sum())
+    _, d, variances = _error_terms(pred, ds, cov)
     bias2 = (pred.intercept + prior.mu * float(d.sum())) ** 2 + prior.tau2 * float(d @ d)
-    return RiskReport(pred.estimator, pred.route, variance, bias2)
+    return RiskReport(pred.estimator, pred.route, float(variances.sum()), bias2)
 
 
 @dataclass(frozen=True)
@@ -213,38 +211,31 @@ class MCRisk:
 _MC_BYTES = 64 * 2 ** 20
 
 
-def _noise_variances(pred: Prediction, ds: TripDataset, cov: CovarianceModel
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The active trips (any nonzero coefficient) and their noise variances.
+def _error_terms(pred: Prediction, ds: TripDataset, cov: CovarianceModel
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The error a + d . theta + sum_n c_n . eps_n of an affine prediction.
 
-    Returns a boolean per trip and, in trip order, c_n' sigma[r_n, r_n] c_n for
-    each active trip n, with c_n its coefficients and r_n its route: the
-    variance of the trip's noise term c_n . eps_n.  risk_affine sums them, and
-    mc_risk sums their clamps (_noise_scales) into one normal per replicate.
+    Returns a boolean per trip, marking the live trips (any nonzero
+    coefficient); d, the coefficients summed onto every segment minus the
+    indicator of the route; and, in trip order, each live trip's noise
+    variance max(c_n' sigma[r_n, r_n] c_n, 0), with c_n its coefficients and
+    r_n its route.  risk_affine sums the variances and mc_risk draws their
+    sum.  Each c' sigma_r c is one matrix-vector product and one row sum,
+    whose rounding does not depend on how _sigma_blocks chunks the trips.
+    The clamp acts only within the tolerance the covariance already accepts:
+    CovarianceModel rejects sigma with lambda_min < -PSD_RTOL * scale, every
+    block is a principal submatrix, so by eigenvalue interlacing
+    c' sigma[r, r] c >= -PSD_RTOL * scale * |c|^2.
     """
+    n = ds.network.n_segments
     live = np.zeros(ds.n_trips, dtype=bool)
     live[ds.trip_of[pred.coef != 0.0]] = True
+    d = np.bincount(ds.flat, weights=pred.coef, minlength=n) - np.isin(np.arange(n), pred.route)
     variances = np.zeros(ds.n_trips)
     for trips, pos, _, blocks in ds._sigma_blocks(cov, select=live):
         c = pred.coef[pos]
-        variances[trips] = np.einsum("ni,nij,nj->n", c, blocks, c)
-    return live, variances[live]
-
-
-def _noise_scales(pred: Prediction, ds: TripDataset, cov: CovarianceModel
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The active trips and the standard deviations of their noise terms.
-
-    Returns _noise_variances' boolean per trip and, in trip order,
-    sqrt(max(c_n' sigma[r_n, r_n] c_n, 0)) for each active trip.  Where a
-    block is PSD this is |F_n' c_n| for any factor F_n F_n' of it, and no
-    factor is computed.  The clamp acts only within the tolerance the
-    covariance already accepts: CovarianceModel rejects sigma with
-    lambda_min < -PSD_RTOL * scale, every block is a principal submatrix, so
-    by eigenvalue interlacing c' sigma[r, r] c >= -PSD_RTOL * scale * |c|^2.
-    """
-    live, variances = _noise_variances(pred, ds, cov)
-    return live, np.sqrt(np.maximum(variances, 0.0))
+        variances[trips] = ((blocks @ c[..., None])[..., 0] * c).sum(axis=-1)
+    return live, d, np.maximum(variances[live], 0.0)
 
 
 def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
@@ -262,28 +253,24 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     independent across trips and of the latent times, so their sum is
     Normal(0, sum_n c_n' sigma[r_n, r_n] c_n).  Each replicate therefore
     draws one standard normal for the summed trip noise, scaled by the root
-    of the summed clamped variances (see _noise_scales, which factors no
-    block): the error has exactly the law of the per-entry draw, and a
-    replicate costs one normal per segment involved plus one, whatever the
-    trip count.  A batch holds at most `batch_size` replicates, and fewer
-    when its draws (replicates x (segments involved + 1) float64s) would
-    pass _MC_BYTES; a batch of one replicate may.
+    of the summed variances of _error_terms, which factors no block: the
+    error has exactly the law of the per-entry draw, and a replicate costs
+    one normal per segment involved plus one, whatever the trip count.  A
+    batch holds at most `batch_size` replicates, and fewer when its draws
+    (replicates x (segments involved + 1) float64s) would pass _MC_BYTES; a
+    batch of one replicate may.
     `replicates` and `batch_size` must be integers (not bools) of at least 1.
     """
     for name, value in (("replicates", replicates), ("batch_size", batch_size)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"mc_risk needs {name} to be an integer >= 1, got {value!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    ids = list(pred.route)
-    flat = ds.flat
-    live, scales = _noise_scales(pred, ds, cov)
-    active = live[ds.trip_of]
-    # net effect on the latent times: scattered coefficients minus the target
-    used = np.union1d(ids, flat[active])
-    d = np.bincount(flat[active], weights=pred.coef[active],
-                    minlength=ds.network.n_segments)[used] - np.isin(used, ids)
+    live, d, variances = _error_terms(pred, ds, cov)
+    # the segments involved: the route's and those of the live trips
+    used = np.union1d(pred.route, ds.flat[live[ds.trip_of]])
+    d = d[used]
     # the summed trip noise is one normal per replicate at this scale
-    noise_sd = float(np.linalg.norm(scales))
+    noise_sd = float(np.sqrt(variances.sum()))
     # replicates per batch whose float64 draws fit the budget
     rows = max(1, _MC_BYTES // (8 * (used.size + 1)))
     total = 0.0
@@ -293,7 +280,7 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
         b = min(batch_size, rows, replicates - done)
         theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal((b, used.size))
         err = pred.intercept + theta @ d
-        if scales.size:
+        if variances.size:
             err = err + noise_sd * rng.standard_normal(b)
         sq = err ** 2
         total += float(sq.sum())

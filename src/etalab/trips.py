@@ -52,9 +52,6 @@ _BLOCK_BYTES = 4 * 2 ** 20
 # arenas of their own, so the chunks stay small
 _FAMILY_BYTES = 2 ** 18
 
-# entries of `flat` per block of TripDataset._families' search for turns
-_TURN_BLOCK = 2 ** 20
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -279,6 +276,10 @@ class TripDataset:
             times = np.asarray(times, dtype=np.float64)
             if times.shape != self.flat.shape:
                 raise ValueError(f"times must have the shape of flat, not {times.shape}")
+            bad = np.flatnonzero(~np.isfinite(times))
+            if bad.size:
+                trip = int(np.searchsorted(self.offsets, bad[0], side="right")) - 1
+                raise ValueError(f"trip {trip} has a non-finite observed time")
         self.times = times
         self.theta = None  # the latent segment times, set by synthesize_times
 
@@ -371,27 +372,21 @@ class TripDataset:
         direction after it, so routes with one key are prefixes of one
         another.  A route with two or more turns (only a store read from
         JSONL has one) has no such key: its family holds the trips of that
-        very route.  Directions come from one int8 per entry of `flat`, read
-        in blocks of _TURN_BLOCK entries; only the turns' positions are kept
-        as integers.
+        very route.  Directions come from one int8 per entry of `flat`; only
+        the turns' positions are kept as integers.
         """
         flat, offsets, n_seg = self.flat, self.offsets, self.network.n_segments
         n = self.n_trips
         length = np.diff(offsets)
         # the direction code of each segment: ids run over the table row-major
         heading = np.nonzero(self.network.segment_table >= 0)[1].astype(np.int8)
-        # the turns, found in blocks of `flat` so that the int8 steps stay
-        # small: step i of a block compares entries a + i and a + i + 1
-        turns = [np.zeros(0, dtype=np.int64)]
-        for a in range(0, flat.size - 1, _TURN_BLOCK):
-            b = min(a + _TURN_BLOCK, flat.size - 1)
-            step = np.diff(heading[flat[a:b + 1]])
-            # from one trip's last entry to the next's first
-            step[offsets[np.searchsorted(offsets, a + 1):np.searchsorted(offsets, b + 1)]
-                 - (a + 1)] = 0
-            turns.append(np.flatnonzero(step) + (a + 1))
-        turn = np.concatenate(turns)
-        del turns
+        # the turns: step i compares entries i and i + 1, except from one
+        # trip's last entry to the next's first
+        step = np.diff(heading[flat])
+        step[offsets[1:-1] - 1] = 0
+        turn = np.flatnonzero(step)
+        del step
+        turn += 1
         trip = np.searchsorted(offsets, turn, side="right")
         trip -= 1
         turn -= offsets[trip]
@@ -553,11 +548,14 @@ class TripDataset:
     def from_jsonl(cls, network: RoadNetwork, path) -> "TripDataset":
         routes, times, timed = [], [], 0
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 rec = json.loads(line)
+                if not (isinstance(rec, dict) and isinstance(rec.get("route"), list)):
+                    raise ValueError(f"line {number}: a trip record must be an object "
+                                     "with a list 'route'")
                 routes.append(Route.from_segments(network, rec["route"]))
                 if "times" in rec:
                     # per record: two opposite length errors would cancel in the total

@@ -24,7 +24,7 @@ from etalab.estimators import (
 from etalab.harness import ORACLE_FIXTURES, _fixture_setting, oracle_cases
 from etalab.network import build_grid
 from etalab.risk import (
-    _noise_scales,
+    _error_terms,
     mc_risk,
     risk_affine,
     risk_gseg,
@@ -192,8 +192,10 @@ def _eigh_fold_scales(pred, ds, cov):
 
 
 def _check_scales_against_eigh_fold(pred, ds, cov):
-    """_noise_scales equals the eigh fold trip by trip; returns the fold."""
-    live, scales = _noise_scales(pred, ds, cov)
+    """The roots of _error_terms' variances equal the eigh fold trip by trip;
+    returns the fold."""
+    live, _, variances = _error_terms(pred, ds, cov)
+    scales = np.sqrt(variances)
     expect = _eigh_fold_scales(pred, ds, cov)
     assert scales.shape == (live.sum(),)
     assert np.all(expect[~live] == 0.0)
@@ -212,9 +214,9 @@ def _shared_predictions(ds, y, cov, prior):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_noise_scales_sum_to_affine_variance(seed):
-    # mc_risk draws one normal per active trip at sqrt(c' sigma c); an eigh
-    # factor of each block is an independent route to the same standard
-    # deviation, and its squares add up to the exact noise part of the risk
+    # each live trip's noise has standard deviation sqrt(c' sigma c); an eigh
+    # factor of each block is an independent route to it, and its squares
+    # add up to the exact noise part of the risk
     f = random_fixture(seed + 3500, cov_kind=("diffusion", "diag")[seed % 2],
                        n_trips=30)
     ds, y, cov, prior = f.ds, f.y, f.cov, f.prior

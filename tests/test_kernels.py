@@ -18,7 +18,7 @@ from etalab import estimators, harness, trips
 from etalab.covariance import CovarianceModel, diffusion_covariance, gram_covariance
 from etalab.estimators import PosteriorModel, predict_bayes_optimal
 from etalab.network import AdjacencyRule, build_grid, segment_graph
-from etalab.risk import mc_risk, risk_optimal
+from etalab.risk import _error_terms, mc_risk, risk_optimal
 from etalab.trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
                           resolve_neighborhood, sample_routes, sample_trips,
                           synthesize_times)
@@ -365,6 +365,23 @@ def test_block_consumers_match_whole_group_references(seed, monkeypatch):
     assert results[1] == results[700] == results[_WHOLE_GROUPS]
 
 
+@pytest.mark.parametrize("seed", range(4, 24))
+def test_noise_variances_independent_of_block_chunks(seed, monkeypatch):
+    """risk_affine sums the per-trip noise variances and mc_risk draws at the
+    root of their sum, so each one must come out the same to the bit from a
+    one-trip chunk, a partial chunk and a whole route-length group."""
+    fx = _many_trips(seed)
+    pred = PosteriorModel(fx.ds, fx.cov, fx.prior).predict(fx.y)
+    results = []
+    for budget in (_WHOLE_GROUPS, 1, 700):
+        monkeypatch.setattr(trips, "_BLOCK_BYTES", budget)
+        results.append(_error_terms(pred, fx.ds, fx.cov))
+    for live, d, variances in results[1:]:
+        assert np.array_equal(live, results[0][0])
+        assert np.array_equal(d, results[0][1])
+        assert np.array_equal(variances, results[0][2])
+
+
 def test_sweep_workers_share_the_cores(monkeypatch):
     """Each of run_sweep's worker processes gives the information pass
     cores // workers threads; a single-process sweep gives it every core."""
@@ -541,15 +558,66 @@ def test_two_turn_paths_keep_their_own_families(tmp_path):
     assert ds._families.n_families == 4
 
 
-def test_family_index_independent_of_turn_blocks(tmp_path, monkeypatch):
-    for _, ds, _ in _stores(tmp_path):
+def _loop_families(ds):
+    """(order, bounds, n_routes) of `ds._families`, one trip at a time: the
+    turns of each route, its key and its family."""
+    net, routes = ds.network, [r.segment_ids for r in ds.routes]
+    n_seg = net.n_segments
+    top = max((len(r) for r in routes), default=1) * n_seg
+    keys = []
+    for r in routes:
+        heading = [net.segment(s).direction for s in r]
+        turns = [i for i in range(1, len(r)) if heading[i] != heading[i - 1]]
+        if len(turns) <= 1:
+            last = turns[-1] if turns else 0
+            keys.append(r[0] * top + last * n_seg + r[last])
+        else:
+            keys.append(top * n_seg + routes.index(r))
+    families = {}
+    for trip, key in enumerate(keys):
+        families.setdefault(key, []).append(trip)
+    ranked = sorted(families.items(),
+                    key=lambda kv: (max(len(routes[t]) for t in kv[1]), kv[0]))
+    order, bounds = [], [0]
+    for _, members in ranked:
+        order += sorted(members, key=lambda t: (-len(routes[t]), t))
+        bounds.append(len(order))
+    return order, bounds, len({(key, len(r)) for key, r in zip(keys, routes)})
+
+
+def _boundary_store():
+    """A 4-grid store whose trips change direction across most trip
+    boundaries, with one-segment trips among them.  Trips 1 and 5 (D D R)
+    start down after a trip that ends right, and share a family with trip 3
+    (D D R R), which starts down after a trip that ends down."""
+    net = build_grid(4)
+    paths = [
+        [(0, 0), (0, 1), (0, 2)],                          # R R
+        [(0, 0), (1, 0), (2, 0), (2, 1)],                  # D D R
+        [(0, 1), (1, 1)],                                  # D
+        [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)],          # D D R R
+        [(1, 1), (1, 2)],                                  # R
+        [(0, 0), (1, 0), (2, 0), (2, 1)],                  # D D R again
+        [(3, 0), (3, 1), (2, 1)],                          # R U
+        [(2, 3), (2, 2)],                                  # L
+    ]
+    return TripDataset(net, [Route.from_vertices(net, v) for v in paths])
+
+
+def test_family_index_matches_per_trip_turns(tmp_path):
+    net = build_grid(4)
+    boundary = _boundary_store()
+    stores = [ds for _, ds, _ in _stores(tmp_path)] + [
+        boundary, boundary._slice(1, 2), boundary._slice(2, 3), TripDataset(net, [])]
+    for ds in stores:
         fam = ds._families
-        for block in (1, 2, 5, 64):
-            monkeypatch.setattr(trips, "_TURN_BLOCK", block)
-            again = TripDataset._from_arrays(ds.network, ds.flat, ds.offsets)._families
-            assert np.array_equal(again.order, fam.order)
-            assert np.array_equal(again.bounds, fam.bounds)
-            assert again.n_routes == fam.n_routes
+        order, bounds, n_routes = _loop_families(ds)
+        assert fam.order.tolist() == order
+        assert fam.bounds.tolist() == bounds
+        assert fam.n_routes == n_routes
+    family = _family_of(boundary._families)
+    assert family[1] == family[3] == family[5]
+    assert boundary._families.n_routes == 7
 
 
 def test_family_chunks_cover_each_trip_once(tmp_path, monkeypatch):

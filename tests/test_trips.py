@@ -609,6 +609,38 @@ def test_from_jsonl_checks_each_record(grid3, tmp_path):
     assert TripDataset.from_jsonl(grid3, path).times is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dataset_rejects_non_finite_times(grid3, bad):
+    # a NaN time would turn every prediction's value into NaN without a word
+    routes = [reference_route(), reference_route(), reference_route()]
+    times = np.ones(6)
+    times[3] = times[5] = bad
+    with pytest.raises(ValueError, match="trip 1 has a non-finite observed time"):
+        TripDataset(grid3, routes, times=times)
+
+
+@pytest.mark.parametrize("bad", ["null", "NaN", "Infinity", "-Infinity"])
+def test_from_jsonl_rejects_non_finite_times(grid3, tmp_path, bad):
+    two = list(reference_route().segment_ids)
+    path = tmp_path / "trips.jsonl"
+    # json.dumps cannot write null where a float goes, so the lines are spelled out
+    path.write_text(f'{{"route": {two}, "times": [1.0, 2.0]}}\n'
+                    f'{{"route": {two}, "times": [1.0, {bad}]}}\n')
+    with pytest.raises(ValueError, match="trip 1 has a non-finite observed time"):
+        TripDataset.from_jsonl(grid3, path)
+
+
+@pytest.mark.parametrize("record", ["[1, 2]", "{}", '{"route": 5}', '{"times": [1.0]}',
+                                    '"route"', "null", '{"route": {"0": 1}}'])
+def test_from_jsonl_rejects_malformed_records(grid3, tmp_path, record):
+    two = list(reference_route().segment_ids)
+    path = tmp_path / "trips.jsonl"
+    path.write_text(f'{{"route": {two}}}\n\n{record}\n')
+    with pytest.raises(ValueError, match=re.escape(
+            "line 3: a trip record must be an object with a list 'route'")):
+        TripDataset.from_jsonl(grid3, path)
+
+
 # ---------------------------------------------------------------------------
 # neighborhoods
 
