@@ -275,26 +275,43 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
     symmetries = graph.network.symmetries
     _check_invariant(graph.adjacency, symmetries)
     lap = normalized_laplacian(graph)
+    orbits = _orbits(symmetries)
+    m = orbits.stabiliser.size
     # L commutes with the involutions, so B_j' L B_k = 0 for j != k and
-    # L = sum_k B_k E_k diag(lambda_k) E_k' B_k' from one eigh per block;
-    # X = [B_k E_k diag(e^{-v lambda_k / 2})] gives sigma = u X X' + white I
-    x = np.empty((n, n))
+    # L = sum_k B_k E_k diag(lambda_k) E_k' B_k' from one eigh per block.  A
+    # segment s's row of B_k holds chi_k(g(s)) c at its orbit o(s), with
+    # c = |H| / sqrt(8 |H|) for the orbit's stabiliser H, so
+    # sigma[s, t] = T[g(s) ^ g(t), o(s), o(t)] + white delta_st over the
+    # orbit table T[h] = u sum_k chi_k(h) M_k, M_k = F_k F_k' and
+    # F_k = diag(c) E_k diag(e^{-v lambda_k / 2}) padded with zero rows
+    scale = orbits.stabiliser / np.sqrt(8.0 * orbits.stabiliser)
+    table = np.zeros((8, m, m))
     blocks = []
-    col = 0
-    for b in _symmetry_blocks(symmetries):
+    for block in _symmetry_blocks(orbits):
+        b, keep = block.basis, block.orbits
         evals, evecs = np.linalg.eigh((b.T @ lap @ b).toarray())
         heat = np.exp(-v * evals)
-        x[:, col:col + evals.size] = b @ (evecs * np.sqrt(heat))
-        col += evals.size
+        f = scale[keep, None] * (evecs * np.sqrt(heat))
+        # numpy runs F F' as one symmetric rank-k update, so M_k, and with
+        # it T[h] and sigma, come out exactly symmetric
+        kernel = np.zeros((m, m))
+        kernel[np.ix_(keep, keep)] = f @ f.T
+        for h in range(8):
+            table[h] += orbits.chi[block.k, h] * kernel
         # sigma's eigenvalues on the block: u e^{-v lambda} + white
         blocks.append((b, evecs, u * heat + white))
     # sigma's spectrum is the union of the blocks'
     eigenvalues = np.sort(np.concatenate([h for _, _, h in blocks]))
-    # numpy runs X @ X.T as one symmetric rank-k update, so the kernel comes
-    # out exactly symmetric and CovarianceModel stores it with no symmetrising copy
-    sigma = x @ x.T
-    del x
-    sigma *= u
+    table *= u
+    # row s gathers T at (g(s) ^ g(t), o(s), o(t)): one flat column index
+    # per group element, shifted by o(s), and no n x n array besides sigma
+    g, o = orbits.element, orbits.orbit
+    cols = (np.arange(8, dtype=np.int8)[:, None] ^ g).astype(np.intp) * (m * m) + o
+    flat = table.reshape(-1)
+    sigma = np.empty((n, n))
+    for s in range(n):
+        np.take(flat, cols[g[s]] + o[s] * m, out=sigma[s])
+    del table, flat
     sigma[np.diag_indices(n)] += white
     model = CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
     # the precision is sum_k B_k E_k diag(1 / h_k) E_k' B_k'; a singular
@@ -315,17 +332,26 @@ def _check_invariant(adjacency: scipy.sparse.csr_matrix, symmetries: np.ndarray)
                              f"{name}, so the symmetry split of its Laplacian does not hold")
 
 
-def _symmetry_blocks(symmetries: np.ndarray) -> list[scipy.sparse.csc_matrix]:
-    """The nonempty blocks B_k of an orthonormal basis that block-diagonalises
-    every matrix commuting with the involutions in `symmetries`.
+class _Orbits(NamedTuple):
+    """The segments' orbits under the group Z2^3 that the involutions generate.
 
-    The involutions commute and generate the group Z2^3, whose element b
-    applies involution t for each bit t set in b.  Block k holds one column
-    per orbit, the projection sum_b chi_k(b) e_{b(r)} of the orbit's smallest
-    segment r under the character chi_k(b) = (-1)^popcount(k & b).  It is
-    zero when chi_k is not 1 on the stabiliser H of r; otherwise each orbit
-    member gets |H| chi_k(b) and the column's norm is sqrt(8 |H|).
+    Group element b applies involution t for each bit t set in b.  Orbit j
+    holds members[b, j] = b(r_j) for its smallest segment r_j, whose
+    stabiliser H_j has `stabiliser[j]` elements.  Segment s lies in orbit
+    `orbit[s]`, and `element[s]` is a group element that maps that orbit's
+    r_j to s.  chi[k, b] = (-1)^popcount(k & b) is the group's character k,
+    and kept[k, j] says whether chi_k is 1 on H_j.
     """
+
+    members: np.ndarray
+    stabiliser: np.ndarray
+    orbit: np.ndarray
+    element: np.ndarray
+    chi: np.ndarray
+    kept: np.ndarray
+
+
+def _orbits(symmetries: np.ndarray) -> _Orbits:
     n = symmetries.shape[1]
     images = np.empty((8, n), dtype=np.intp)
     images[0] = np.arange(n)
@@ -333,21 +359,50 @@ def _symmetry_blocks(symmetries: np.ndarray) -> list[scipy.sparse.csc_matrix]:
         top = b.bit_length() - 1
         images[b] = symmetries[top][images[b - (1 << top)]]
     reps = np.unique(images.min(axis=0))
-    orbits = images[:, reps]
+    members = images[:, reps]
+    orbit = np.empty(n, dtype=np.intp)
+    orbit[members] = np.arange(reps.size)
+    # a member reached by several group elements takes any one of them
+    element = np.empty(n, dtype=np.int8)
+    element[members] = np.arange(8, dtype=np.int8)[:, None]
     parity = np.array([bin(x).count("1") % 2 for x in range(8)])
     chi = 1 - 2 * parity[np.bitwise_and.outer(np.arange(8), np.arange(8))]
-    # sum over the stabiliser of chi_k: |H| or 0, for each character and orbit
-    stabiliser = chi @ (orbits == reps)
+    fixed = members == reps
+    stabiliser = fixed.sum(axis=0)
+    # the sum over H_j of chi_k is |H_j| or 0
+    return _Orbits(members, stabiliser, orbit, element, chi, chi @ fixed == stabiliser)
+
+
+class _SymmetryBlock(NamedTuple):
+    """Block B_k of the symmetry basis: its character k, the orbits it has a
+    column for, in column order, and the sparse n x m_k basis."""
+
+    k: int
+    orbits: np.ndarray
+    basis: scipy.sparse.csc_matrix
+
+
+def _symmetry_blocks(orbits: _Orbits) -> list[_SymmetryBlock]:
+    """The nonempty blocks B_k of an orthonormal basis that block-diagonalises
+    every matrix commuting with the involutions.
+
+    Block k holds one column per orbit, the projection sum_b chi_k(b)
+    e_{b(r)} of the orbit's smallest segment r.  It is zero when chi_k is not
+    1 on the stabiliser H of r; otherwise each orbit member gets |H| chi_k(b)
+    and the column's norm is sqrt(8 |H|).
+    """
+    n = orbits.orbit.size
     blocks = []
     for k in range(8):
-        keep = np.nonzero(stabiliser[k])[0]
+        keep = np.nonzero(orbits.kept[k])[0]
         if keep.size == 0:
             continue
-        values = chi[k][:, None] / np.sqrt(8.0 * stabiliser[k, keep])
+        values = orbits.chi[k][:, None] / np.sqrt(8.0 * orbits.stabiliser[keep])
         cols = np.broadcast_to(np.arange(keep.size), values.shape)
         # a member reached by several group elements sums their entries
-        blocks.append(scipy.sparse.csc_matrix(
-            (values.ravel(), (orbits[:, keep].ravel(), cols.ravel())), shape=(n, keep.size)))
+        blocks.append(_SymmetryBlock(k, keep, scipy.sparse.csc_matrix(
+            (values.ravel(), (orbits.members[:, keep].ravel(), cols.ravel())),
+            shape=(n, keep.size))))
     return blocks
 
 

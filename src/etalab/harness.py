@@ -251,6 +251,11 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     the stage, or None where /proc/self/status is missing.  The mark is the
     process's, so a cell that runs after a larger one in the same process
     reads that one's peak.
+
+    The posterior stage builds `PosteriorModel`, reads the Bayes risks of
+    every predicting route from it (`_bayes_risks`) and keeps only those,
+    `q_rcond` and the quadratic sums, so the model's n x n Cholesky factor
+    is freed before the route stages build the incidence.
     """
     stages: dict[str, float] = {}
     peaks: dict[str, float | None] = {}
@@ -266,16 +271,20 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
         predicting = sample_trips(law, net, np.random.default_rng(pred_ss), cfg.n_predict)
     with _timed(stages, "posterior", peaks):
         model = PosteriorModel(ds, cov, prior)
+        bayes = _bayes_risks(model, predicting)
+        q_rcond, quadratic_sums = model.q_rcond, model.quadratic_sums
+        del model
     with _timed(stages, "precision", peaks):
         # what lower_bound's precision blocks need: nothing more for the
         # kernels of a full-rank diffusion covariance, the n x n precision
         # (or its rank error) otherwise
         cov.precision_block(())
-    risks, sizes = _route_risks(cfg, model, predicting, stages, peaks)
+    risks, sizes = _route_risks(cfg, ds, cov, prior, quadratic_sums, bayes, predicting,
+                                stages, peaks)
     logs = np.log10(risks.mean(axis=1))
     families = ds._families
     counters = {"n_hist": n_hist, "distinct_routes": families.n_routes,
-                "route_families": families.n_families, "q_rcond": model.q_rcond,
+                "route_families": families.n_families, "q_rcond": q_rcond,
                 "sigma_condition": float(cov.eigenvalues[-1] / cov.eigenvalues[0]),
                 "stage_peak_mb": peaks}
     for name, size in zip(("route", "route_grow"), sizes):
@@ -286,25 +295,36 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
                     counters=counters)
 
 
-def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDataset,
+def _bayes_risks(model: PosteriorModel, predicting: TripDataset) -> np.ndarray:
+    """The Bayes risk e_r' (W + I/tau2)^-1 e_r of every predicting route,
+    from one multi-route solve per _ROUTE_BATCH routes."""
+    out = np.empty(predicting.n_trips)
+    for a in range(0, predicting.n_trips, _ROUTE_BATCH):
+        batch = predicting._slice(a, a + _ROUTE_BATCH)
+        out[a:a + batch.n_trips] = model._terms(batch)[1]
+    return out
+
+
+def _route_risks(cfg: SweepConfig, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec,
+                 quadratic_sums: np.ndarray, bayes: np.ndarray, predicting: TripDataset,
                  stages: dict[str, float], peaks: dict[str, float | None]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Exact risks of every predicting route, evaluated in batches.
 
     Returns a (5, routes) array of the segment, route, route_grow and Bayes
     risks and the lower bound, in the order of CSV_COLUMNS, and a (2, routes)
-    array of the route methods' neighborhood sizes.  Each batch of
-    _ROUTE_BATCH routes reads each route's pair counts from the incidence,
-    resolves each method's neighborhoods at once, reads the Bayes risks
-    e_r' g_r from one solve, and evaluates the route risks as array formulas.
-    Each stage's seconds add up in `stages`, and `peaks` gets its memory
-    mark as in run_cell.
+    array of the route methods' neighborhood sizes.  The Bayes risks are
+    `bayes`, from `_bayes_risks`, and `quadratic_sums` are the trips' sums of
+    sigma[r, r].  Each batch of _ROUTE_BATCH routes reads each route's pair
+    counts from the incidence, resolves each method's neighborhoods at once
+    and evaluates the route risks as array formulas.  Each stage's seconds
+    add up in `stages`, and `peaks` gets its memory mark as in run_cell.
     """
-    ds, cov, prior = model.ds, model.cov, model.prior
     rule = WeightRule.ratio(cfg.ratio_lam)
     specs = (NeighborhoodSpec.od_exact(),
              NeighborhoodSpec.od_ball_growing(cfg.growing_fraction))
     risks = np.empty((5, predicting.n_trips))
+    risks[3] = bayes
     sizes = np.empty((len(specs), predicting.n_trips), dtype=np.int64)
     for a in range(0, predicting.n_trips, _ROUTE_BATCH):
         batch = predicting._slice(a, a + _ROUTE_BATCH)
@@ -314,7 +334,7 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
             pairs = [ds.pair_counts(y) for y in ys]
         with _timed(stages, "neighborhoods", peaks):
             moments = [_neighborhood_moments(ds, batch, resolve_neighborhoods(ds, batch, spec),
-                                             cov, model.quadratic_sums) for spec in specs]
+                                             cov, quadratic_sums) for spec in specs]
         with _timed(stages, "risks", peaks):
             risks[0, cols] = [risk_seg(ds, y, rule, cov, prior, pair=pair).total
                               for y, pair in zip(ys, pairs)]
@@ -323,7 +343,6 @@ def _route_risks(cfg: SweepConfig, model: PosteriorModel, predicting: TripDatase
                                                               prior)
                 risks[slot, cols] = variance + (length + off + on)
                 sizes[slot - 1, cols] = mom.size
-            risks[3, cols] = model._terms(batch)[1]
             risks[4, cols] = [lower_bound(ds, y, cov, prior, pair=pair)
                               for y, pair in zip(ys, pairs)]
     return risks, sizes

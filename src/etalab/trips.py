@@ -549,10 +549,15 @@ class TripDataset:
         routes, times, timed = [], [], 0
         with open(path) as fh:
             for number, line in enumerate(fh, 1):
-                line = line.strip()
+                # right-stripped only, so a decode error's column is the file's
+                line = line.rstrip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"line {number}: not a JSON record ({err.msg} at "
+                                     f"column {err.colno})") from None
                 if not (isinstance(rec, dict) and isinstance(rec.get("route"), list)):
                     raise ValueError(f"line {number}: a trip record must be an object "
                                      "with a list 'route'")
@@ -562,6 +567,10 @@ class TripDataset:
                     t = rec["times"]
                     if not isinstance(t, list) or len(t) != len(routes[-1]):
                         raise ValueError(f"trip {len(routes) - 1} needs one time per segment")
+                    # np.array would read true as 1.0 and "1.5" as 1.5; null
+                    # reads as NaN, which the dataset rejects as non-finite
+                    if not all(x is None or type(x) in (int, float) for x in t):
+                        raise ValueError(f"line {number}: times must be JSON numbers")
                     times.extend(t)
                     timed += 1
         if timed not in (0, len(routes)):

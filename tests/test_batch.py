@@ -1,12 +1,13 @@
 """The batched evaluation of a sweep cell's predicting routes.
 
 `harness._route_risks` evaluates a store of predicting routes at once: one
-neighborhood resolution per method, one Bayes solve, array formulas for the
-route risks.  It is held to the per-route public functions, one route at a
+neighborhood resolution per method and array formulas for the route risks,
+with the Bayes risks from one solve per batch (`harness._bayes_risks`).  It is held to the per-route public functions, one route at a
 time, at 1e-12 relative; `resolve_neighborhood` is held to the L1
 definitions in `NeighborhoodSpec`'s docstring by brute force.
 """
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +33,13 @@ def _cell(cfg, p, k):
     ds = sample_trips(law, net, np.random.default_rng(hist_ss), math.ceil(p ** k))
     predicting = sample_trips(law, net, np.random.default_rng(pred_ss), cfg.n_predict)
     return ds, predicting, PosteriorModel(ds, cov, prior)
+
+
+def _route_risks(cfg, model, predicting, stages):
+    """harness._route_risks on the model's parts, as run_cell calls it."""
+    return harness._route_risks(cfg, model.ds, model.cov, model.prior, model.quadratic_sums,
+                                harness._bayes_risks(model, predicting), predicting, stages,
+                                {})
 
 
 def _per_route(cfg, model, predicting):
@@ -70,7 +78,7 @@ CELLS = [
 def test_batched_cell_matches_per_route_functions(case, fields, p, k):
     cfg = harness.SweepConfig(grid_sizes=(p,), exponents=(k,), **fields)
     ds, predicting, model = _cell(cfg, p, k)
-    risks, sizes = harness._route_risks(cfg, model, predicting, {}, {})
+    risks, sizes = _route_risks(cfg, model, predicting, {})
     expect, expect_sizes = _per_route(cfg, model, predicting)
     np.testing.assert_allclose(risks, expect, rtol=RTOL, atol=0)
     assert np.array_equal(sizes, expect_sizes)
@@ -98,13 +106,37 @@ def test_route_batches_do_not_change_the_risks(monkeypatch):
     cfg = harness.SweepConfig(master_seed=11, grid_sizes=(4,), exponents=(2.0,),
                               n_predict=10)
     _, predicting, model = _cell(cfg, 4, 2.0)
-    whole, whole_sizes = harness._route_risks(cfg, model, predicting, {}, {})
+    whole, whole_sizes = _route_risks(cfg, model, predicting, {})
     monkeypatch.setattr(harness, "_ROUTE_BATCH", 3)
     stages = {}
-    parts, part_sizes = harness._route_risks(cfg, model, predicting, stages, {})
+    parts, part_sizes = _route_risks(cfg, model, predicting, stages)
     np.testing.assert_allclose(parts, whole, rtol=RTOL, atol=0)
     assert np.array_equal(part_sizes, whole_sizes)
     assert set(stages) == {"pair_counts", "neighborhoods", "risks"}
+
+
+def test_run_cell_frees_the_posterior_before_the_pair_counts(monkeypatch):
+    """The model's n x n Cholesky factor is gone before the incidence is built."""
+    models = []
+
+    class Tracked(PosteriorModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            models.append(weakref.ref(self))
+
+    alive = []
+    pair_counts = TripDataset.pair_counts
+
+    def watched(ds, y):
+        alive.append(models[0]() is not None)
+        return pair_counts(ds, y)
+
+    monkeypatch.setattr(harness, "PosteriorModel", Tracked)
+    monkeypatch.setattr(TripDataset, "pair_counts", watched)
+    cfg = harness.SweepConfig(master_seed=12, grid_sizes=(4,), exponents=(2.0,), n_predict=5)
+    harness.run_cell(cfg, 4, 2.0)
+    assert len(models) == 1
+    assert alive == [False] * 5
 
 
 def test_lower_bound_from_kernels_matches_dense_precision():

@@ -9,6 +9,7 @@ import scipy.sparse
 from etalab.covariance import (
     CovarianceModel,
     FeatureLaw,
+    _orbits,
     _symmetry_blocks,
     assumption_diagnostics,
     diffusion_covariance,
@@ -273,7 +274,8 @@ def test_rank_deficient_precision_raises():
 
 @pytest.mark.parametrize("p", [3, 10, 20])
 def test_diffusion_sigma_is_exactly_symmetric(p):
-    """The X X' product makes the diffusion kernel exactly symmetric, so it is
+    """The orbit table T[h] is a signed sum of exactly symmetric kernels
+    M_k = F_k F_k', so the gathered kernel is exactly symmetric and is
     stored as built, with no symmetrising copy."""
     graph = segment_graph(build_grid(p), rule=AdjacencyRule.CALIBRATED)
     sigma = diffusion_covariance(graph, u=1.0, v=1.0, white=1.0).sigma
@@ -281,9 +283,11 @@ def test_diffusion_sigma_is_exactly_symmetric(p):
 
 
 @pytest.mark.parametrize("p", [10, 20])
-def test_diffusion_build_holds_about_two_dense_arrays(p):
-    """The graph and its Laplacian are sparse, so X and sigma are the build's
-    only n x n arrays: its traced peak stays under 2.4 of them."""
+def test_diffusion_build_holds_one_dense_array(p):
+    """The graph and its Laplacian are sparse and sigma is gathered from an
+    orbit table of about n^2 / 8 entries, so sigma is the build's only n x n
+    array: its traced peak, with the precision kernels it keeps, stays under
+    1.6 of them."""
     net = build_grid(p)
     n = net.n_segments
     tracemalloc.start()
@@ -292,7 +296,39 @@ def test_diffusion_build_holds_about_two_dense_arrays(p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * n * n * 8
+    assert peak <= 1.6 * n * n * 8
+
+
+def _xxt_diffusion(graph, u, v, white):
+    """The heat kernel as u X X' + white I with X = [B_k E_k diag(e^{-v
+    lambda_k / 2})] over the symmetry blocks: one n x n X and an n^3 product."""
+    lap = normalized_laplacian(graph)
+    n = lap.shape[0]
+    x = np.empty((n, n))
+    col = 0
+    for block in _symmetry_blocks(_orbits(graph.network.symmetries)):
+        b = block.basis
+        evals, evecs = np.linalg.eigh((b.T @ lap @ b).toarray())
+        x[:, col:col + evals.size] = b @ (evecs * np.sqrt(np.exp(-v * evals)))
+        col += evals.size
+    sigma = x @ x.T
+    sigma *= u
+    sigma[np.diag_indices(n)] += white
+    return sigma
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_orbit_table_sigma_matches_the_xxt_build(p):
+    """Within 1e-15 of sigma's largest entry, about 4 ulp: the two builds
+    differ only in how they round the sums.  p=1 has empty blocks and
+    stabilisers of every order."""
+    net = build_grid(p)
+    for rule in AdjacencyRule.ALL:
+        graph = segment_graph(net, rule=rule)
+        for white in (0.0, 1.0):
+            sigma = diffusion_covariance(graph, u=1.0, v=1.0, white=white).sigma
+            reference = _xxt_diffusion(graph, 1.0, 1.0, white)
+            assert np.max(np.abs(sigma - reference)) <= 1e-15 * np.abs(reference).max()
 
 
 def _dense_diffusion(graph, u, v, white):
@@ -319,7 +355,7 @@ def test_blocked_diffusion_matches_dense_eigh(p):
 @pytest.mark.parametrize("p", [1, 2, 5, 10])
 def test_symmetry_basis_is_orthonormal(p):
     net = build_grid(p)
-    blocks = _symmetry_blocks(net.symmetries)
+    blocks = [block.basis for block in _symmetry_blocks(_orbits(net.symmetries))]
     basis = scipy.sparse.hstack(blocks).toarray()
     assert basis.shape == (net.n_segments, net.n_segments)
     assert np.max(np.abs(basis.T @ basis - np.eye(net.n_segments))) <= 1e-14

@@ -641,6 +641,25 @@ def test_from_jsonl_rejects_malformed_records(grid3, tmp_path, record):
         TripDataset.from_jsonl(grid3, path)
 
 
+@pytest.mark.parametrize("times", ["[true, false]", '["1.5", "2"]', '[1.0, [2.0]]',
+                                   '[{"t": 1.0}, 2.0]'])
+def test_from_jsonl_rejects_times_that_are_not_numbers(grid3, tmp_path, times):
+    two = list(reference_route().segment_ids)
+    path = tmp_path / "trips.jsonl"
+    path.write_text(f'{{"route": {two}, "times": [1.0, 2.0]}}\n'
+                    f'{{"route": {two}, "times": {times}}}\n')
+    with pytest.raises(ValueError, match=re.escape("line 2: times must be JSON numbers")):
+        TripDataset.from_jsonl(grid3, path)
+
+
+def test_from_jsonl_names_the_line_of_broken_json(grid3, tmp_path):
+    two = list(reference_route().segment_ids)
+    path = tmp_path / "trips.jsonl"
+    path.write_text(f'{{"route": {two}}}\n{{"route": [1, 2\n')
+    with pytest.raises(ValueError, match=r"^line 2: not a JSON record \(.* at column 16\)$"):
+        TripDataset.from_jsonl(grid3, path)
+
+
 # ---------------------------------------------------------------------------
 # neighborhoods
 
