@@ -118,7 +118,7 @@ class CovarianceModel:
         sigma = np.ascontiguousarray(np.asarray(sigma, dtype=np.float64))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square matrix")
-        if not np.isfinite(sigma).all():
+        if not (np.isfinite(sigma.min()) and np.isfinite(sigma.max())):  # no n x n temporary
             raise ValueError("sigma must have finite entries")
         if eigenvalues is None:
             if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
@@ -195,9 +195,7 @@ class CovarianceModel:
         return self.sigma[np.ix_(idx, idx)]
 
     def pair_sum(self, s_ids: Sequence[int], t_ids: Sequence[int]) -> float:
-        """Sum of sigma entries over the cross product of two id sets."""
-        if len(s_ids) == 0 or len(t_ids) == 0:
-            return 0.0
+        """Sum of sigma entries over the cross product of two id sets (0 if one is empty)."""
         si = np.asarray(s_ids, dtype=np.intp)
         ti = np.asarray(t_ids, dtype=np.intp)
         return float(self.sigma[np.ix_(si, ti)].sum())
@@ -269,9 +267,9 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
         "white": float(white),
     }
     if v == 0.0:
-        # exp(0) is the identity; keep it bit-exact rather than round-tripped
-        # through an eigendecomposition
-        return CovarianceModel((u + white) * np.eye(n), meta=meta)
+        # exp(0) is the identity: sigma and its spectrum are exact, with no eigendecomposition
+        diag = np.full(n, u + white)
+        return CovarianceModel._with_eigenvalues(np.diag(diag), meta, diag)
     symmetries = graph.network.symmetries
     _check_invariant(graph.adjacency, symmetries)
     lap = normalized_laplacian(graph)

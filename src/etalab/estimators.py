@@ -154,9 +154,8 @@ def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int,
     """Check that partition blocks are contiguous sub-paths tiling the route."""
     ids = _route_ids(y)
     blocks = [tuple(int(s) for s in b) for b in partition]
-    for b in blocks:
-        if not b:
-            raise ValueError("empty partition block")
+    if not all(blocks):
+        raise ValueError("empty partition block")
     pos = {s: i for i, s in enumerate(ids)}
     try:
         blocks_sorted = sorted(blocks, key=lambda b: pos[b[0]])
@@ -170,41 +169,28 @@ def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int,
 
 def _resolve_weights(rule, counts: np.ndarray, blocks: Sequence[Sequence[int]],
                      prior: PriorSpec, cov: CovarianceModel | None) -> np.ndarray:
-    """Per-block shrinkage weights from a WeightRule or an explicit array."""
+    """Per-block shrinkage weights from a WeightRule or a finite explicit array."""
     if isinstance(rule, WeightRule):
-        phis = np.empty(len(blocks))
-        for i, b in enumerate(blocks):
-            noise = None
-            if rule.kind == WeightRule.INDEP_OPTIMAL:
-                if cov is None:
-                    raise ValueError("indep_optimal weights need a covariance")
-                noise = cov.pair_sum(b, b)
-            phis[i] = rule.value(int(counts[i]), group_size=len(b), noise=noise,
-                                 tau2=prior.tau2)
-        return phis
+        indep = rule.kind == WeightRule.INDEP_OPTIMAL
+        if indep and cov is None:
+            raise ValueError("indep_optimal weights need a covariance")
+        return np.array([rule.value(int(n), group_size=len(b), tau2=prior.tau2,
+                                    noise=cov.pair_sum(b, b) if indep else None)
+                         for n, b in zip(counts, blocks)], dtype=np.float64)
     phis = np.asarray(rule, dtype=np.float64)
     if phis.shape != (len(blocks),):
         raise ValueError("need one weight per partition block")
+    if not np.isfinite(phis).all():
+        raise ValueError(f"weights must be finite, got {phis.tolist()}")
     # no-support blocks cannot use data regardless of the requested weight
     return np.where(counts > 0, phis, 0.0)
 
 
-def _membership(ids: Sequence[int], blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """(|y|, k) 0/1 matrix M with M[i, j] = 1 when ids[i] lies in block j.
-
-    The blocks are a partition of ids (`validate_partition`).
-    """
-    pos = {s: i for i, s in enumerate(ids)}
-    member = np.zeros((len(ids), len(blocks)))
-    for j, b in enumerate(blocks):
-        member[[pos[s] for s in b], j] = 1.0
-    return member
-
-
-def _block_cover(ds: TripDataset, ids: Sequence[int], member: np.ndarray) -> np.ndarray:
-    """(n_trips, k) 0/1 matrix C with C[n, j] = 1 when trip n covers all of block j."""
-    hits = ds.incidence[:, list(ids)] @ member
-    return (hits == member.sum(axis=0)).astype(np.float64)
+def _segment_blocks(ds: TripDataset, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """The block of every network segment under a route partition, -1 off the route."""
+    lookup = np.full(ds.network.n_segments, -1)
+    lookup[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    return lookup
 
 
 def _block_moments(ds: TripDataset, ids: Sequence[int], blocks: Sequence[Sequence[int]],
@@ -212,15 +198,15 @@ def _block_moments(ds: TripDataset, ids: Sequence[int], blocks: Sequence[Sequenc
                    joint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Joint support counts J and covariance cross sums S of a route partition.
 
-    J = C'C counts the trips covering both block i and block j (its diagonal
-    holds each block's support) and S = M' sigma[y, y] M sums sigma over
-    block i x block j.  `joint` optionally supplies J; for singleton blocks
-    it is TripDataset.pair_counts.
+    J = C'C, C = `ds.block_cover(blocks)`, counts the trips covering both
+    block i and block j (its diagonal holds each block's support) and S = M'
+    sigma[y, y] M sums sigma over block i x block j.  `joint` optionally
+    supplies J; for singleton blocks it is TripDataset.pair_counts.
     """
-    member = _membership(ids, blocks)
     if joint is None:
-        cover = _block_cover(ds, ids, member)
-        joint = cover.T @ cover
+        cover = ds.block_cover(blocks)
+        joint = (cover.T @ cover).toarray()
+    member = np.eye(len(blocks))[_segment_blocks(ds, blocks)[list(ids)]]
     return joint, member.T @ cov.sigma[np.ix_(ids, ids)] @ member
 
 
@@ -230,24 +216,28 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
 
     Each block S pools the trips whose route covers all of S, shrinking the
     average observed block total toward its prior mean |S| * mu.  `rule` is a
-    WeightRule or an explicit per-block weight array.
+    WeightRule or an explicit per-block weight array.  Block j's w = phi/n
+    goes to the entries of `flat` on j whose trip covers j: one pass over
+    `flat` finds the entries on y, then a search of the cover's sorted cells.
     """
     ids = _route_ids(y)
     blocks = validate_partition(ids, partition)
-    member = _membership(ids, blocks)
-    cover = _block_cover(ds, ids, member)
-    counts = cover.sum(axis=0).astype(np.int64)
+    cover = ds.block_cover(blocks)
+    counts = np.diff(cover.indptr)
     phis = _resolve_weights(rule, counts, blocks, prior, cov)
-    trip_of = ds.trip_of
+    w = phis / np.maximum(counts, 1)
+    lookup = _segment_blocks(ds, blocks)
+    on = np.flatnonzero((lookup >= 0)[ds.flat])
+    block = lookup[ds.flat[on]]
+    at = block * ds.n_trips + np.searchsorted(ds.offsets, on, side="right") - 1
+    cells = np.append(np.repeat(np.arange(len(blocks)), counts) * ds.n_trips + cover.indices,
+                      np.iinfo(np.int64).max)
     coef = np.zeros(ds.flat.size)
+    coef[on] = np.where(cells[np.searchsorted(cells, at)] == at, w[block], 0.0)
     intercept = float(len(ids)) * prior.mu
-    for j, (b, n_b, phi) in enumerate(zip(blocks, counts, phis)):
-        if n_b == 0 or phi == 0.0:
-            continue
-        w = phi / float(n_b)
-        coef[(cover[trip_of, j] > 0) & np.isin(ds.flat, b)] += w
-        intercept -= w * n_b * len(b) * prior.mu
-    pred = Prediction("gseg", ids, intercept, coef, ds.offsets,
+    for w_b, n_b, b in zip(w, counts, blocks):
+        intercept -= w_b * n_b * len(b) * prior.mu
+    pred = Prediction("gseg", ids, float(intercept), coef, ds.offsets,
                       detail={"weights": [float(v) for v in phis],
                               "counts": [int(v) for v in counts],
                               "blocks": [list(b) for b in blocks]})

@@ -523,13 +523,10 @@ def run_examples() -> ExamplesReport:
     ds, cov, prior, y = _fixture_setting("reference")
     s1, s2 = y.segment_ids
 
-    counters = fx.GOLDEN_COUNTERS
-    report.rows.append(GoldenRow("counters", "n_first", counters["n_first"],
-                                 float(ds.n_s[s1]), 0.0))
-    report.rows.append(GoldenRow("counters", "n_second", counters["n_second"],
-                                 float(ds.n_s[s2]), 0.0))
-    report.rows.append(GoldenRow("counters", "n_joint", counters["n_joint"],
-                                 float(ds.n_subset([s1, s2])), 0.0))
+    for name, count in (("n_first", ds.n_s[s1]), ("n_second", ds.n_s[s2]),
+                        ("n_joint", ds.n_subset([s1, s2]))):
+        expected = fx.GOLDEN_COUNTERS[name]
+        report.rows.append(GoldenRow("counters", name, expected, float(count), 0.0))
 
     pred, opt = _bayes_case(ds, cov, prior, y)
     coefs, *exact = _conditioned_bayes(ds, y, cov, prior)

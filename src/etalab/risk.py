@@ -117,12 +117,12 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
     Breakdown terms: noise variance of the pooled average, squared bias from
     neighbor-length mismatch, prior mass leaked onto segments outside y, and
     prior mass not recovered on y itself.  An empty neighborhood forces
-    phi = 0 and the report reduces to the prior risk |y| * tau2.  This is the
-    one-route case of `_route_risk_terms`.
+    phi = 0 and the report reduces to the prior risk |y| * tau2; a non-finite
+    phi raises ValueError.  This is the one-route case of `_route_risk_terms`.
     """
     ids = _route_ids(y)
+    phi = float(_resolve_weights([phi], np.array([nbhd.size]), [ids], prior, None)[0])
     mom = _one_route_moments(ds, ids, nbhd, cov, q_all)
-    phi = float(phi) if nbhd.size else 0.0
     variance, bias_length, bias_off, bias_on = (
         float(v[0]) for v in _route_risk_terms(mom, np.array([phi]), prior))
     return RiskReport("route", ids, variance, bias_length + bias_off + bias_on,

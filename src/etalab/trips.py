@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -483,10 +483,25 @@ class TripDataset:
         return self.trips_containing_all([seg_id])
 
     def trips_containing_all(self, seg_ids: Sequence[int]) -> np.ndarray:
-        """Sorted ids of trips whose route traverses every listed segment."""
-        ids = np.unique(np.asarray(seg_ids, dtype=np.int64))
-        hits = np.asarray(self.incidence[:, ids].sum(axis=1)).ravel()
-        return np.flatnonzero(hits == ids.size)
+        """Sorted ids of trips whose route traverses every listed segment (all, for none)."""
+        if not len(seg_ids):
+            return np.arange(self.n_trips)
+        return self.block_cover([seg_ids]).indices.astype(np.int64)
+
+    def block_cover(self, blocks: Sequence[Sequence[int]]) -> scipy.sparse.csc_matrix:
+        """Trip x block 0/1 matrix C (CSC, int64, sorted rows): C[n, j] = 1 when
+        trip n traverses every segment of the nonempty block j, i.e. when the
+        int64 count of its hits in j (through a segment x block membership) is j's length."""
+        sizes = np.array([len(b) for b in blocks])
+        if not sizes.all():
+            raise ValueError("block_cover needs nonempty blocks")
+        member = scipy.sparse.csc_matrix((np.ones(sizes.sum(), dtype=np.int64),
+                                          np.arange(sizes.sum()), np.r_[0, np.cumsum(sizes)]))
+        cover = (self.incidence[:, np.concatenate(blocks).astype(np.int64)] @ member).tocsc()
+        cover.data = (cover.data == np.repeat(sizes, np.diff(cover.indptr))).astype(np.int64)
+        cover.eliminate_zeros()
+        cover.sort_indices()
+        return cover
 
     def n_subset(self, seg_ids: Sequence[int]) -> int:
         """Joint traversal count: trips containing every listed segment."""

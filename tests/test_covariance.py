@@ -72,7 +72,8 @@ def test_covariance_model_validation():
         CovarianceModel(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="min eigenvalue"):
         explicit_covariance(2, {(0, 0): 1.0, (1, 1): 1.0, (0, 1): -1.1})
-    for bad in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf])):
+    for bad in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf]),
+                np.diag([-np.inf, 1.0]), np.diag([1.0, 2.0, np.nan])):
         with pytest.raises(ValueError, match="finite entries"):
             CovarianceModel(bad)
 
@@ -238,11 +239,15 @@ def test_one_eigen_solve_per_construction(monkeypatch):
     assert calls and all(name == "eigh" for name, _ in calls)
     assert all(shape[0] < n for _, shape in calls)
     assert sum(shape[0] for _, shape in calls) == n
-    for build in (lambda: gram_covariance(n, 3), negcov_covariance,
-                  lambda: diffusion_covariance(graph, v=0.0)):
+    for build in (lambda: gram_covariance(n, 3), negcov_covariance):
         calls.clear()
         build()
         assert calls == [("eigvalsh", (n, n))]
+    # at v = 0 sigma is (u + white) I, whose spectrum is its diagonal
+    calls.clear()
+    cov = diffusion_covariance(graph, u=1.0, v=0.0, white=0.5)
+    assert calls == []
+    assert np.array_equal(cov.eigenvalues, np.full(n, 1.5))
 
 
 def test_spectrum_consumers_run_no_eigen_solve(monkeypatch):

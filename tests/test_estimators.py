@@ -168,6 +168,25 @@ def test_route_prediction_resolves_weights_like_one_block():
             predict_route(ds, y, n, WeightRule.indep_optimal(), prior)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_explicit_weights_are_rejected(bad):
+    # an explicit weight that is not finite is refused, on a supported block
+    # and on an empty one alike, instead of turning the intercept into NaN
+    ds, prior = _timed_reference(), merge_prior()
+    y, part = merge_route(), merge_partition()
+    with pytest.raises(ValueError, match="weights must be finite"):
+        predict_gseg(ds, y, part, [bad, 0.5], prior)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        predict_segment(ds, y, [0.5] * (len(y) - 1) + [bad], prior)
+    nb = resolve_neighborhood(ds, y, reference_route_neighborhood())
+    rev = type(y).from_vertices(ds.network, [(1, 2), (1, 1), (1, 0)])
+    none = resolve_neighborhood(ds, rev, NeighborhoodSpec.exact_route())
+    assert none.size == 0
+    for route, n in ((y, nb), (rev, none)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            predict_route(ds, route, n, bad, prior)
+
+
 def test_route_prediction_exact_single_member():
     ds = _timed_reference()
     y = ds.routes[3]

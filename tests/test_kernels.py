@@ -8,6 +8,7 @@ The information pass and the quadratic sums work one route family at a time;
 they are held to per-trip inverses and block sums.
 """
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from conftest import random_fixture
 from etalab import estimators, harness, trips
 from etalab.covariance import CovarianceModel, diffusion_covariance, gram_covariance
-from etalab.estimators import PosteriorModel, predict_bayes_optimal
+from etalab.estimators import PosteriorModel, predict_bayes_optimal, predict_segment
 from etalab.network import AdjacencyRule, build_grid, segment_graph
 from etalab.risk import _error_terms, mc_risk, risk_optimal
 from etalab.trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
@@ -98,11 +99,11 @@ def test_counts_pass_the_incidence_dtype(repeats):
     assert ds.n_subset([y[1]]) == repeats + 2
     assert np.array_equal(ds.trips_containing_all(y[:2]), np.arange(repeats))
     # one block per leg of y: y's trips cover both, other's trips neither whole
-    member = np.zeros((len(y), 2))
-    member[:2, 0] = member[2:, 1] = 1.0
-    cover = estimators._block_cover(ds, y, member)
-    assert cover.sum(axis=0).tolist() == [repeats, repeats]
-    assert (cover.T @ cover).tolist() == [[repeats, repeats], [repeats, repeats]]
+    cover = ds.block_cover([y[:2], y[2:]])
+    assert np.diff(cover.indptr).tolist() == [repeats, repeats]
+    joint = (cover.T @ cover).toarray()
+    assert joint.dtype == np.int64
+    assert joint.tolist() == [[repeats, repeats], [repeats, repeats]]
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -114,6 +115,68 @@ def test_n_subset_matches_loop(seed):
         brute = [n for n, r in enumerate(ds.routes) if set(subset) <= set(r.segment_ids)]
         assert ds.n_subset(subset) == len(brute)
         assert ds.trips_containing_all(subset).tolist() == brute
+
+
+def _random_partition(ids, rng):
+    """The route cut into random contiguous blocks, listed in random order."""
+    cuts = rng.choice(np.arange(1, len(ids)), size=rng.integers(0, len(ids)), replace=False)
+    bounds = [0, *sorted(cuts.tolist()), len(ids)]
+    blocks = [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [blocks[i] for i in rng.permutation(len(blocks))]
+
+
+def test_block_cover_matches_set_check(tmp_path):
+    """The cover, its column counts and J = C'C against a per-trip check that
+    a block's segments are a subset of the trip's; the cross sums S against
+    sums of sigma over block pairs."""
+    rng = np.random.default_rng(0)
+    for _, ds, cov in _stores(tmp_path):
+        sets = [set(r.segment_ids) for r in ds.routes]
+        ys = [ds.routes[n].segment_ids for n in rng.choice(ds.n_trips, 4)]
+        ys += [r.segment_ids for r in sample_routes(ODLaw(ds.network.p, 1.0), ds.network,
+                                                    rng, 4)]
+        for y in ys:
+            for blocks in ([(s,) for s in y], [y], _random_partition(y, rng)):
+                brute = np.array([[set(b) <= t for b in blocks] for t in sets], dtype=np.int64)
+                cover = ds.block_cover(blocks)
+                assert cover.dtype == np.int64
+                assert np.array_equal(cover.toarray(), brute)
+                assert np.array_equal(np.diff(cover.indptr), brute.sum(axis=0))
+                assert np.array_equal((cover.T @ cover).toarray(), brute.T @ brute)
+                joint, cross = estimators._block_moments(ds, y, blocks, cov)
+                assert np.array_equal(joint, brute.T @ brute)
+                assert np.allclose(cross, [[cov.sigma[np.ix_(a, b)].sum() for b in blocks]
+                                           for a in blocks], rtol=0, atol=1e-12)
+        # duplicated ids, and no ids at all
+        y = ys[0]
+        twice = [y[0], *y, y[-1]]
+        assert np.array_equal(ds.trips_containing_all(twice),
+                              [n for n, t in enumerate(sets) if set(y) <= t])
+        assert np.array_equal(ds.block_cover([twice, y[:1] * 3]).toarray(),
+                              ds.block_cover([y, y[:1]]).toarray())
+        assert np.array_equal(ds.trips_containing_all(()), np.arange(ds.n_trips))
+        assert ds.n_subset(()) == ds.n_trips
+        with pytest.raises(ValueError, match="nonempty blocks"):
+            ds.block_cover([y, ()])
+
+
+def test_predict_segment_transients_stay_small():
+    """predict_segment keeps one flat-sized array, its coefficients; besides
+    them it passes over flat with a one-byte mask and holds arrays over the
+    route's entries only.  So under tracemalloc it allocates less than 1.5x
+    the int64 flat, with no trip x block array and no per-block scan."""
+    net, law = build_grid(12), ODLaw(12, 1.0)
+    ds = sample_trips(law, net, np.random.default_rng(1), 50_000)
+    ds.incidence
+    prior = PriorSpec(mu=1.0, tau2=0.5)
+    for y in sample_routes(law, net, np.random.default_rng(2), 5):
+        tracemalloc.start()
+        try:
+            predict_segment(ds, y, np.full(len(y), 0.5), prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ds.flat.nbytes
 
 
 @pytest.mark.parametrize("seed", [9, 10])

@@ -223,6 +223,25 @@ def test_gseg_optimal_weights_locally_optimal():
         assert base <= alt + 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_are_rejected(bad):
+    # a non-finite weight would report a NaN variance or an infinite bias
+    ds, y = reference_dataset(), merge_route()
+    cov, prior, part = merge_covariance(), merge_prior(), merge_partition()
+    with pytest.raises(ValueError, match="weights must be finite"):
+        risk_gseg(ds, y, part, [bad, 0.5], cov, prior)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        risk_seg(ds, y, [bad] + [0.5] * (len(y) - 1), cov, prior)
+    y = reference_route()
+    nb = resolve_neighborhood(ds, y, reference_route_neighborhood())
+    rev = Route.from_vertices(ds.network, [(1, 2), (1, 1), (1, 0)])
+    none = resolve_neighborhood(ds, rev, NeighborhoodSpec.exact_route())
+    assert none.size == 0
+    for route, n in ((y, nb), (rev, none)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            risk_route(ds, route, n, bad, reference_covariance(), reference_prior())
+
+
 def test_mc_risk_prior_only():
     ds = reference_dataset()
     y = reference_route()
