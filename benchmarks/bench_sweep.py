@@ -7,11 +7,8 @@ covariance, and its peak resident memory (`ru_maxrss`) is its own.  For each
 cell and repetition the record holds the total seconds (time.perf_counter),
 the seconds of each stage that run_cell times, the peak memory in MB and
 the cell's counters, which include each stage's memory mark
-(`stage_peak_mb`).  It also times `mc_risk` alone, in this
-process, on a Monte Carlo oracle setup: the segment, grouped-segment, route
-and Bayes predictions of a few routes on a p=10 grid with ceil(10**3.5)
-synthesized trips, 1000 replicates each in batches of 250.  Run from the
-repository root:
+(`stage_peak_mb`).  The Monte Carlo oracle is timed by etabench's
+`eta_oracle` workload.  Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_sweep.py BENCH_<n>.json --repeat 3
 
@@ -35,14 +32,9 @@ import time
 
 import numpy as np
 
-from etalab import (AdjacencyRule, NeighborhoodSpec, ODLaw, PosteriorModel, PriorSpec,
-                    build_grid, diffusion_covariance, estimators, harness, mc_risk,
-                    optimal_gseg_weights, optimal_route_weight, optimal_seg_weights,
-                    predict_gseg, predict_route, predict_segment, resolve_neighborhood,
-                    sample_routes, segment_graph, synthesize_times)
+from etalab import estimators, harness
 
 CELLS = ((10, 3.0), (20, 4.0), (30, 4.0))
-ORACLE = {"p": 10, "k": 3.5, "n_routes": 3, "replicates": 1000, "batch_size": 250}
 
 
 def git_sha() -> str | None:
@@ -88,54 +80,6 @@ def time_cell(p: int, k: float, repeat: int, threads: int | None) -> dict:
     }
 
 
-def _legs(net, ids: tuple) -> list:
-    """An L-shaped route's two straight legs (one block if it is straight)."""
-    for i in range(1, len(ids)):
-        if net.segment(ids[i]).direction != net.segment(ids[i - 1]).direction:
-            return [ids[:i], ids[i:]]
-    return [ids]
-
-
-def oracle_predictions() -> tuple:
-    """Data and the four estimators' predictions of the Monte Carlo oracle setup."""
-    p = ORACLE["p"]
-    hist_ss, pred_ss, time_ss = np.random.SeedSequence(0).spawn(3)
-    net = build_grid(p)
-    cov = diffusion_covariance(segment_graph(net, rule=AdjacencyRule.CALIBRATED),
-                               u=1.0, v=1.0, white=1.0)
-    prior = PriorSpec(mu=1.0, tau2=0.5)
-    law = ODLaw(p, 1.0)
-    hist = sample_routes(law, net, np.random.default_rng(hist_ss),
-                         math.ceil(p ** ORACLE["k"]))
-    ds = synthesize_times(net, hist, cov, prior, np.random.default_rng(time_ss))
-    model = PosteriorModel(ds, cov, prior)
-    preds = []
-    for y in sample_routes(law, net, np.random.default_rng(pred_ss), ORACLE["n_routes"]):
-        part = _legs(net, y.segment_ids)
-        nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball_growing(0.1))
-        preds += [predict_segment(ds, y, optimal_seg_weights(ds, y, cov, prior), prior),
-                  predict_gseg(ds, y, part, optimal_gseg_weights(ds, y, part, cov, prior),
-                               prior),
-                  predict_route(ds, y, nb, optimal_route_weight(ds, y, nb, cov, prior),
-                                prior),
-                  model.predict(y)]
-    return ds, cov, prior, preds
-
-
-def time_mc_risk(repeat: int) -> dict:
-    ds, cov, prior, preds = oracle_predictions()
-    runs = []
-    for rep in range(repeat):
-        rng = np.random.default_rng(rep)
-        start = time.perf_counter()
-        for pred in preds:
-            mc_risk(pred, ds, cov, prior, replicates=ORACLE["replicates"], seed=rng,
-                    batch_size=ORACLE["batch_size"])
-        runs.append(time.perf_counter() - start)
-    return {**ORACLE, "n_trips": ds.n_trips, "n_predictions": len(preds),
-            "median_s": statistics.median(runs), "runs_s": runs}
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="path of the JSON record to write")
@@ -159,7 +103,6 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cells": [time_cell(p, k, args.repeat, args.threads) for p, k in CELLS],
-        "mc_risk": time_mc_risk(args.repeat),
     }
     if args.before:
         with open(args.before) as fh:
@@ -171,8 +114,6 @@ def main() -> None:
         stages = ", ".join(f"{k} {v:.2f}" for k, v in cell["median_stages_s"].items())
         print(f"p={cell['p']} k={cell['k']}: {cell['median_total_s']:.2f} s, "
               f"{cell['median_peak_rss_mb']:.0f} MB ({stages})")
-    mc = record["mc_risk"]
-    print(f"mc_risk x{mc['n_predictions']} at p={mc['p']} k={mc['k']}: {mc['median_s']:.2f} s")
 
 
 if __name__ == "__main__":

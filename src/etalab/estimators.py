@@ -269,9 +269,8 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
     coef = np.zeros(ds.flat.size)
     intercept = (1.0 - phi) * len(ids) * prior.mu
     if m > 0 and phi != 0.0:
-        in_nbhd = np.zeros(ds.n_trips, dtype=bool)
-        in_nbhd[nbhd.members] = True
-        coef[in_nbhd[ds.trip_of]] = phi / float(m)
+        starts = ds.offsets[nbhd.members]
+        coef[_ranges(starts, ds.offsets[nbhd.members + 1] - starts)] = phi / float(m)
     pred = Prediction("route", ids, intercept, coef, ds.offsets,
                       detail={"weight": float(phi), "neighborhood_size": int(m),
                               "neighborhood": nbhd.spec.kind})

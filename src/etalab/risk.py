@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .covariance import CovarianceModel
 from .estimators import (PosteriorModel, Prediction, _block_moments, _NeighborhoodMoments,
                          _one_route_moments, _resolve_weights, _route_ids,
                          optimal_route_weight, optimal_seg_weights, validate_partition)
-from .trips import Neighborhood, PriorSpec, TripDataset
+from .trips import Neighborhood, PriorSpec, TripDataset, _ranges
 
 __all__ = [
     "RiskReport",
@@ -189,12 +190,12 @@ def risk_affine(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     scattered onto the segments minus the indicator of y, the error is
     a + d . theta + sum_n c_n . eps_n, so the risk is
     (a + mu * sum d)^2 + tau2 |d|^2 (bias2, the latent part) plus
-    sum_n max(c_n' sigma[r_n, r_n] c_n, 0) (variance, the noise part; see
+    max(sum_n c_n' sigma[r_n, r_n] c_n, 0) (variance, the noise part; see
     _error_terms).
     """
-    _, d, variances = _error_terms(pred, ds, cov)
+    _, d, variance = _error_terms(pred, ds, cov)
     bias2 = (pred.intercept + prior.mu * float(d.sum())) ** 2 + prior.tau2 * float(d @ d)
-    return RiskReport(pred.estimator, pred.route, float(variances.sum()), bias2)
+    return RiskReport(pred.estimator, pred.route, variance, bias2)
 
 
 @dataclass(frozen=True)
@@ -212,30 +213,30 @@ _MC_BYTES = 64 * 2 ** 20
 
 
 def _error_terms(pred: Prediction, ds: TripDataset, cov: CovarianceModel
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The error a + d . theta + sum_n c_n . eps_n of an affine prediction.
 
     Returns a boolean per trip, marking the live trips (any nonzero
     coefficient); d, the coefficients summed onto every segment minus the
-    indicator of the route; and, in trip order, each live trip's noise
-    variance max(c_n' sigma[r_n, r_n] c_n, 0), with c_n its coefficients and
-    r_n its route.  risk_affine sums the variances and mc_risk draws their
-    sum.  Each c' sigma_r c is one matrix-vector product and one row sum,
-    whose rounding does not depend on how _sigma_blocks chunks the trips.
-    The clamp acts only within the tolerance the covariance already accepts:
-    CovarianceModel rejects sigma with lambda_min < -PSD_RTOL * scale, every
-    block is a principal submatrix, so by eigenvalue interlacing
-    c' sigma[r, r] c >= -PSD_RTOL * scale * |c|^2.
+    indicator of the route; and the noise variance sum_n c_n' sigma[r_n, r_n] c_n
+    (c_n trip n's coefficients, r_n its route), which is <sigma, C'C> for C the
+    live trip x segment matrix of the coefficients: one sparse Gram product.
+    Its clamp at 0 acts only within the tolerance the covariance accepts
+    (CovarianceModel rejects lambda_min < -PSD_RTOL * scale).  A prediction
+    scored against a store other than its own raises ValueError.
     """
+    if not np.array_equal(pred.offsets, ds.offsets):
+        raise ValueError(f"a prediction over {pred.offsets.size - 1} trips cannot be scored "
+                         f"against a dataset of {ds.n_trips} trips with other routes")
     n = ds.network.n_segments
-    live = np.zeros(ds.n_trips, dtype=bool)
-    live[ds.trip_of[pred.coef != 0.0]] = True
+    starts, lengths = ds.offsets[:-1], np.diff(ds.offsets)
+    live = np.logical_or.reduceat(pred.coef != 0.0, starts)
     d = np.bincount(ds.flat, weights=pred.coef, minlength=n) - np.isin(np.arange(n), pred.route)
-    variances = np.zeros(ds.n_trips)
-    for trips, pos, _, blocks in ds._sigma_blocks(cov, select=live):
-        c = pred.coef[pos]
-        variances[trips] = ((blocks @ c[..., None])[..., 0] * c).sum(axis=-1)
-    return live, d, np.maximum(variances[live], 0.0)
+    pos = _ranges(starts[live], lengths[live])
+    c = scipy.sparse.csr_matrix((pred.coef[pos], ds.flat[pos], np.r_[0, np.cumsum(lengths[live])]),
+                                shape=(int(live.sum()), n))
+    gram = (c.T @ c).tocoo()
+    return live, d, max(float(cov.sigma[gram.row, gram.col] @ gram.data), 0.0)
 
 
 def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
@@ -253,7 +254,7 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
     independent across trips and of the latent times, so their sum is
     Normal(0, sum_n c_n' sigma[r_n, r_n] c_n).  Each replicate therefore
     draws one standard normal for the summed trip noise, scaled by the root
-    of the summed variances of _error_terms, which factors no block: the
+    of the summed variance of _error_terms, which factors no block: the
     error has exactly the law of the per-entry draw, and a replicate costs
     one normal per segment involved plus one, whatever the trip count.  A
     batch holds at most `batch_size` replicates, and fewer when its draws
@@ -265,22 +266,21 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"mc_risk needs {name} to be an integer >= 1, got {value!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    live, d, variances = _error_terms(pred, ds, cov)
+    live, d, variance = _error_terms(pred, ds, cov)
     # the segments involved: the route's and those of the live trips
-    used = np.union1d(pred.route, ds.flat[live[ds.trip_of]])
+    used = np.union1d(pred.route, ds.flat[np.repeat(live, np.diff(ds.offsets))])
     d = d[used]
     # the summed trip noise is one normal per replicate at this scale
-    noise_sd = float(np.sqrt(variances.sum()))
+    noise_sd = float(np.sqrt(variance))
     # replicates per batch whose float64 draws fit the budget
     rows = max(1, _MC_BYTES // (8 * (used.size + 1)))
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     done = 0
     while done < replicates:
         b = min(batch_size, rows, replicates - done)
         theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal((b, used.size))
         err = pred.intercept + theta @ d
-        if variances.size:
+        if live.any():
             err = err + noise_sd * rng.standard_normal(b)
         sq = err ** 2
         total += float(sq.sum())
@@ -288,8 +288,7 @@ def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
         done += b
     mean = total / replicates
     var = max(total_sq / replicates - mean ** 2, 0.0)
-    se = float(np.sqrt(var / replicates))
-    return MCRisk(mean, se, replicates)
+    return MCRisk(mean, float(np.sqrt(var / replicates)), replicates)
 
 
 def check_nb_condition(ds: TripDataset, y, nbhd: Neighborhood) -> bool:

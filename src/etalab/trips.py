@@ -345,7 +345,7 @@ class TripDataset:
 
     @cached_property
     def trip_of(self) -> np.ndarray:
-        """The trip of every entry of `flat`, for arrays aligned with it."""
+        """The trip of every entry of `flat` (read on predicting-route stores only)."""
         return np.repeat(np.arange(self.n_trips), np.diff(self.offsets))
 
     @cached_property
@@ -456,7 +456,7 @@ class TripDataset:
                 yield (members, offsets[members + 1] - offsets[members], local,
                        self.flat[offsets[longest[f:g], None] + span])
 
-    def _sigma_blocks(self, cov: CovarianceModel, select: np.ndarray | None = None
+    def _sigma_blocks(self, cov: CovarianceModel
                       ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Trips' covariance blocks in chunks: (trips, pos, ids, blocks).
 
@@ -465,12 +465,11 @@ class TripDataset:
         sigma[r, r] of their routes r.  Chunks walk the route lengths in
         increasing order and the trips in id order, and hold at most
         _BLOCK_BYTES of blocks (one trip's block when that alone is larger).
-        `select`, a boolean per trip, keeps only the marked trips.
         """
         sigma = cov.sigma
         lens = np.diff(self.offsets)
         for length in np.unique(lens):
-            trips = np.flatnonzero((lens == length) & (True if select is None else select))
+            trips = np.flatnonzero(lens == length)
             pos = self.offsets[trips, None] + np.arange(length)
             rows = max(1, _BLOCK_BYTES // (sigma.itemsize * length * length))
             for a in range(0, trips.size, rows):
@@ -626,7 +625,7 @@ def _noise_factors(blocks: np.ndarray) -> np.ndarray:
     within the tolerance the covariance accepts, as mc_risk's clamp does:
     CovarianceModel rejects sigma with lambda_min < -PSD_RTOL * scale, and by
     interlacing no principal submatrix has a smaller eigenvalue.  Only
-    synthesize_times factors blocks; mc_risk and risk_affine read c' sigma c.
+    synthesize_times factors blocks; mc_risk and risk_affine read a Gram product.
     """
     evals, evecs = np.linalg.eigh(blocks)
     return evecs * np.sqrt(np.clip(evals, 0.0, None))[:, None, :]
@@ -698,13 +697,14 @@ class Neighborhood:
         return int(self.members.size)
 
 
-def resolve_neighborhood(ds: TripDataset, y: Route, spec: NeighborhoodSpec) -> Neighborhood:
+def resolve_neighborhood(ds: TripDataset, y, spec: NeighborhoodSpec) -> Neighborhood:
     """Find the historical trips a route-level estimator may pool for y.
 
     An empty neighborhood is a valid outcome, not an error; the estimator
-    then falls back to the prior.  This is the one-route case of
-    `resolve_neighborhoods`.
+    then falls back to the prior.  y is a Route or its segment ids, checked by
+    `Route.from_segments`.  This is the one-route case of `resolve_neighborhoods`.
     """
+    y = y if isinstance(y, Route) else Route.from_segments(ds.network, y)
     members = resolve_neighborhoods(ds, TripDataset._one_route(ds.network, y.segment_ids),
                                     spec)
     return Neighborhood(spec, y, members.indices.astype(np.int64))

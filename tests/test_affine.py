@@ -192,15 +192,15 @@ def _eigh_fold_scales(pred, ds, cov):
 
 
 def _check_scales_against_eigh_fold(pred, ds, cov):
-    """The roots of _error_terms' variances equal the eigh fold trip by trip;
-    returns the fold."""
-    live, _, variances = _error_terms(pred, ds, cov)
-    scales = np.sqrt(variances)
+    """The root of _error_terms' summed variance equals the norm of the
+    per-trip eigh folds, and its live trips are those with a nonzero
+    coefficient; returns the fold."""
+    live, _, variance = _error_terms(pred, ds, cov)
     expect = _eigh_fold_scales(pred, ds, cov)
-    assert scales.shape == (live.sum(),)
+    assert np.array_equal(live, [np.any(c != 0.0) for c in pred.coefficients])
     assert np.all(expect[~live] == 0.0)
-    tol = 1e-12 * max(1.0, float(expect.max(initial=0.0)))
-    assert np.all(np.abs(scales - expect[live]) <= tol), pred.estimator
+    norm = float(np.linalg.norm(expect))
+    assert abs(np.sqrt(variance) - norm) <= 1e-12 * max(1.0, norm), pred.estimator
     return expect
 
 

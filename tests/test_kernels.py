@@ -17,7 +17,8 @@ import pytest
 from conftest import random_fixture
 from etalab import estimators, harness, trips
 from etalab.covariance import CovarianceModel, diffusion_covariance, gram_covariance
-from etalab.estimators import PosteriorModel, predict_bayes_optimal, predict_segment
+from etalab.estimators import (PosteriorModel, predict_bayes_optimal, predict_route,
+                               predict_segment)
 from etalab.network import AdjacencyRule, build_grid, segment_graph
 from etalab.risk import _error_terms, mc_risk, risk_optimal
 from etalab.trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
@@ -177,6 +178,44 @@ def test_predict_segment_transients_stay_small():
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * ds.flat.nbytes
+
+
+def test_predict_route_transients_stay_small():
+    """predict_route keeps one flat-sized array, its coefficients, and places
+    phi / M over the members' ranges of flat.  So under tracemalloc it
+    allocates less than 1.5x the int64 flat, and it leaves no per-entry trip
+    index cached on the store."""
+    net, law = build_grid(12), ODLaw(12, 1.0)
+    ds = sample_trips(law, net, np.random.default_rng(1), 50_000)
+    prior = PriorSpec(mu=1.0, tau2=0.5)
+    for y in sample_routes(law, net, np.random.default_rng(2), 5):
+        nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball_growing(0.1))
+        assert nb.size > 0
+        tracemalloc.start()
+        try:
+            pred = predict_route(ds, y, nb, 0.5, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ds.flat.nbytes
+        assert np.count_nonzero(pred.coef) == ds.offsets[nb.members + 1].sum() - \
+            ds.offsets[nb.members].sum()
+    assert "trip_of" not in ds.__dict__
+
+
+def test_resolve_neighborhood_takes_segment_ids():
+    """Like every other per-route call, resolve_neighborhood takes a Route or
+    its segment ids, which it validates as a path."""
+    fx = _many_trips(5)
+    for spec in (NeighborhoodSpec.exact_route(), NeighborhoodSpec.od_exact(),
+                 NeighborhoodSpec.od_ball(1), NeighborhoodSpec.od_ball_growing(0.3)):
+        for y in fx.ds.routes[:10]:
+            by_route = resolve_neighborhood(fx.ds, y, spec)
+            by_ids = resolve_neighborhood(fx.ds, list(y.segment_ids), spec)
+            assert np.array_equal(by_ids.members, by_route.members)
+            assert by_ids.route == y
+    with pytest.raises(ValueError, match="route breaks"):
+        resolve_neighborhood(fx.ds, [0, 0], NeighborhoodSpec.od_exact())
 
 
 @pytest.mark.parametrize("seed", [9, 10])
@@ -357,23 +396,20 @@ def test_sigma_blocks_cover_each_trip_once(budget, monkeypatch):
     fx = _many_trips(3)
     ds, sigma = fx.ds, fx.cov.sigma
     monkeypatch.setattr(trips, "_BLOCK_BYTES", budget)
-    select = fx.rng.random(ds.n_trips) < 0.3
-    for mask in (None, select):
-        seen, lengths = [], []
-        for chunk, pos, ids, blocks in ds._sigma_blocks(fx.cov, select=mask):
-            length = ids.shape[1]
-            assert blocks.nbytes <= budget or chunk.size == 1
-            assert blocks.shape == (chunk.size, length, length)
-            assert np.array_equal(pos, ds.offsets[chunk, None] + np.arange(length))
-            assert np.array_equal(ids, ds.flat[pos])
-            for t, block in zip(chunk, blocks):
-                r = ds.routes[t].segment_ids
-                assert np.array_equal(block, sigma[np.ix_(r, r)])
-            seen.extend(chunk.tolist())
-            lengths.append(length)
-        expect = np.arange(ds.n_trips) if mask is None else np.flatnonzero(mask)
-        assert sorted(seen) == expect.tolist()
-        assert lengths == sorted(lengths)
+    seen, lengths = [], []
+    for chunk, pos, ids, blocks in ds._sigma_blocks(fx.cov):
+        length = ids.shape[1]
+        assert blocks.nbytes <= budget or chunk.size == 1
+        assert blocks.shape == (chunk.size, length, length)
+        assert np.array_equal(pos, ds.offsets[chunk, None] + np.arange(length))
+        assert np.array_equal(ids, ds.flat[pos])
+        for t, block in zip(chunk, blocks):
+            r = ds.routes[t].segment_ids
+            assert np.array_equal(block, sigma[np.ix_(r, r)])
+        seen.extend(chunk.tolist())
+        lengths.append(length)
+    assert sorted(seen) == list(range(ds.n_trips))
+    assert lengths == sorted(lengths)
 
 
 def _whole_groups(ds):
@@ -430,19 +466,20 @@ def test_block_consumers_match_whole_group_references(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4, 24))
 def test_noise_variances_independent_of_block_chunks(seed, monkeypatch):
-    """risk_affine sums the per-trip noise variances and mc_risk draws at the
-    root of their sum, so each one must come out the same to the bit from a
-    one-trip chunk, a partial chunk and a whole route-length group."""
+    """_error_terms reads the summed noise variance from one sparse Gram
+    product, which no block budget touches; it equals the sum of c' sigma_r c
+    over the blocks _sigma_blocks gathers, in one-trip chunks, partial chunks
+    or whole route-length groups."""
     fx = _many_trips(seed)
     pred = PosteriorModel(fx.ds, fx.cov, fx.prior).predict(fx.y)
-    results = []
+    variance = _error_terms(pred, fx.ds, fx.cov)[2]
     for budget in (_WHOLE_GROUPS, 1, 700):
         monkeypatch.setattr(trips, "_BLOCK_BYTES", budget)
-        results.append(_error_terms(pred, fx.ds, fx.cov))
-    for live, d, variances in results[1:]:
-        assert np.array_equal(live, results[0][0])
-        assert np.array_equal(d, results[0][1])
-        assert np.array_equal(variances, results[0][2])
+        walk = 0.0
+        for _, pos, _, blocks in fx.ds._sigma_blocks(fx.cov):
+            c = pred.coef[pos]
+            walk += float(((blocks @ c[..., None])[..., 0] * c).sum())
+        assert abs(variance - walk) <= 1e-14 * max(1.0, walk)
 
 
 def test_sweep_workers_share_the_cores(monkeypatch):

@@ -12,6 +12,7 @@ from etalab.estimators import (
     optimal_gseg_weights,
     optimal_route_weight,
     optimal_seg_weights,
+    predict_route,
     predict_segment,
 )
 from etalab.fixtures import (
@@ -347,19 +348,57 @@ def test_mc_risk_rejects_counts_below_one(counts):
 
 
 def test_mc_risk_and_risk_affine_factor_no_block(monkeypatch):
-    # both read each trip's noise variance c' sigma c; only synthesize_times
-    # factors blocks
+    # both read the summed noise variance from one sparse Gram product: they
+    # gather no trip block, and only synthesize_times factors blocks
     fx = random_fixture(42, cov_kind="diffusion", p=4, n_trips=60)
     pred = PosteriorModel(fx.ds, fx.cov, fx.prior).predict(fx.y)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("eigendecomposition called")
+        raise AssertionError("a trip block gathered or factored")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(trips, "_noise_factors", refuse)
-    exact = risk_affine(pred, fx.ds, fx.cov, fx.prior).total
+    monkeypatch.setattr(TripDataset, "_sigma_blocks", refuse)
+    exact = risk_affine(pred, fx.ds, fx.cov, fx.prior)
+    assert exact.variance > 0.0
     est = mc_risk(pred, fx.ds, fx.cov, fx.prior, replicates=2000, seed=1)
-    assert abs(est.mean - exact) <= 3.0 * est.se
+    assert abs(est.mean - exact.total) <= 3.0 * est.se
+
+
+def test_prediction_scored_against_another_store_is_rejected():
+    # coef is aligned with the flat of the store the prediction was built on;
+    # another store, of another size or of the same flat size (seed 71), holds
+    # other trips at those positions
+    net, law = build_grid(4), ODLaw(4, 1.0)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    prior = PriorSpec(mu=1.0, tau2=0.5)
+    own = sample_trips(law, net, np.random.default_rng(0), 50)
+    pred = PosteriorModel(own, cov, prior).predict(own.routes[0])
+    risk_affine(pred, own, cov, prior)
+    for seed, n_trips in ((1, 60), (71, 50)):
+        other = sample_trips(law, net, np.random.default_rng(seed), n_trips)
+        assert n_trips != 50 or other.flat.size == own.flat.size
+        for score in (risk_affine, mc_risk):
+            with pytest.raises(ValueError, match=f"prediction over 50 trips .* dataset of "
+                                                 f"{n_trips} trips"):
+                score(pred, other, cov, prior)
+
+
+def test_scoring_builds_no_trip_index():
+    # the per-entry trip index would stay cached on the store for its lifetime
+    net, law = build_grid(5), ODLaw(5, 1.0)
+    ds = sample_trips(law, net, np.random.default_rng(3), 400)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    prior = PriorSpec(mu=1.0, tau2=0.5)
+    y = ds.routes[0]
+    nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball(1))
+    assert nb.size > 0
+    for pred in (predict_route(ds, y, nb, 0.5, prior),
+                 predict_segment(ds, y, np.full(len(y), 0.5), prior),
+                 PosteriorModel(ds, cov, prior).predict(y)):
+        risk_affine(pred, ds, cov, prior)
+        mc_risk(pred, ds, cov, prior, replicates=200, seed=2)
+    assert "trip_of" not in ds.__dict__
 
 
 def test_nb_condition_exact_route_always_true():
