@@ -24,7 +24,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .covariance import CovarianceModel
-from .trips import Neighborhood, PriorSpec, Route, TripDataset, _leading_sums, _ranges
+from .trips import (Neighborhood, PriorSpec, Route, TripDataset, _is_count, _leading_sums,
+                    _ranges)
 
 __all__ = [
     "WeightRule",
@@ -68,6 +69,8 @@ class WeightRule:
 
     @classmethod
     def threshold(cls, c: int = 1) -> "WeightRule":
+        if not _is_count(c):
+            raise ValueError(f"threshold rule needs an integer c >= 0, got {c!r}")
         return cls(cls.THRESHOLD, c=c)
 
     @classmethod
@@ -115,28 +118,6 @@ class Prediction:
         """The prediction at observed times aligned with `coef` (TripDataset.times)."""
         return self.intercept + float(self.coef @ times)
 
-    def coefficient_sum(self) -> float:
-        return float(self.coef.sum())
-
-    def explain(self) -> dict:
-        """JSON-ready breakdown: intercept plus per-trip nonzero coefficients."""
-        trips = []
-        for n, c in enumerate(self.coefficients):
-            if np.any(c != 0.0):
-                trips.append({"trip": n, "coefficients": [float(v) for v in c]})
-        return {
-            "estimator": self.estimator,
-            "route": list(self.route),
-            "intercept": self.intercept,
-            "value": self.value,
-            "trips": trips,
-            **{k: v for k, v in self.detail.items() if _jsonable(v)},
-        }
-
-
-def _jsonable(v) -> bool:
-    return isinstance(v, (int, float, str, bool, list, dict, type(None)))
-
 
 def _finish(pred: Prediction, ds: TripDataset) -> Prediction:
     if ds.times is not None:
@@ -145,9 +126,13 @@ def _finish(pred: Prediction, ds: TripDataset) -> Prediction:
 
 
 def _route_ids(y) -> tuple[int, ...]:
+    """y's segment ids; ValueError when they repeat a segment (a Route never does)."""
     if isinstance(y, Route):
         return y.segment_ids
-    return tuple(int(s) for s in y)
+    ids = tuple(int(s) for s in y)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"route {list(ids)} repeats a segment")
+    return ids
 
 
 def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -438,10 +423,6 @@ class PosteriorModel:
         if info != 0:
             raise np.linalg.LinAlgError(f"dpocon failed with info {info}")
         self.q_rcond = float(rcond)
-
-    def weight_vector(self, y) -> np.ndarray:
-        """g solving (W + I / tau2) g = indicator(y)."""
-        return self._weights(TripDataset._one_route(self.ds.network, _route_ids(y)))[:, 0]
 
     def _weights(self, routes: TripDataset) -> np.ndarray:
         """G = (W + I / tau2)^-1 E, E the segment x route indicator of a store:

@@ -49,12 +49,6 @@ class Segment:
     def direction(self) -> tuple[int, int]:
         return (self.head[0] - self.tail[0], self.head[1] - self.tail[1])
 
-    def reversed(self) -> "Segment":
-        return Segment(self.head, self.tail)
-
-    def undirected(self) -> frozenset:
-        return frozenset((self.tail, self.head))
-
 
 # Step directions (di, dj), in the canonical order of a vertex's outgoing segments.
 DIRECTIONS = ((-1, 0), (0, -1), (0, 1), (1, 0))
@@ -131,16 +125,6 @@ class RoadNetwork:
 
     def reverse_id(self, seg_id: int) -> int:
         return int(self.symmetries[2][seg_id])
-
-    def out_segments(self, vertex: tuple[int, int]) -> tuple[int, ...]:
-        i, j = vertex
-        if not (0 <= i <= self.p and 0 <= j <= self.p):
-            return ()
-        return tuple(int(s) for s in self.segment_table[i * (self.p + 1) + j] if s >= 0)
-
-    def in_segments(self, vertex: tuple[int, int]) -> tuple[int, ...]:
-        # the reverses of the leaving segments, which keeps them in id order
-        return tuple(self.reverse_id(s) for s in self.out_segments(vertex))
 
     def path_segments(self, vertices: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """Segment ids for a walk given as a vertex sequence."""
@@ -275,10 +259,6 @@ class SegmentGraph:
         self.rule = rule
         self.weights = AdjacencyRule.class_weights(rule)
         self.adjacency = _class_adjacency(network, self.weights)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     def __repr__(self) -> str:
         return f"SegmentGraph(p={self.network.p}, rule={self.rule!r})"

@@ -477,10 +477,6 @@ class TripDataset:
                 yield (trips[a:a + rows], pos[a:a + rows], ids,
                        sigma[ids[:, :, None], ids[:, None, :]])
 
-    def trips_containing(self, seg_id: int) -> np.ndarray:
-        """Sorted ids of trips whose route traverses the segment."""
-        return self.trips_containing_all([seg_id])
-
     def trips_containing_all(self, seg_ids: Sequence[int]) -> np.ndarray:
         """Sorted ids of trips whose route traverses every listed segment (all, for none)."""
         if not len(seg_ids):
@@ -523,13 +519,6 @@ class TripDataset:
         b.data = b.data.astype(np.int64)
         return (b.T @ b).toarray()
 
-    def subset_counts(self, members: np.ndarray) -> np.ndarray:
-        """Per-segment traversal counts restricted to the listed trips."""
-        members = np.asarray(members, dtype=np.int64)
-        starts = self.offsets[members]
-        entries = _ranges(starts, self.offsets[members + 1] - starts)
-        return np.bincount(self.flat[entries], minlength=self.network.n_segments)
-
     def quadratic_sums(self, cov: CovarianceModel) -> np.ndarray:
         """Per-trip sums of covariance entries over the route's segment pairs:
         the leading-block sums of each route family's block."""
@@ -539,13 +528,6 @@ class TripDataset:
             sums = _leading_sums(sigma[ids[:, :, None], ids[:, None, :]])
             out[members] = sums[local, lengths - 1]
         return out
-
-    def segment_time_sums(self, center: float = 0.0) -> np.ndarray:
-        """Per-segment sums of the observed times minus `center`: one bincount over `flat`."""
-        if self.times is None:
-            raise ValueError("dataset has no observed times")
-        return np.bincount(self.flat, weights=self.times - center,
-                           minlength=self.network.n_segments)
 
     # -- serialization: one JSON object per line, {"route": [...], "times": [...]}
 

@@ -121,7 +121,8 @@ def test_bayes_coefficients_match_loop(seed):
     f = random_fixture(seed + 3300, cov_kind="diffusion", n_trips=25)
     model = PosteriorModel(f.ds, f.cov, f.prior)
     pred = model.predict(f.y)
-    expected = _loop_bayes(f.ds, f.cov, model.weight_vector(f.y))
+    g = model._weights(TripDataset._one_route(f.ds.network, f.y.segment_ids))[:, 0]
+    expected = _loop_bayes(f.ds, f.cov, g)
     _same_coefficients(pred, f.ds, expected, rtol=1e-12)
 
 
@@ -167,7 +168,8 @@ def test_risk_affine_matches_closed_forms(seed):
         _agrees(risk_route(ds, y, nb, phi, cov, prior),
                 predict_route(ds, y, nb, phi, prior), ds, cov, prior)
     if kind != "gram":
-        # low-rank Gram blocks are singular; item 4 of the roadmap owns them
+        # low-rank Gram blocks are singular; the roadmap item "A defined
+        # contract for singular and ill-conditioned covariances" owns them
         model = PosteriorModel(ds, cov, prior)
         _agrees(risk_optimal(ds, y, cov, prior, model=model), model.predict(y),
                 ds, cov, prior)

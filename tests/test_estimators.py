@@ -79,6 +79,14 @@ def test_weight_rule_validation():
     # a zero threshold still means "needs at least one observation"
     assert WeightRule.threshold(0).value(0) == 0.0
     assert WeightRule.threshold(0).value(1) == 1.0
+    assert WeightRule.threshold(np.int64(2)).value(2) == 1.0
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -3, True, False, 1.5, "2"])
+def test_threshold_rule_rejects_a_c_that_is_not_a_count(c):
+    # each of these would give one weight at every n: 0 for nan and inf, 1 for -3 and True
+    with pytest.raises(ValueError, match="integer c >= 0"):
+        WeightRule.threshold(c)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +113,7 @@ def test_segment_prediction_empty_dataset(grid3):
     prior = PriorSpec(mu=1.3, tau2=0.5)
     pred = predict_segment(ds, reference_route(), WeightRule.ratio(1.0), prior)
     assert pred.value == pytest.approx(2 * 1.3, abs=1e-14)
-    assert pred.coefficient_sum() == 0.0
+    assert pred.coef.sum() == 0.0
 
 
 def test_gseg_whole_route_single_containing_trip():
@@ -308,7 +316,7 @@ def test_bayes_empty_dataset(grid3):
     prior = PriorSpec(mu=0.7, tau2=0.3)
     pred = predict_bayes_optimal(ds, reference_route(), reference_covariance(), prior)
     assert pred.value == pytest.approx(2 * 0.7, abs=1e-12)
-    assert pred.coefficient_sum() == pytest.approx(0.0, abs=1e-12)
+    assert pred.coef.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bayes_intercept_identity():
@@ -319,7 +327,7 @@ def test_bayes_intercept_identity():
     pred = predict_bayes_optimal(ds, y, reference_covariance(), reference_prior())
     mu = reference_prior().mu
     assert pred.intercept == pytest.approx(
-        mu * (len(y) - pred.coefficient_sum()), abs=1e-10)
+        mu * (len(y) - pred.coef.sum()), abs=1e-10)
 
 
 def test_bayes_predict_runs_one_cholesky_solve(monkeypatch):
@@ -341,7 +349,7 @@ def test_bayes_weight_vector_solves_q():
     prior = reference_prior()
     model = PosteriorModel(ds, cov, prior)
     y = reference_route()
-    g = model.weight_vector(y)
+    g = model._weights(TripDataset._one_route(ds.network, y.segment_ids))[:, 0]
     # rebuild Q densely from scratch
     n = cov.n_segments
     w = np.zeros((n, n))
@@ -375,17 +383,3 @@ def test_estimators_affine_in_times_and_mu():
     bb = predict_bayes_optimal(doubled, fx.y, fx.cov, prior2)
     assert bb.value == pytest.approx(2.0 * ba.value, rel=1e-12)
 
-
-def test_prediction_explain_is_jsonable():
-    import json
-
-    ds = _timed_reference()
-    pred = predict_bayes_optimal(ds, reference_route(), reference_covariance(),
-                                 reference_prior())
-    payload = pred.explain()
-    text = json.dumps(payload)
-    back = json.loads(text)
-    assert back["estimator"] == "bayes_optimal"
-    assert len(back["trips"]) == 6
-    total = sum(sum(t["coefficients"]) for t in back["trips"])
-    assert total == pytest.approx(pred.coefficient_sum(), abs=1e-12)

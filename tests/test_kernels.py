@@ -64,7 +64,9 @@ def test_subset_counts_match_loop(seed):
     for members in (np.arange(0, ds.n_trips, 2),
                     np.sort(fx.rng.choice(ds.n_trips, 7, replace=False)),
                     np.array([5, 1, 5]), np.empty(0, dtype=np.int64)):
-        assert np.array_equal(ds.subset_counts(members), _loop_counts(ds, members))
+        # the per-segment counts of the members: pair_counts' diagonal over every segment
+        counts = np.diag(ds.pair_counts(np.arange(ds.network.n_segments), members))
+        assert np.array_equal(counts, _loop_counts(ds, members))
 
 
 @pytest.mark.parametrize("seed", [5, 6])
@@ -336,7 +338,8 @@ def test_empty_inputs():
     y = fx.y.segment_ids
     assert ds.incidence.shape == (0, n)
     assert np.array_equal(ds.n_s, np.zeros(n))
-    assert np.array_equal(ds.subset_counts(np.empty(0, dtype=np.int64)), np.zeros(n))
+    assert np.array_equal(ds.pair_counts(y, np.empty(0, dtype=np.int64)),
+                          np.zeros((len(y), len(y))))
     assert np.array_equal(ds.pair_counts(y), np.zeros((len(y), len(y))))
     assert ds.n_subset(y) == 0
     assert ds.quadratic_sums(fx.cov).size == 0
@@ -423,7 +426,7 @@ def _whole_groups(ds):
 def _predict_by_groups(model, y):
     """PosteriorModel.predict's coefficients, one batched solve per whole length group."""
     ds, sigma = model.ds, model.cov.sigma
-    g = model.weight_vector(y)
+    g = model._weights(TripDataset._one_route(ds.network, y.segment_ids))[:, 0]
     coef = np.zeros(ds.flat.size)
     for pos, ids in _whole_groups(ds):
         blocks = sigma[ids[:, :, None], ids[:, None, :]]

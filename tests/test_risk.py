@@ -12,8 +12,11 @@ from etalab.estimators import (
     optimal_gseg_weights,
     optimal_route_weight,
     optimal_seg_weights,
+    predict_bayes_optimal,
+    predict_gseg,
     predict_route,
     predict_segment,
+    validate_partition,
 )
 from etalab.fixtures import (
     GOLDEN_TOL,
@@ -242,6 +245,48 @@ def test_non_finite_weights_are_rejected(bad):
         with pytest.raises(ValueError, match="weights must be finite"):
             risk_route(ds, route, n, bad, reference_covariance(), reference_prior())
 
+
+# every public function that takes a route y, called with one segment twice
+_REPEATED_SEGMENT_CALLS = {
+    "validate_partition": lambda ds, y, nb, cov, prior: validate_partition(y, [y[:1], y[1:]]),
+    "predict_segment": lambda ds, y, nb, cov, prior: predict_segment(
+        ds, y, WeightRule.ratio(1.0), prior),
+    "predict_gseg": lambda ds, y, nb, cov, prior: predict_gseg(
+        ds, y, [y[:1], y[1:]], WeightRule.ratio(1.0), prior),
+    "predict_route": lambda ds, y, nb, cov, prior: predict_route(
+        ds, y, nb, WeightRule.ratio(1.0), prior),
+    "predict_bayes_optimal": lambda ds, y, nb, cov, prior: predict_bayes_optimal(
+        ds, y, cov, prior),
+    "PosteriorModel.risk_terms": lambda ds, y, nb, cov, prior: PosteriorModel(
+        ds, cov, prior).risk_terms(y),
+    "optimal_seg_weights": lambda ds, y, nb, cov, prior: optimal_seg_weights(ds, y, cov, prior),
+    "optimal_gseg_weights": lambda ds, y, nb, cov, prior: optimal_gseg_weights(
+        ds, y, [y[:1], y[1:]], cov, prior),
+    "optimal_route_weight": lambda ds, y, nb, cov, prior: optimal_route_weight(
+        ds, y, nb, cov, prior),
+    "risk_seg": lambda ds, y, nb, cov, prior: risk_seg(ds, y, WeightRule.ratio(1.0), cov, prior),
+    "risk_gseg": lambda ds, y, nb, cov, prior: risk_gseg(
+        ds, y, [y[:1], y[1:]], WeightRule.ratio(1.0), cov, prior),
+    "risk_route": lambda ds, y, nb, cov, prior: risk_route(ds, y, nb, 0.5, cov, prior),
+    "risk_optimal": lambda ds, y, nb, cov, prior: risk_optimal(ds, y, cov, prior),
+    "lower_bound": lambda ds, y, nb, cov, prior: lower_bound(ds, y, cov, prior),
+    "check_nb_condition": lambda ds, y, nb, cov, prior: check_nb_condition(ds, y, nb),
+    "dominance_audit": lambda ds, y, nb, cov, prior: dominance_audit(ds, y, nb, cov, prior),
+}
+
+
+@pytest.mark.parametrize("call", _REPEATED_SEGMENT_CALLS.values(),
+                         ids=_REPEATED_SEGMENT_CALLS.keys())
+def test_a_route_that_repeats_a_segment_is_rejected(call):
+    # unchecked, y = [34, 34] here would score 0.3358 by risk_seg and 0.0888 by
+    # risk_affine of the matching prediction
+    net = build_grid(3)
+    ds = trips.sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    prior = PriorSpec(1.0, 0.5)
+    nb = resolve_neighborhood(ds, [34], NeighborhoodSpec.od_ball(1))
+    with pytest.raises(ValueError, match="repeats a segment"):
+        call(ds, [34, 34], nb, cov, prior)
 
 def test_mc_risk_prior_only():
     ds = reference_dataset()

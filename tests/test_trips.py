@@ -466,8 +466,8 @@ def test_reference_counters():
     assert ds.n_s[s1] == GOLDEN_COUNTERS["n_first"]
     assert ds.n_s[s2] == GOLDEN_COUNTERS["n_second"]
     assert ds.n_subset([s1, s2]) == GOLDEN_COUNTERS["n_joint"]
-    assert sorted(ds.trips_containing(s1).tolist()) == [0, 3, 4]
-    assert sorted(ds.trips_containing(s2).tolist()) == [1, 2, 3]
+    assert ds.trips_containing_all([s1]).tolist() == [0, 3, 4]
+    assert ds.trips_containing_all([s2]).tolist() == [1, 2, 3]
 
 
 def test_empty_dataset_counters(grid3):
@@ -522,32 +522,13 @@ def test_n_subset_matches_brute_force():
     assert ds.n_subset(ids) <= min(ds.n_s[list(ids)]) if len(ids) else True
 
 
-def test_subset_counts_and_quadratic_sums():
+def test_quadratic_sums_match_pair_sum():
     fx = random_fixture(77, n_trips=12, cov_kind="diffusion")
     ds, cov = fx.ds, fx.cov
-    members = np.array([0, 2, 5], dtype=np.int64)
-    sub = ds.subset_counts(members)
-    brute = np.zeros(ds.network.n_segments)
-    for n in members:
-        for s in ds.routes[n].segment_ids:
-            brute[s] += 1
-    assert np.array_equal(sub, brute)
     q = ds.quadratic_sums(cov)
     for n in range(ds.n_trips):
         ids = list(ds.routes[n].segment_ids)
         assert q[n] == pytest.approx(cov.pair_sum(ids, ids), rel=1e-12)
-
-
-def test_segment_time_sums(grid3):
-    fx = random_fixture(9, p=3, n_trips=8, with_times=True)
-    ds = fx.ds
-    for center in (0.0, 0.7):
-        sums = ds.segment_time_sums(center)
-        brute = np.zeros(ds.network.n_segments)
-        for r, t in zip(ds.routes, np.split(ds.times, ds.offsets[1:-1])):
-            for s, v in zip(r.segment_ids, t):
-                brute[s] += v - center
-        assert np.allclose(sums, brute, atol=1e-12)
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -689,10 +670,12 @@ def test_exact_route_neighborhood_counters():
     y = ds.routes[3]  # identical to the predicting route
     nb = resolve_neighborhood(ds, y, NeighborhoodSpec.exact_route())
     assert nb.size == 1
-    sub = ds.subset_counts(nb.members)
-    for s in range(ds.network.n_segments):
-        expected = nb.size if s in set(y.segment_ids) else 0
-        assert sub[s] == expected
+    # the member's counts: nb.size on every segment of y and pair of them, 0 off y
+    ids = y.segment_ids
+    assert np.array_equal(ds.pair_counts(ids, nb.members), np.full((len(ids),) * 2, nb.size))
+    n = ds.network.n_segments
+    on_y = np.isin(np.arange(n), ids)
+    assert np.array_equal(np.diag(ds.pair_counts(np.arange(n), nb.members)), nb.size * on_y)
 
 
 def test_neighborhood_nesting_random():
