@@ -57,38 +57,19 @@ def normalized_laplacian(graph: SegmentGraph) -> scipy.sparse.csr_matrix:
     return lap + scipy.sparse.identity(len(d), format="csr")
 
 
-class _PrecisionKernel(NamedTuple):
-    """One symmetry block's share of the precision: Psi = sum_k B_k P_k B_k'.
+class _OrbitTable(NamedTuple):
+    """A matrix that commutes with the involutions, kept as its orbit table:
+    entry [s, t] is table[element[s] ^ element[t], orbit[s], orbit[t]] (see
+    _orbit_table)."""
 
-    A row of B_k has at most one nonzero, so B_k is kept as two arrays over
-    the segments: each segment's column `col` in the block and its character
-    coefficient `coef` (0, with column 0, for a segment outside the block).
-    `kernel` is the block's m x m P_k = E_k diag(1 / h_k) E_k', with E_k the
-    block's eigenvectors and h_k sigma's eigenvalues on it.
-    """
-
-    col: np.ndarray
-    coef: np.ndarray
-    kernel: np.ndarray
-
-    @classmethod
-    def of_block(cls, b: scipy.sparse.csc_matrix, evecs: np.ndarray,
-                 h: np.ndarray) -> "_PrecisionKernel":
-        n, m = b.shape
-        col = np.zeros(n, dtype=np.intp)
-        col[b.indices] = np.repeat(np.arange(m), np.diff(b.indptr))
-        coef = np.zeros(n)
-        coef[b.indices] = b.data
-        # F F' with F = E_k diag(h^{-1/2}) is one symmetric rank-k update, so
-        # P_k comes out exactly symmetric
-        f = evecs / np.sqrt(h)
-        return cls(col, coef, f @ f.T)
+    table: np.ndarray
+    element: np.ndarray
+    orbit: np.ndarray
 
     def block(self, idx: np.ndarray) -> np.ndarray:
-        """(c c') o P_k[col, col] over the segments idx."""
-        c = self.coef[idx]
-        j = self.col[idx]
-        return np.multiply.outer(c, c) * self.kernel[np.ix_(j, j)]
+        """The principal block over the segments idx: one gather."""
+        g, o = self.element[idx], self.orbit[idx]
+        return self.table[g[:, None] ^ g, o[:, None], o]
 
 
 class CovarianceModel:
@@ -97,9 +78,10 @@ class CovarianceModel:
     Its ascending eigenvalues are computed once, when the model is built, and
     stored as ``eigenvalues``; validation, ``min_eigenvalue``, ``rank`` and
     ``precision`` read them instead of solving for them again.  A full-rank
-    diffusion covariance (v > 0) also keeps its precision as one small kernel
-    per symmetry block, from which ``precision_block`` reads any principal
-    block of the precision without forming it.
+    diffusion covariance (v > 0) also keeps its precision as an orbit table
+    of about n^2 / 8 floats, the form its sigma is gathered from, so
+    ``precision_block`` reads any principal block of the precision with one
+    gather and never forms it.
     """
 
     def __init__(self, sigma: np.ndarray, meta: Mapping[str, object] | None = None):
@@ -129,7 +111,7 @@ class CovarianceModel:
         self.eigenvalues = np.linalg.eigvalsh(self.sigma) if eigenvalues is None else eigenvalues
         self.validate_psd()
         # set by diffusion_covariance for a full-rank heat kernel; see precision_block
-        self._kernels: tuple[_PrecisionKernel, ...] | None = None
+        self._precision_table: _OrbitTable | None = None
 
     @property
     def n_segments(self) -> int:
@@ -175,20 +157,16 @@ class CovarianceModel:
     def precision_block(self, ids: Sequence[int]) -> np.ndarray:
         """The principal block precision[ids, ids] of the inverse covariance.
 
-        A model with precision kernels (a full-rank diffusion covariance,
-        v > 0) sums each symmetry block's share, (c_k c_k') o P_k[col_k,
-        col_k], and never forms the n x n precision.  Any other model (gram,
-        explicit, CSV, diffusion with v = 0 or a singular one) has no
-        symmetry blocks and reads the block from ``precision``, so a
+        A full-rank diffusion covariance (v > 0) gathers the block from its
+        precision's orbit table and never forms the n x n precision.  Any
+        other model (gram, explicit, CSV, diffusion with v = 0 or a singular
+        one) has no table and reads the block from ``precision``, so a
         rank-deficient sigma raises its ``np.linalg.LinAlgError``.
         """
         idx = np.asarray(ids, dtype=np.intp)
-        if self._kernels is None:
+        if self._precision_table is None:
             return self.precision[np.ix_(idx, idx)]
-        out = np.zeros((idx.size, idx.size))
-        for kernel in self._kernels:
-            out += kernel.block(idx)
-        return out
+        return self._precision_table.block(idx)
 
     def block(self, ids: Sequence[int]) -> np.ndarray:
         idx = np.asarray(ids, dtype=np.intp)
@@ -274,35 +252,20 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
     _check_invariant(graph.adjacency, symmetries)
     lap = normalized_laplacian(graph)
     orbits = _orbits(symmetries)
-    m = orbits.stabiliser.size
     # L commutes with the involutions, so B_j' L B_k = 0 for j != k and
-    # L = sum_k B_k E_k diag(lambda_k) E_k' B_k' from one eigh per block.  A
-    # segment s's row of B_k holds chi_k(g(s)) c at its orbit o(s), with
-    # c = |H| / sqrt(8 |H|) for the orbit's stabiliser H, so
-    # sigma[s, t] = T[g(s) ^ g(t), o(s), o(t)] + white delta_st over the
-    # orbit table T[h] = u sum_k chi_k(h) M_k, M_k = F_k F_k' and
-    # F_k = diag(c) E_k diag(e^{-v lambda_k / 2}) padded with zero rows
-    scale = orbits.stabiliser / np.sqrt(8.0 * orbits.stabiliser)
-    table = np.zeros((8, m, m))
+    # L = sum_k B_k E_k diag(lambda_k) E_k' B_k' from one eigh per block.
+    # sigma - white I is u times the matrix of weights w_k = e^{-v lambda_k}
+    # (see _orbit_table), so sigma's eigenvalues on block k are u w_k + white
     blocks = []
     for block in _symmetry_blocks(orbits):
-        b, keep = block.basis, block.orbits
-        evals, evecs = np.linalg.eigh((b.T @ lap @ b).toarray())
-        heat = np.exp(-v * evals)
-        f = scale[keep, None] * (evecs * np.sqrt(heat))
-        # numpy runs F F' as one symmetric rank-k update, so M_k, and with
-        # it T[h] and sigma, come out exactly symmetric
-        kernel = np.zeros((m, m))
-        kernel[np.ix_(keep, keep)] = f @ f.T
-        for h in range(8):
-            table[h] += orbits.chi[block.k, h] * kernel
-        # sigma's eigenvalues on the block: u e^{-v lambda} + white
-        blocks.append((b, evecs, u * heat + white))
-    # sigma's spectrum is the union of the blocks'
-    eigenvalues = np.sort(np.concatenate([h for _, _, h in blocks]))
+        evals, evecs = np.linalg.eigh((block.basis.T @ lap @ block.basis).toarray())
+        blocks.append((block, evecs, np.exp(-v * evals)))
+    eigenvalues = np.sort(np.concatenate([u * heat + white for _, _, heat in blocks]))
+    table = _orbit_table(orbits, blocks)
     table *= u
     # row s gathers T at (g(s) ^ g(t), o(s), o(t)): one flat column index
     # per group element, shifted by o(s), and no n x n array besides sigma
+    m = orbits.stabiliser.size
     g, o = orbits.element, orbits.orbit
     cols = (np.arange(8, dtype=np.int8)[:, None] ^ g).astype(np.intp) * (m * m) + o
     flat = table.reshape(-1)
@@ -312,11 +275,37 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
     del table, flat
     sigma[np.diag_indices(n)] += white
     model = CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
-    # the precision is sum_k B_k E_k diag(1 / h_k) E_k' B_k'; a singular
-    # sigma keeps no kernels, and precision_block raises precision's error
+    # the precision has the same form with w_k = 1 / (u e^{-v lambda_k} +
+    # white); a singular sigma gets no table (u = 0 would divide by zero),
+    # and precision_block raises precision's error
     if model.rank == n:
-        model._kernels = tuple(_PrecisionKernel.of_block(*block) for block in blocks)
+        model._precision_table = _OrbitTable(_orbit_table(orbits, [
+            (block, evecs, 1.0 / (u * heat + white)) for block, evecs, heat in blocks]),
+            g, o)
     return model
+
+
+def _orbit_table(orbits: _Orbits, blocks) -> np.ndarray:
+    """The (8, m, m) orbit table of sum_k B_k E_k diag(w_k) E_k' B_k', from
+    one (block B_k, eigenvectors E_k, weights w_k) triple per symmetry block.
+
+    A segment s's row of B_k holds chi_k(g(s)) c at its orbit o(s), with
+    c = |H| / sqrt(8 |H|) for the orbit's stabiliser H, so the matrix's
+    entry [s, t] is T[g(s) ^ g(t), o(s), o(t)] over T[h] = sum_k chi_k(h)
+    F_k F_k', F_k = diag(c) E_k diag(w_k^{1/2}) padded with zero rows.
+    """
+    m = orbits.stabiliser.size
+    scale = orbits.stabiliser / np.sqrt(8.0 * orbits.stabiliser)
+    table = np.zeros((8, m, m))
+    for block, evecs, w in blocks:
+        f = scale[block.orbits, None] * (evecs * np.sqrt(w))
+        # numpy runs F F' as one symmetric rank-k update, so F_k F_k', and
+        # with it every T[h], comes out exactly symmetric
+        ff = np.zeros((m, m))
+        ff[np.ix_(block.orbits, block.orbits)] = f @ f.T
+        for h in range(8):
+            table[h] += orbits.chi[block.k, h] * ff
+    return table
 
 
 def _check_invariant(adjacency: scipy.sparse.csr_matrix, symmetries: np.ndarray) -> None:

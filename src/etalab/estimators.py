@@ -13,6 +13,7 @@ phi(0) = 0, so estimators with no support fall back to the prior mean.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -61,16 +62,22 @@ class WeightRule:
     THRESHOLD = "threshold"
     INDEP_OPTIMAL = "indep_optimal"
 
+    def __post_init__(self):
+        if self.kind not in (self.RATIO, self.THRESHOLD, self.INDEP_OPTIMAL):
+            raise ValueError(f"unknown weight rule {self.kind!r}")
+        lam = self.lam
+        if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+                and math.isfinite(lam) and lam > 0):
+            raise ValueError(f"ratio rule needs a finite lam > 0, got {lam!r}")
+        if not _is_count(self.c):
+            raise ValueError(f"threshold rule needs an integer c >= 0, got {self.c!r}")
+
     @classmethod
     def ratio(cls, lam: float = 1.0) -> "WeightRule":
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError(f"ratio rule needs a finite lam > 0, got {lam!r}")
         return cls(cls.RATIO, lam=lam)
 
     @classmethod
     def threshold(cls, c: int = 1) -> "WeightRule":
-        if not _is_count(c):
-            raise ValueError(f"threshold rule needs an integer c >= 0, got {c!r}")
         return cls(cls.THRESHOLD, c=c)
 
     @classmethod
@@ -85,12 +92,10 @@ class WeightRule:
             return n / (n + self.lam)
         if self.kind == self.THRESHOLD:
             return 1.0 if n >= max(self.c, 1) else 0.0
-        if self.kind == self.INDEP_OPTIMAL:
-            if noise is None or tau2 is None:
-                raise ValueError("indep_optimal weights need a covariance and prior")
-            signal = n * group_size * tau2
-            return signal / (signal + noise)
-        raise ValueError(f"unknown weight rule {self.kind!r}")
+        if noise is None or tau2 is None:
+            raise ValueError("indep_optimal weights need a covariance and prior")
+        signal = n * group_size * tau2
+        return signal / (signal + noise)
 
 
 @dataclass
@@ -125,11 +130,16 @@ def _finish(pred: Prediction, ds: TripDataset) -> Prediction:
     return pred
 
 
-def _route_ids(y) -> tuple[int, ...]:
-    """y's segment ids; ValueError when they repeat a segment (a Route never does)."""
+def _route_ids(y, n_segments: float) -> tuple[int, ...]:
+    """y's segment ids; ValueError unless each is an integer in [0, n_segments)
+    and none repeats (a Route never does)."""
     if isinstance(y, Route):
         return y.segment_ids
-    ids = tuple(int(s) for s in y)
+    ids = tuple(y)
+    for i in ids:
+        if not (_is_count(i) and i < n_segments):
+            raise ValueError(f"segment id {i!r} is not an integer in [0, {n_segments})")
+    ids = tuple(int(i) for i in ids)
     if len(set(ids)) != len(ids):
         raise ValueError(f"route {list(ids)} repeats a segment")
     return ids
@@ -137,7 +147,7 @@ def _route_ids(y) -> tuple[int, ...]:
 
 def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Check that partition blocks are contiguous sub-paths tiling the route."""
-    ids = _route_ids(y)
+    ids = _route_ids(y, math.inf)  # no store here to bound the ids
     blocks = [tuple(int(s) for s in b) for b in partition]
     if not all(blocks):
         raise ValueError("empty partition block")
@@ -205,7 +215,7 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     goes to the entries of `flat` on j whose trip covers j: one pass over
     `flat` finds the entries on y, then a search of the cover's sorted cells.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     blocks = validate_partition(ids, partition)
     cover = ds.block_cover(blocks)
     counts = np.diff(cover.indptr)
@@ -232,7 +242,7 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
 def predict_segment(ds: TripDataset, y, rule, prior: PriorSpec,
                     cov: CovarianceModel | None = None) -> Prediction:
     """Per-segment estimator: the singleton-partition grouped estimator."""
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     pred = predict_gseg(ds, ids, [(s,) for s in ids], rule, prior, cov=cov)
     pred.estimator = "segment"
     return pred
@@ -247,7 +257,7 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
     `rule` is a WeightRule on M or an explicit phi value, resolved by
     `_resolve_weights` with the neighborhood as the one block.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     m = nbhd.size
     weights = rule if isinstance(rule, WeightRule) else [rule]
     phi = float(_resolve_weights(weights, np.array([m]), [ids], prior, None)[0])
@@ -274,7 +284,7 @@ def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
     counts J and covariance cross sums S.  Blocks with no support are pinned
     to weight zero and dropped from the system.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     blocks = validate_partition(ids, partition)
     joint, cross = _block_moments(ds, ids, blocks, cov)
     counts = np.diag(joint)
@@ -295,7 +305,7 @@ def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
 def optimal_seg_weights(ds: TripDataset, y, cov: CovarianceModel,
                         prior: PriorSpec) -> np.ndarray:
     """Risk-minimizing per-segment weights (singleton partition)."""
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     return optimal_gseg_weights(ds, ids, [(s,) for s in ids], cov, prior)
 
 
@@ -370,7 +380,7 @@ def _one_route_moments(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceMo
     m = nbhd.size
     members = scipy.sparse.csr_matrix((np.ones(m), nbhd.members, [0, m]),
                                       shape=(1, ds.n_trips))
-    one = TripDataset._one_route(ds.network, _route_ids(y))
+    one = TripDataset._one_route(ds.network, _route_ids(y, ds.network.n_segments))
     return _neighborhood_moments(ds, one, members, cov, q_all)
 
 
@@ -433,7 +443,8 @@ class PosteriorModel:
 
     def risk_terms(self, y) -> tuple[float, float]:
         """(variance, squared bias) of the Bayes-optimal prediction for y."""
-        _, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, _route_ids(y)))
+        ids = _route_ids(y, self.ds.network.n_segments)
+        _, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, ids))
         return float(total[0] - bias2[0]), float(bias2[0])
 
     def _terms(self, routes: TripDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,7 +459,7 @@ class PosteriorModel:
     def predict(self, y) -> Prediction:
         """Per trip, coefficients sigma[r, r]^-1 g[r]: one batched solve per
         route length, after the one Cholesky solve for g, which also gives the risk."""
-        ids = _route_ids(y)
+        ids = _route_ids(y, self.ds.network.n_segments)
         g, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, ids))
         risk, bias2 = float(total[0]), float(bias2[0])
         flat = self.ds.flat

@@ -276,8 +276,8 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
         del model
     with _timed(stages, "precision", peaks):
         # what lower_bound's precision blocks need: nothing more for the
-        # kernels of a full-rank diffusion covariance, the n x n precision
-        # (or its rank error) otherwise
+        # orbit table of a full-rank diffusion covariance, the n x n
+        # precision (or its rank error) otherwise
         cov.precision_block(())
     risks, sizes = _route_risks(cfg, ds, cov, prior, quadratic_sums, bayes, predicting,
                                 stages, peaks)

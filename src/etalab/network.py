@@ -83,19 +83,12 @@ class RoadNetwork:
         self.endpoints = np.column_stack((vi[tail], vj[tail], hi[inside], hj[inside]))
 
     @property
-    def n_vertices(self) -> int:
-        return (self.p + 1) ** 2
-
-    @property
     def n_segments(self) -> int:
         return len(self.endpoints)
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
         return tuple(Segment((ti, tj), (hi, hj)) for ti, tj, hi, hj in self.endpoints.tolist())
-
-    def vertices(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.p + 1) for j in range(self.p + 1)]
 
     @cached_property
     def symmetries(self) -> np.ndarray:

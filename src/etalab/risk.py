@@ -11,7 +11,6 @@ deterministic reference for every closed form.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -54,18 +53,6 @@ class RiskReport:
     def total(self) -> float:
         return self.variance + self.bias2
 
-    def as_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "route": list(self.route),
-            "variance": self.variance,
-            "bias2": self.bias2,
-            "total": self.total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
 
 def _risk_blocks(estimator: str, ds: TripDataset, ids: tuple[int, ...],
                  blocks: Sequence[Sequence[int]], rule, cov: CovarianceModel,
@@ -92,7 +79,7 @@ def risk_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     cross sums; each block also contributes (1 - phi)^2 * |S| * tau2 of
     shrinkage bias.  Blocks with no support always carry weight zero.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     return _risk_blocks("gseg", ds, ids, validate_partition(ids, partition), rule,
                         cov, prior)
 
@@ -105,7 +92,7 @@ def risk_seg(ds: TripDataset, y, rule, cov: CovarianceModel,
     (`TripDataset.pair_counts`), which are the singleton blocks' joint
     support counts, so they can be shared with `lower_bound`.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     return _risk_blocks("segment", ds, ids, [(s,) for s in ids], rule, cov, prior,
                         joint=pair)
 
@@ -121,7 +108,7 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
     phi = 0 and the report reduces to the prior risk |y| * tau2; a non-finite
     phi raises ValueError.  This is the one-route case of `_route_risk_terms`.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     phi = float(_resolve_weights([phi], np.array([nbhd.size]), [ids], prior, None)[0])
     mom = _one_route_moments(ds, ids, nbhd, cov, q_all)
     variance, bias_length, bias_off, bias_on = (
@@ -158,7 +145,7 @@ def _route_risk_terms(mom: _NeighborhoodMoments, phi: np.ndarray, prior: PriorSp
 def risk_optimal(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
                  model: PosteriorModel | None = None) -> RiskReport:
     """Exact risk of the Bayes-optimal affine estimator."""
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     if model is None:
         model = PosteriorModel(ds, cov, prior)
     variance, bias2 = model.risk_terms(ids)
@@ -174,7 +161,7 @@ def lower_bound(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
     (`CovarianceModel.precision_block`).  With no data it equals the prior
     risk |y| * tau2.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     if pair is None:
         pair = ds.pair_counts(ids)
     psi = cov.precision_block(ids)
@@ -299,7 +286,7 @@ def check_nb_condition(ds: TripDataset, y, nbhd: Neighborhood) -> bool:
     count only neighborhood members.  Exact-route neighborhoods satisfy it
     automatically.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     pair_all = ds.pair_counts(ids)
     pair_delta = ds.pair_counts(ids, members=nbhd.members)
     n_all = np.diag(pair_all)
@@ -320,7 +307,7 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
     rounding scale that CovarianceModel.rank also allows: a diffusion sigma,
     nonnegative in exact arithmetic, holds entries down to -3.1e-16 at p=20.
     """
-    ids = _route_ids(y)
+    ids = _route_ids(y, ds.network.n_segments)
     phis = optimal_seg_weights(ds, ids, cov, prior)
     seg = risk_seg(ds, ids, phis, cov, prior)
     phi_r = optimal_route_weight(ds, ids, nbhd, cov, prior)

@@ -132,9 +132,6 @@ class ODLaw:
                    + betaln(k + a, n - k + a) - betaln(a, a))
         return np.where(inside, np.exp(log_pmf), 0.0)[()]
 
-    def pmf_vector(self) -> np.ndarray:
-        return self.pmf(np.arange(self.p + 1))
-
     def sample_od(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, 4) array of [oi, oj, di, dj] rows with origin != destination.
 

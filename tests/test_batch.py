@@ -141,12 +141,12 @@ def test_run_cell_frees_the_posterior_before_the_pair_counts(monkeypatch):
 
 def test_lower_bound_from_kernels_matches_dense_precision():
     """The cell's lower bounds read precision blocks from the diffusion
-    kernels; each stays within 1e-12 relative of the bound from the n x n
-    precision."""
+    covariance's orbit table; each stays within 1e-12 relative of the bound
+    from the n x n precision."""
     cfg = harness.SweepConfig(master_seed=0, grid_sizes=(10,), exponents=(3.0,))
     ds, predicting, model = _cell(cfg, 10, 3.0)
     cov, prior = model.cov, model.prior
-    assert cov._kernels is not None
+    assert cov._precision_table is not None
     for y in np.split(predicting.flat, predicting.offsets[1:-1]):
         psi = cov.precision[np.ix_(y, y)]
         dense = y.size ** 2 / (float((ds.pair_counts(y) * psi).sum()) + y.size / prior.tau2)

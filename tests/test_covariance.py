@@ -291,8 +291,8 @@ def test_diffusion_sigma_is_exactly_symmetric(p):
 def test_diffusion_build_holds_one_dense_array(p):
     """The graph and its Laplacian are sparse and sigma is gathered from an
     orbit table of about n^2 / 8 entries, so sigma is the build's only n x n
-    array: its traced peak, with the precision kernels it keeps, stays under
-    1.6 of them."""
+    array: its traced peak, with the precision's orbit table it keeps, stays
+    under 1.6 of them."""
     net = build_grid(p)
     n = net.n_segments
     tracemalloc.start()
@@ -428,15 +428,15 @@ def _precision_id_sets(cov, rng):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
 def test_precision_block_matches_dense_precision(p):
-    """The kernels' blocks against the n x n precision (dpotri), to 1e-12 of
-    the block's largest entry; white = 0 only at v <= 3, where sigma stays
+    """The orbit table's blocks against the n x n precision (dpotri), to 1e-12
+    of the block's largest entry; white = 0 only at v <= 3, where sigma stays
     well conditioned."""
     rng = np.random.default_rng(p)
     for rule in AdjacencyRule.ALL:
         graph = segment_graph(build_grid(p), rule=rule)
         for u, v, white in [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (0.7, 3.0, 0.0), (1.5, 10.0, 1.0)]:
             cov = diffusion_covariance(graph, u=u, v=v, white=white)
-            assert cov._kernels is not None
+            assert cov._precision_table is not None
             for ids in _precision_id_sets(cov, rng):
                 idx = np.asarray(ids, dtype=np.intp)
                 block = cov.precision_block(ids)
@@ -448,12 +448,12 @@ def test_precision_block_matches_dense_precision(p):
 
 
 def test_precision_block_without_kernels_reads_the_precision():
-    """Models with no symmetry blocks take the dense path exactly."""
+    """Models with no precision table take the dense path exactly."""
     graph = segment_graph(build_grid(3))
     for cov in (gram_covariance(12, 40), explicit_covariance(5, {(0, 1): 0.4}),
                 diffusion_covariance(graph, u=1.0, v=0.0, white=0.5),
                 _csv_roundtrip(diffusion_covariance(graph, u=1.0, v=1.0, white=0.5))):
-        assert cov._kernels is None
+        assert cov._precision_table is None
         ids = [cov.n_segments - 1, 0, 2]
         assert np.array_equal(cov.precision_block(ids), cov.precision[np.ix_(ids, ids)])
 
@@ -472,13 +472,16 @@ def test_precision_block_raises_the_precision_error():
         singular.precision_block([])
 
 
-def test_precision_kernels_hold_an_eighth_of_sigma():
-    cov = diffusion_covariance(segment_graph(build_grid(10)), u=1.0, v=1.0, white=1.0)
-    n = cov.n_segments
-    sizes = [k.kernel.shape[0] for k in cov._kernels]
-    assert sum(sizes) == n
-    assert sum(m * m for m in sizes) <= n * n / 8 * 1.05
-    for k in cov._kernels:
-        # one column per segment of the block, and the block's own ids
-        inside = k.coef != 0
-        assert np.array_equal(np.sort(np.unique(k.col[inside])), np.arange(k.kernel.shape[0]))
+@pytest.mark.parametrize("p", [20, 30])
+def test_precision_table_holds_about_an_eighth_of_sigma(p):
+    net = build_grid(p)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    orbits = _orbits(net.symmetries)
+    n, m = cov.n_segments, orbits.stabiliser.size
+    held = cov._precision_table
+    assert np.array_equal(held.orbit, orbits.orbit)
+    assert np.array_equal(held.element, orbits.element)
+    table = held.table
+    assert table.shape == (8, m, m)
+    # 8 m^2 floats: 1.098 n^2 / 8 at p = 20 and 1.066 at p = 30
+    assert table.size <= 1.1 * n * n / 8

@@ -69,13 +69,17 @@ def test_weight_rule_values():
 
 
 def test_weight_rule_validation():
-    for lam in (0.0, -1.0, float("nan"), float("inf")):
+    for lam in (0.0, -1.0, float("nan"), float("inf"), True, "2"):
         with pytest.raises(ValueError, match="finite lam > 0"):
             WeightRule.ratio(lam)
+        # the dataclass constructor makes the same checks as the factories
+        with pytest.raises(ValueError, match="finite lam > 0"):
+            WeightRule(WeightRule.RATIO, lam=lam)
     with pytest.raises(ValueError):
         WeightRule.indep_optimal().value(1)
-    with pytest.raises(ValueError):
-        WeightRule("softmax").value(1)
+    for kind in ("softmax", "bogus"):
+        with pytest.raises(ValueError, match="unknown weight rule"):
+            WeightRule(kind)
     # a zero threshold still means "needs at least one observation"
     assert WeightRule.threshold(0).value(0) == 0.0
     assert WeightRule.threshold(0).value(1) == 1.0
@@ -87,6 +91,8 @@ def test_threshold_rule_rejects_a_c_that_is_not_a_count(c):
     # each of these would give one weight at every n: 0 for nan and inf, 1 for -3 and True
     with pytest.raises(ValueError, match="integer c >= 0"):
         WeightRule.threshold(c)
+    with pytest.raises(ValueError, match="integer c >= 0"):
+        WeightRule(WeightRule.THRESHOLD, c=c)
 
 
 # ---------------------------------------------------------------------------

@@ -199,13 +199,13 @@ def test_peak_rss_mb_reads_vmhwm(tmp_path):
 @pytest.mark.parametrize("v", [1.0, 0.0])
 def test_run_cell_reads_precision_blocks_only(v):
     """A diffusion cell reads the lower bound's precision blocks from the
-    covariance's kernels and never forms the n x n precision; with v = 0 the
-    covariance has no symmetry blocks, and the dense precision serves."""
+    covariance's orbit table and never forms the n x n precision; with v = 0
+    the covariance has no table, and the dense precision serves."""
     _sweep_covariance.cache_clear()
     cfg = _tiny_config(grid_sizes=(4,), v=v)
     run_cell(cfg, 4, 1.0)
     cov = _sweep_covariance(4, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
-    assert (cov._kernels is None) == (v == 0.0)
+    assert (cov._precision_table is None) == (v == 0.0)
     assert ("precision" in cov.__dict__) == (v == 0.0)
 
 

@@ -33,7 +33,7 @@ def test_indep_weight_in_unit_interval(n, k, noise, tau2):
 @SETTINGS
 @given(p=st.integers(1, 20), alpha=st.floats(0.05, 5.0))
 def test_od_pmf_is_a_distribution(p, alpha):
-    vec = ODLaw(p, alpha).pmf_vector()
+    vec = ODLaw(p, alpha).pmf(np.arange(p + 1))
     assert np.all(vec >= 0.0)
     assert abs(vec.sum() - 1.0) <= 1e-10
     # symmetric law

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -68,10 +67,6 @@ from etalab.trips import (
 def test_risk_report_shape():
     rep = RiskReport("segment", (0, 1), 0.25, 0.5)
     assert rep.total == pytest.approx(0.75)
-    d = rep.as_dict()
-    assert set(d) == {"estimator", "route", "variance", "bias2", "total"}
-    back = json.loads(rep.to_json())
-    assert back["total"] == pytest.approx(0.75)
 
 
 def test_reference_seg_risk():
@@ -246,7 +241,7 @@ def test_non_finite_weights_are_rejected(bad):
             risk_route(ds, route, n, bad, reference_covariance(), reference_prior())
 
 
-# every public function that takes a route y, called with one segment twice
+# every public function that takes a route y
 _REPEATED_SEGMENT_CALLS = {
     "validate_partition": lambda ds, y, nb, cov, prior: validate_partition(y, [y[:1], y[1:]]),
     "predict_segment": lambda ds, y, nb, cov, prior: predict_segment(
@@ -279,7 +274,10 @@ _REPEATED_SEGMENT_CALLS = {
                          ids=_REPEATED_SEGMENT_CALLS.keys())
 def test_a_route_that_repeats_a_segment_is_rejected(call):
     # unchecked, y = [34, 34] here would score 0.3358 by risk_seg and 0.0888 by
-    # risk_affine of the matching prediction
+    # risk_affine of the matching prediction; y = [-1] and [34, -13] would be
+    # wrapped to segments 47 and 35 (risk_seg 0.091 and 0.1889 against
+    # risk_affine 1.5244 and 1.6119), [48] would raise a bare IndexError and
+    # 34.7 would be truncated to 34
     net = build_grid(3)
     ds = trips.sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
     cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
@@ -287,6 +285,15 @@ def test_a_route_that_repeats_a_segment_is_rejected(call):
     nb = resolve_neighborhood(ds, [34], NeighborhoodSpec.od_ball(1))
     with pytest.raises(ValueError, match="repeats a segment"):
         call(ds, [34, 34], nb, cov, prior)
+    for y in ([-1], [34, -13], [34.7]):
+        with pytest.raises(ValueError, match=r"segment id .* is not an integer in \[0, "):
+            call(ds, y, nb, cov, prior)
+    # validate_partition has no store to bound the ids by, so there the
+    # one-segment [48] fails on its two-block partition's empty block
+    bound = "empty partition block" if call is _REPEATED_SEGMENT_CALLS[
+        "validate_partition"] else r"segment id 48 is not an integer in \[0, 48\)"
+    with pytest.raises(ValueError, match=bound):
+        call(ds, [48], nb, cov, prior)
 
 def test_mc_risk_prior_only():
     ds = reference_dataset()

@@ -106,12 +106,12 @@ def test_from_jsonl_rejects_revisited_vertex(grid3, tmp_path):
 def test_od_pmf_normalizes():
     for p, alpha in [(2, 0.5), (3, 1.0), (10, 0.25), (10, 3.0)]:
         law = ODLaw(p, alpha)
-        assert abs(law.pmf_vector().sum() - 1.0) <= 1e-12
+        assert abs(law.pmf(np.arange(p + 1)).sum() - 1.0) <= 1e-12
 
 
 def test_od_pmf_uniform_at_alpha_one():
     law = ODLaw(4, 1.0)
-    assert np.allclose(law.pmf_vector(), np.full(5, 1.0 / 5.0), atol=1e-12)
+    assert np.allclose(law.pmf(np.arange(5)), np.full(5, 1.0 / 5.0), atol=1e-12)
 
 
 def test_od_pmf_symmetric():
@@ -166,7 +166,7 @@ def test_od_law_is_scipy_betabinom(p):
 
     for alpha in (0.3, 0.5, 1.0, 1.7, 4.0):
         law, dist = ODLaw(p, alpha), stats.betabinom(p, alpha, alpha)
-        assert np.array_equal(law.pmf_vector(), dist.pmf(np.arange(p + 1)))
+        assert np.array_equal(law.pmf(np.arange(p + 1)), dist.pmf(np.arange(p + 1)))
         for k in (-1, p + 1, 1.5):
             assert law.pmf(k) == dist.pmf(k) == 0.0
         for seed in range(3):
@@ -277,7 +277,7 @@ def test_sample_route_distribution_matches_enumeration():
     p = 2
     net = build_grid(p)
     law = ODLaw(p, 1.0)
-    pmf = law.pmf_vector()
+    pmf = law.pmf(np.arange(p + 1))
 
     def vertex_prob(v):
         return pmf[v[0]] * pmf[v[1]]
