@@ -12,9 +12,9 @@ the cell's counters, which include each stage's memory mark
 
     PYTHONPATH=src python3 benchmarks/bench_sweep.py BENCH_<n>.json --repeat 3
 
-`--threads N` gives the information pass of `PosteriorModel` N threads
-instead of one per core, and `--before` embeds an earlier record, such as the
-previous BENCH file, so one file holds both sides of a comparison.
+The information pass of `PosteriorModel` runs one thread per core.
+`--before` embeds an earlier record, such as the previous BENCH file, so one
+file holds both sides of a comparison.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from etalab import estimators, harness
+from etalab import harness
 
 CELLS = ((10, 3.0), (20, 4.0), (30, 4.0))
 
@@ -48,10 +48,8 @@ def git_sha() -> str | None:
     return sha + ("-dirty" if dirty else "")
 
 
-def run_one(p: int, k: float, threads: int | None) -> dict:
+def run_one(p: int, k: float) -> dict:
     """One repetition of a cell in this process, which should be fresh."""
-    if threads is not None:
-        estimators._set_threads(threads)
     cfg = harness.SweepConfig(master_seed=0, grid_sizes=(p,), exponents=(k,), workers=1)
     start = time.perf_counter()
     row = harness.run_cell(cfg, p, k)
@@ -60,11 +58,9 @@ def run_one(p: int, k: float, threads: int | None) -> dict:
             "counters": row.counters}
 
 
-def time_cell(p: int, k: float, repeat: int, threads: int | None) -> dict:
+def time_cell(p: int, k: float, repeat: int) -> dict:
     """`repeat` repetitions of a cell, each in a fresh child process."""
     cmd = [sys.executable, __file__, "--one", f"{p}:{k}"]
-    if threads is not None:
-        cmd += ["--threads", str(threads)]
     runs = [json.loads(subprocess.run(cmd, capture_output=True, text=True,
                                       check=True).stdout) for _ in range(repeat)]
     return {
@@ -84,25 +80,23 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="path of the JSON record to write")
     parser.add_argument("--repeat", type=int, default=3, help="repetitions per cell")
-    parser.add_argument("--threads", type=int, help="threads of the information pass")
     parser.add_argument("--before", help="an earlier record to embed under 'before'")
     parser.add_argument("--one", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one:
         # a child: one repetition of one cell, printed as JSON
         p, k = args.one.split(":")
-        print(json.dumps(run_one(int(p), float(k), args.threads)))
+        print(json.dumps(run_one(int(p), float(k))))
         return
     if args.out is None:
         parser.error("the output path is required")
     record = {
         "git_sha": git_sha(),
         "cores": len(os.sched_getaffinity(0)),
-        "threads": args.threads,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "cells": [time_cell(p, k, args.repeat, args.threads) for p, k in CELLS],
+        "cells": [time_cell(p, k, args.repeat) for p, k in CELLS],
     }
     if args.before:
         with open(args.before) as fh:

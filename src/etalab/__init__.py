@@ -21,8 +21,8 @@ from .harness import (ExamplesReport, SweepConfig, SweepRow, emit_csv,
 from .network import (AdjacencyRule, RoadNetwork, Segment, SegmentGraph,
                       build_grid, segment_graph)
 from .risk import (MCRisk, RiskReport, check_nb_condition, dominance_audit,
-                   lower_bound, mc_risk, risk_gseg, risk_optimal, risk_route,
-                   risk_seg)
+                   lower_bound, mc_risk, risk_affine, risk_gseg, risk_optimal,
+                   risk_route, risk_seg)
 from .trips import (Neighborhood, NeighborhoodKind, NeighborhoodSpec, ODLaw,
                     PriorSpec, Route, TripDataset, resolve_neighborhood,
                     sample_route, sample_routes, sample_trips, synthesize_times)
@@ -42,8 +42,8 @@ __all__ = [
     "optimal_route_weight", "optimal_seg_weights", "predict_bayes_optimal",
     "predict_gseg", "predict_route", "predict_segment",
     "MCRisk", "RiskReport", "check_nb_condition", "dominance_audit",
-    "lower_bound", "mc_risk", "risk_gseg", "risk_optimal", "risk_route",
-    "risk_seg",
+    "lower_bound", "mc_risk", "risk_affine", "risk_gseg", "risk_optimal",
+    "risk_route", "risk_seg",
     "ExamplesReport", "SweepConfig", "SweepRow", "emit_csv", "emit_manifest",
     "run_examples", "run_sweep",
 ]

@@ -13,7 +13,6 @@ phi(0) = 0, so estimators with no support fall back to the prior mean.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -25,8 +24,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .covariance import CovarianceModel
-from .trips import (Neighborhood, PriorSpec, Route, TripDataset, _is_count, _leading_sums,
-                    _ranges)
+from .trips import (Neighborhood, PriorSpec, Route, TripDataset, _check_covariance,
+                    _checked_route, _is_count, _is_finite, _leading_sums, _ranges, _segment_ids)
 
 __all__ = [
     "WeightRule",
@@ -65,10 +64,8 @@ class WeightRule:
     def __post_init__(self):
         if self.kind not in (self.RATIO, self.THRESHOLD, self.INDEP_OPTIMAL):
             raise ValueError(f"unknown weight rule {self.kind!r}")
-        lam = self.lam
-        if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
-                and math.isfinite(lam) and lam > 0):
-            raise ValueError(f"ratio rule needs a finite lam > 0, got {lam!r}")
+        if not (_is_finite(self.lam) and self.lam > 0):
+            raise ValueError(f"ratio rule needs a finite lam > 0, got {self.lam!r}")
         if not _is_count(self.c):
             raise ValueError(f"threshold rule needs an integer c >= 0, got {self.c!r}")
 
@@ -130,24 +127,10 @@ def _finish(pred: Prediction, ds: TripDataset) -> Prediction:
     return pred
 
 
-def _route_ids(y, n_segments: float) -> tuple[int, ...]:
-    """y's segment ids; ValueError unless each is an integer in [0, n_segments)
-    and none repeats (a Route never does)."""
-    if isinstance(y, Route):
-        return y.segment_ids
-    ids = tuple(y)
-    for i in ids:
-        if not (_is_count(i) and i < n_segments):
-            raise ValueError(f"segment id {i!r} is not an integer in [0, {n_segments})")
-    ids = tuple(int(i) for i in ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"route {list(ids)} repeats a segment")
-    return ids
-
-
 def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Check that partition blocks are contiguous sub-paths tiling the route."""
-    ids = _route_ids(y, math.inf)  # no store here to bound the ids
+    """Check that partition blocks are contiguous sub-paths tiling the route.
+    With no store, y is checked only for distinct integer ids >= 0."""
+    ids = _segment_ids(y.segment_ids if isinstance(y, Route) else y, math.inf)
     blocks = [tuple(int(s) for s in b) for b in partition]
     if not all(blocks):
         raise ValueError("empty partition block")
@@ -156,8 +139,7 @@ def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int,
         blocks_sorted = sorted(blocks, key=lambda b: pos[b[0]])
     except KeyError as e:
         raise ValueError(f"partition uses segment {e.args[0]} outside the route") from None
-    tiled = tuple(s for b in blocks_sorted for s in b)
-    if tiled != ids:
+    if tuple(s for b in blocks_sorted for s in b) != ids:
         raise ValueError("partition blocks must tile the route as contiguous sub-paths")
     return blocks
 
@@ -215,7 +197,7 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     goes to the entries of `flat` on j whose trip covers j: one pass over
     `flat` finds the entries on y, then a search of the cover's sorted cells.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     blocks = validate_partition(ids, partition)
     cover = ds.block_cover(blocks)
     counts = np.diff(cover.indptr)
@@ -242,7 +224,7 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
 def predict_segment(ds: TripDataset, y, rule, prior: PriorSpec,
                     cov: CovarianceModel | None = None) -> Prediction:
     """Per-segment estimator: the singleton-partition grouped estimator."""
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     pred = predict_gseg(ds, ids, [(s,) for s in ids], rule, prior, cov=cov)
     pred.estimator = "segment"
     return pred
@@ -257,7 +239,7 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
     `rule` is a WeightRule on M or an explicit phi value, resolved by
     `_resolve_weights` with the neighborhood as the one block.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y).segment_ids
     m = nbhd.size
     weights = rule if isinstance(rule, WeightRule) else [rule]
     phi = float(_resolve_weights(weights, np.array([m]), [ids], prior, None)[0])
@@ -284,7 +266,7 @@ def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
     counts J and covariance cross sums S.  Blocks with no support are pinned
     to weight zero and dropped from the system.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     blocks = validate_partition(ids, partition)
     joint, cross = _block_moments(ds, ids, blocks, cov)
     counts = np.diag(joint)
@@ -305,7 +287,7 @@ def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
 def optimal_seg_weights(ds: TripDataset, y, cov: CovarianceModel,
                         prior: PriorSpec) -> np.ndarray:
     """Risk-minimizing per-segment weights (singleton partition)."""
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     return optimal_gseg_weights(ds, ids, [(s,) for s in ids], cov, prior)
 
 
@@ -374,13 +356,13 @@ def _route_weights(mom: _NeighborhoodMoments, prior: PriorSpec) -> np.ndarray:
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def _one_route_moments(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel,
-                       q_all: np.ndarray | None) -> _NeighborhoodMoments:
-    """The moments of one route's neighborhood: the batch of one."""
+def _one_route_moments(ds: TripDataset, ids: tuple[int, ...], nbhd: Neighborhood,
+                       cov: CovarianceModel, q_all: np.ndarray | None) -> _NeighborhoodMoments:
+    """The moments of one checked route's neighborhood: the batch of one."""
     m = nbhd.size
     members = scipy.sparse.csr_matrix((np.ones(m), nbhd.members, [0, m]),
                                       shape=(1, ds.n_trips))
-    one = TripDataset._one_route(ds.network, _route_ids(y, ds.network.n_segments))
+    one = TripDataset._one_route(ds.network, ids)
     return _neighborhood_moments(ds, one, members, cov, q_all)
 
 
@@ -392,7 +374,7 @@ def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
     q_all optionally supplies precomputed per-trip covariance masses (from
     TripDataset.quadratic_sums) to avoid recomputation across many routes.
     """
-    mom = _one_route_moments(ds, y, nbhd, cov, q_all)
+    mom = _one_route_moments(ds, _checked_route(ds, y, cov).segment_ids, nbhd, cov, q_all)
     return float(_route_weights(mom, prior)[0])
 
 
@@ -415,6 +397,7 @@ class PosteriorModel:
     """
 
     def __init__(self, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec):
+        _check_covariance(ds.network, cov)
         self.ds = ds
         self.cov = cov
         self.prior = prior
@@ -443,7 +426,7 @@ class PosteriorModel:
 
     def risk_terms(self, y) -> tuple[float, float]:
         """(variance, squared bias) of the Bayes-optimal prediction for y."""
-        ids = _route_ids(y, self.ds.network.n_segments)
+        ids = _checked_route(self.ds, y).segment_ids
         _, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, ids))
         return float(total[0] - bias2[0]), float(bias2[0])
 
@@ -459,7 +442,7 @@ class PosteriorModel:
     def predict(self, y) -> Prediction:
         """Per trip, coefficients sigma[r, r]^-1 g[r]: one batched solve per
         route length, after the one Cholesky solve for g, which also gives the risk."""
-        ids = _route_ids(y, self.ds.network.n_segments)
+        ids = _checked_route(self.ds, y).segment_ids
         g, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, ids))
         risk, bias2 = float(total[0]), float(bias2[0])
         flat = self.ds.flat

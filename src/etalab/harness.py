@@ -33,7 +33,7 @@ from .estimators import (PosteriorModel, Prediction, WeightRule, _neighborhood_m
 from .network import AdjacencyRule, build_grid, segment_graph
 from .risk import (RiskReport, _route_risk_terms, lower_bound, risk_gseg, risk_optimal,
                    risk_route, risk_seg)
-from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset,
+from .trips import (NeighborhoodSpec, ODLaw, PriorSpec, Route, TripDataset, _is_finite,
                     resolve_neighborhood, resolve_neighborhoods, sample_trips)
 
 __all__ = [
@@ -162,10 +162,6 @@ class SweepConfig:
 
 def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

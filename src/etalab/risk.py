@@ -20,9 +20,9 @@ import scipy.sparse
 
 from .covariance import CovarianceModel
 from .estimators import (PosteriorModel, Prediction, _block_moments, _NeighborhoodMoments,
-                         _one_route_moments, _resolve_weights, _route_ids,
-                         optimal_route_weight, optimal_seg_weights, validate_partition)
-from .trips import Neighborhood, PriorSpec, TripDataset, _ranges
+                         _one_route_moments, _resolve_weights, optimal_route_weight,
+                         optimal_seg_weights, validate_partition)
+from .trips import Neighborhood, PriorSpec, TripDataset, _checked_route, _ranges
 
 __all__ = [
     "RiskReport",
@@ -79,7 +79,7 @@ def risk_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     cross sums; each block also contributes (1 - phi)^2 * |S| * tau2 of
     shrinkage bias.  Blocks with no support always carry weight zero.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     return _risk_blocks("gseg", ds, ids, validate_partition(ids, partition), rule,
                         cov, prior)
 
@@ -92,7 +92,7 @@ def risk_seg(ds: TripDataset, y, rule, cov: CovarianceModel,
     (`TripDataset.pair_counts`), which are the singleton blocks' joint
     support counts, so they can be shared with `lower_bound`.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     return _risk_blocks("segment", ds, ids, [(s,) for s in ids], rule, cov, prior,
                         joint=pair)
 
@@ -108,7 +108,7 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
     phi = 0 and the report reduces to the prior risk |y| * tau2; a non-finite
     phi raises ValueError.  This is the one-route case of `_route_risk_terms`.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     phi = float(_resolve_weights([phi], np.array([nbhd.size]), [ids], prior, None)[0])
     mom = _one_route_moments(ds, ids, nbhd, cov, q_all)
     variance, bias_length, bias_off, bias_on = (
@@ -145,7 +145,7 @@ def _route_risk_terms(mom: _NeighborhoodMoments, phi: np.ndarray, prior: PriorSp
 def risk_optimal(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
                  model: PosteriorModel | None = None) -> RiskReport:
     """Exact risk of the Bayes-optimal affine estimator."""
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     if model is None:
         model = PosteriorModel(ds, cov, prior)
     variance, bias2 = model.risk_terms(ids)
@@ -161,7 +161,7 @@ def lower_bound(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
     (`CovarianceModel.precision_block`).  With no data it equals the prior
     risk |y| * tau2.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     if pair is None:
         pair = ds.pair_counts(ids)
     psi = cov.precision_block(ids)
@@ -215,6 +215,7 @@ def _error_terms(pred: Prediction, ds: TripDataset, cov: CovarianceModel
     if not np.array_equal(pred.offsets, ds.offsets):
         raise ValueError(f"a prediction over {pred.offsets.size - 1} trips cannot be scored "
                          f"against a dataset of {ds.n_trips} trips with other routes")
+    _checked_route(ds, pred.route, cov)
     n = ds.network.n_segments
     starts, lengths = ds.offsets[:-1], np.diff(ds.offsets)
     live = np.logical_or.reduceat(pred.coef != 0.0, starts)
@@ -286,7 +287,7 @@ def check_nb_condition(ds: TripDataset, y, nbhd: Neighborhood) -> bool:
     count only neighborhood members.  Exact-route neighborhoods satisfy it
     automatically.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y).segment_ids
     pair_all = ds.pair_counts(ids)
     pair_delta = ds.pair_counts(ids, members=nbhd.members)
     n_all = np.diag(pair_all)
@@ -307,16 +308,15 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
     rounding scale that CovarianceModel.rank also allows: a diffusion sigma,
     nonnegative in exact arithmetic, holds entries down to -3.1e-16 at p=20.
     """
-    ids = _route_ids(y, ds.network.n_segments)
+    ids = _checked_route(ds, y, cov).segment_ids
     phis = optimal_seg_weights(ds, ids, cov, prior)
     seg = risk_seg(ds, ids, phis, cov, prior)
     phi_r = optimal_route_weight(ds, ids, nbhd, cov, prior)
     route = risk_route(ds, ids, nbhd, phi_r, cov, prior)
-    idx = np.asarray(ids, dtype=np.intp)
     sigma = cov.sigma
     scale = max(float(sigma.max()), -float(sigma.min()))
     tol = cov.n_segments * np.finfo(np.float64).eps * scale
-    nonneg = bool(np.all(sigma[np.ix_(idx, idx)] >= -tol))
+    nonneg = bool(np.all(sigma[np.ix_(ids, ids)] >= -tol))
     condition = check_nb_condition(ds, ids, nbhd)
     dominated = seg.total <= route.total + 1e-12
     out = {

@@ -77,24 +77,20 @@ class Route:
 
     @classmethod
     def from_segments(cls, network: RoadNetwork, segment_ids: Sequence[int]) -> "Route":
-        ids = tuple(segment_ids)
-        for i in ids:
-            if not (_is_count(i) and i < network.n_segments):
-                raise ValueError(
-                    f"segment id {i!r} is not an integer in [0, {network.n_segments})")
-        ids = tuple(int(i) for i in ids)
+        """ValueError unless the ids are distinct segments of a simple path."""
+        ids = _segment_ids(segment_ids, network.n_segments)
         if not ids:
             raise ValueError("a route needs at least one segment")
-        segs = [network.segment(i) for i in ids]
-        for a, b in zip(segs, segs[1:]):
-            if a.head != b.tail:
-                raise ValueError(f"route breaks at {a.head} -> {b.tail}")
-        # a connected path is simple when its heads and its first tail are all
-        # distinct (a repeated segment repeats its head)
-        heads = {s.head for s in segs}
-        if len(heads) != len(segs) or segs[0].tail in heads:
+        tails, heads = network.endpoints[list(ids)].reshape(-1, 2, 2).swapaxes(0, 1)
+        gap = np.flatnonzero((heads[:-1] != tails[1:]).any(axis=1))
+        if gap.size:
+            a, b = heads[gap[0]].tolist(), tails[gap[0] + 1].tolist()
+            raise ValueError(f"route breaks at {tuple(a)} -> {tuple(b)}")
+        # a connected path is simple when its heads and its first tail are all distinct
+        stops = np.append(tails[:1], heads, axis=0) @ (network.p + 1, 1)
+        if len(set(stops.tolist())) != stops.size:
             raise ValueError("route revisits a vertex")
-        return cls(ids, segs[0].tail, segs[-1].head)
+        return cls(ids, tuple(tails[0].tolist()), tuple(heads[-1].tolist()))
 
     @classmethod
     def from_vertices(cls, network: RoadNetwork, vertices: Sequence[tuple[int, int]]) -> "Route":
@@ -102,6 +98,24 @@ class Route:
 
     def __len__(self) -> int:
         return len(self.segment_ids)
+
+
+def _checked_route(ds: "TripDataset", y, cov: CovarianceModel | None = None) -> Route:
+    """The gate of every public call on (ds, y): y's ids must make a Route of
+    `ds.network`, equal to y if y is one, and cov must fit that network."""
+    if cov is not None:
+        _check_covariance(ds.network, cov)
+    route = Route.from_segments(ds.network, y.segment_ids if isinstance(y, Route) else y)
+    if isinstance(y, Route) and y != route:
+        raise ValueError(f"{y} is not a route of a p={ds.network.p} grid")
+    return route
+
+
+def _check_covariance(network: RoadNetwork, cov: CovarianceModel) -> None:
+    """ValueError unless cov has one row per segment of the network."""
+    if cov.n_segments != network.n_segments:
+        raise ValueError(f"a covariance over {cov.n_segments} segments does not fit a "
+                         f"network of {network.n_segments} segments")
 
 
 class ODLaw:
@@ -583,8 +597,10 @@ def synthesize_times(network: RoadNetwork, routes: Sequence[Route],
     theta_s ~ Normal(mu, tau2) independently per segment, drawn once for the
     whole dataset; each trip observes theta over its route plus a correlated
     Gaussian vector with covariance equal to the route's sigma block.  The
-    dataset's `times` is one array aligned with its `flat`.
+    dataset's `times` is one array aligned with its `flat`.  A covariance
+    sized for another network raises ValueError.
     """
+    _check_covariance(network, cov)
     n = network.n_segments
     theta = prior.mu + np.sqrt(prior.tau2) * rng.standard_normal(n)
     ds = TripDataset(network, routes)
@@ -681,11 +697,10 @@ def resolve_neighborhood(ds: TripDataset, y, spec: NeighborhoodSpec) -> Neighbor
 
     An empty neighborhood is a valid outcome, not an error; the estimator
     then falls back to the prior.  y is a Route or its segment ids, checked by
-    `Route.from_segments`.  This is the one-route case of `resolve_neighborhoods`.
+    `_checked_route`.  This is the one-route case of `resolve_neighborhoods`.
     """
-    y = y if isinstance(y, Route) else Route.from_segments(ds.network, y)
-    members = resolve_neighborhoods(ds, TripDataset._one_route(ds.network, y.segment_ids),
-                                    spec)
+    y = _checked_route(ds, y)
+    members = resolve_neighborhoods(ds, TripDataset._one_route(ds.network, y.segment_ids), spec)
     return Neighborhood(spec, y, members.indices.astype(np.int64))
 
 
@@ -756,6 +771,23 @@ def _same_segments(ds: TripDataset, routes: TripDataset, route: np.ndarray,
     pair = np.repeat(np.arange(route.size), lens)
     same = np.bincount(pair, weights=differ, minlength=route.size) == 0
     return route[same], trip[same]
+
+
+def _segment_ids(values: Sequence[int], n_segments: float) -> tuple[int, ...]:
+    """The values as ints; ValueError unless each is an integer in [0, n_segments), none twice."""
+    ids = tuple(values)
+    for i in ids:
+        if not (_is_count(i) and i < n_segments):
+            raise ValueError(f"segment id {i!r} is not an integer in [0, {n_segments})")
+    ids = tuple(int(i) for i in ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"route {list(ids)} repeats a segment")
+    return ids
+
+
+def _is_finite(value) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_count(value) -> bool:

@@ -216,8 +216,10 @@ def test_resolve_neighborhood_takes_segment_ids():
             by_ids = resolve_neighborhood(fx.ds, list(y.segment_ids), spec)
             assert np.array_equal(by_ids.members, by_route.members)
             assert by_ids.route == y
-    with pytest.raises(ValueError, match="route breaks"):
+    with pytest.raises(ValueError, match="repeats a segment"):
         resolve_neighborhood(fx.ds, [0, 0], NeighborhoodSpec.od_exact())
+    with pytest.raises(ValueError, match="route breaks"):
+        resolve_neighborhood(fx.ds, [0, 40], NeighborhoodSpec.od_exact())
 
 
 @pytest.mark.parametrize("seed", [9, 10])

@@ -241,27 +241,37 @@ def test_non_finite_weights_are_rejected(bad):
             risk_route(ds, route, n, bad, reference_covariance(), reference_prior())
 
 
+def _halves(y):
+    """A two-block partition of y's ids."""
+    ids = list(y.segment_ids if isinstance(y, Route) else y)
+    return [ids[:1], ids[1:]]
+
+
 # every public function that takes a route y
 _REPEATED_SEGMENT_CALLS = {
-    "validate_partition": lambda ds, y, nb, cov, prior: validate_partition(y, [y[:1], y[1:]]),
+    "validate_partition": lambda ds, y, nb, cov, prior: validate_partition(y, _halves(y)),
+    "resolve_neighborhood": lambda ds, y, nb, cov, prior: resolve_neighborhood(
+        ds, y, NeighborhoodSpec.od_ball(1)),
     "predict_segment": lambda ds, y, nb, cov, prior: predict_segment(
         ds, y, WeightRule.ratio(1.0), prior),
     "predict_gseg": lambda ds, y, nb, cov, prior: predict_gseg(
-        ds, y, [y[:1], y[1:]], WeightRule.ratio(1.0), prior),
+        ds, y, _halves(y), WeightRule.ratio(1.0), prior),
     "predict_route": lambda ds, y, nb, cov, prior: predict_route(
         ds, y, nb, WeightRule.ratio(1.0), prior),
     "predict_bayes_optimal": lambda ds, y, nb, cov, prior: predict_bayes_optimal(
         ds, y, cov, prior),
     "PosteriorModel.risk_terms": lambda ds, y, nb, cov, prior: PosteriorModel(
         ds, cov, prior).risk_terms(y),
+    "PosteriorModel.predict": lambda ds, y, nb, cov, prior: PosteriorModel(
+        ds, cov, prior).predict(y),
     "optimal_seg_weights": lambda ds, y, nb, cov, prior: optimal_seg_weights(ds, y, cov, prior),
     "optimal_gseg_weights": lambda ds, y, nb, cov, prior: optimal_gseg_weights(
-        ds, y, [y[:1], y[1:]], cov, prior),
+        ds, y, _halves(y), cov, prior),
     "optimal_route_weight": lambda ds, y, nb, cov, prior: optimal_route_weight(
         ds, y, nb, cov, prior),
     "risk_seg": lambda ds, y, nb, cov, prior: risk_seg(ds, y, WeightRule.ratio(1.0), cov, prior),
     "risk_gseg": lambda ds, y, nb, cov, prior: risk_gseg(
-        ds, y, [y[:1], y[1:]], WeightRule.ratio(1.0), cov, prior),
+        ds, y, _halves(y), WeightRule.ratio(1.0), cov, prior),
     "risk_route": lambda ds, y, nb, cov, prior: risk_route(ds, y, nb, 0.5, cov, prior),
     "risk_optimal": lambda ds, y, nb, cov, prior: risk_optimal(ds, y, cov, prior),
     "lower_bound": lambda ds, y, nb, cov, prior: lower_bound(ds, y, cov, prior),
@@ -288,12 +298,68 @@ def test_a_route_that_repeats_a_segment_is_rejected(call):
     for y in ([-1], [34, -13], [34.7]):
         with pytest.raises(ValueError, match=r"segment id .* is not an integer in \[0, "):
             call(ds, y, nb, cov, prior)
-    # validate_partition has no store to bound the ids by, so there the
-    # one-segment [48] fails on its two-block partition's empty block
-    bound = "empty partition block" if call is _REPEATED_SEGMENT_CALLS[
-        "validate_partition"] else r"segment id 48 is not an integer in \[0, 48\)"
-    with pytest.raises(ValueError, match=bound):
+    # unchecked, a route of the p=5 grid would be scored as the p=3 segments
+    # 17 and 21, which do not meet (risk_seg 0.2796; the same vertices on the
+    # p=3 grid score 0.2466), and the disconnected [0, 40] would score 0.2297;
+    # a Route whose ids are a path of the p=3 grid must also name its ends
+    other_grid = Route.from_vertices(build_grid(5), [(1, 0), (1, 1), (1, 2)])
+    forged = Route(net.path_segments([(1, 0), (1, 1), (1, 2)]), (0, 0), (1, 2))
+    not_paths = (other_grid, [0, 40], forged)
+    if call is _REPEATED_SEGMENT_CALLS["validate_partition"]:
+        # validate_partition has no store: it checks integer ids and tiling
+        # only, so it takes these, and the one-segment [48] fails on its
+        # two-block partition's empty block
+        for y in not_paths:
+            call(ds, y, nb, cov, prior)
+        with pytest.raises(ValueError, match="empty partition block"):
+            call(ds, [48], nb, cov, prior)
+        return
+    for y in not_paths:
+        with pytest.raises(ValueError, match="route breaks|is not a route of a p=3 grid"):
+            call(ds, y, nb, cov, prior)
+    with pytest.raises(ValueError, match=r"segment id 48 is not an integer in \[0, 48\)"):
         call(ds, [48], nb, cov, prior)
+
+
+# every public function that takes a store and a covariance
+_COVARIANCE_CALLS = {
+    "risk_seg": lambda ds, y, cov, prior: risk_seg(ds, y, WeightRule.ratio(1.0), cov, prior),
+    "lower_bound": lambda ds, y, cov, prior: lower_bound(ds, y, cov, prior),
+    "risk_optimal": lambda ds, y, cov, prior: risk_optimal(ds, y, cov, prior),
+    "risk_affine": lambda ds, y, cov, prior: risk_affine(
+        predict_segment(ds, y, WeightRule.ratio(1.0), prior), ds, cov, prior),
+    "mc_risk": lambda ds, y, cov, prior: mc_risk(
+        predict_segment(ds, y, WeightRule.ratio(1.0), prior), ds, cov, prior, replicates=10),
+    "synthesize_times": lambda ds, y, cov, prior: trips.synthesize_times(
+        ds.network, ds.routes, cov, prior, np.random.default_rng(0)),
+    "PosteriorModel": lambda ds, y, cov, prior: PosteriorModel(ds, cov, prior),
+    "optimal_seg_weights": lambda ds, y, cov, prior: optimal_seg_weights(ds, y, cov, prior),
+    "optimal_route_weight": lambda ds, y, cov, prior: optimal_route_weight(
+        ds, y, resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact()), cov, prior),
+    "dominance_audit": lambda ds, y, cov, prior: dominance_audit(
+        ds, y, resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact()), cov, prior),
+}
+
+
+@pytest.mark.parametrize("call", _COVARIANCE_CALLS.values(), ids=_COVARIANCE_CALLS.keys())
+def test_a_covariance_for_another_network_is_rejected(call):
+    # unchecked, the p=4 covariance (80 segments) on this p=3 store gives
+    # risk_seg 0.2298 (0.2330 with the store's), lower_bound 0.1938 (0.1949),
+    # risk_affine 0.2298 and mc_risk 0.2312 (10^5 replicates), synthesize_times
+    # returns times and risk_optimal fails inside scipy with "incompatible
+    # dimensions"
+    net = build_grid(3)
+    ds = trips.sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
+    cov = diffusion_covariance(segment_graph(build_grid(4)), u=1.0, v=1.0, white=1.0)
+    with pytest.raises(ValueError, match="covariance over 80 segments .* network of 48 "):
+        call(ds, ds.routes[0], cov, PriorSpec(1.0, 0.5))
+
+
+def test_risk_affine_is_exported():
+    import etalab
+    assert etalab.risk_affine is risk_affine
+    assert "risk_affine" in etalab.__all__
+
 
 def test_mc_risk_prior_only():
     ds = reference_dataset()
