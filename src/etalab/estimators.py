@@ -139,7 +139,8 @@ def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int,
         blocks_sorted = sorted(blocks, key=lambda b: pos[b[0]])
     except KeyError as e:
         raise ValueError(f"partition uses segment {e.args[0]} outside the route") from None
-    if tuple(s for b in blocks_sorted for s in b) != ids:
+    tiled = tuple(s for b in blocks_sorted for s in b)
+    if tiled != ids:
         raise ValueError("partition blocks must tile the route as contiguous sub-paths")
     return blocks
 

@@ -191,11 +191,22 @@ class AdjacencyRule:
     def class_weights(rule: str) -> Mapping[str, float]:
         if rule == AdjacencyRule.SHARE_ANY_ENDPOINT:
             return {c: 1.0 for c in PAIR_CLASSES}
-        # the weights in PAIR_CLASSES order
         if rule == AdjacencyRule.HEAD_TO_TAIL_CHAIN:
-            return dict(zip(PAIR_CLASSES, (1.0, 1.0, 0.0, 0.0, 1.0)))
+            return {
+                "straight": 1.0,
+                "turn": 1.0,
+                "parallel_collinear": 0.0,
+                "parallel_perpendicular": 0.0,
+                "reverse": 1.0,
+            }
         if rule == AdjacencyRule.UNDIRECTED_EDGE_INCIDENCE:
-            return dict(zip(PAIR_CLASSES, (1.0, 1.0, 1.0, 1.0, 0.0)))
+            return {
+                "straight": 1.0,
+                "turn": 1.0,
+                "parallel_collinear": 1.0,
+                "parallel_perpendicular": 1.0,
+                "reverse": 0.0,
+            }
         if rule == AdjacencyRule.CALIBRATED:
             return dict(CALIBRATED_CLASS_WEIGHTS)
         raise ValueError(f"unknown adjacency rule {rule!r}")

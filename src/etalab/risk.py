@@ -313,10 +313,11 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
     seg = risk_seg(ds, ids, phis, cov, prior)
     phi_r = optimal_route_weight(ds, ids, nbhd, cov, prior)
     route = risk_route(ds, ids, nbhd, phi_r, cov, prior)
+    idx = np.asarray(ids, dtype=np.intp)
     sigma = cov.sigma
     scale = max(float(sigma.max()), -float(sigma.min()))
     tol = cov.n_segments * np.finfo(np.float64).eps * scale
-    nonneg = bool(np.all(sigma[np.ix_(ids, ids)] >= -tol))
+    nonneg = bool(np.all(sigma[np.ix_(idx, idx)] >= -tol))
     condition = check_nb_condition(ds, ids, nbhd)
     dominated = seg.total <= route.total + 1e-12
     out = {

@@ -81,16 +81,18 @@ class Route:
         ids = _segment_ids(segment_ids, network.n_segments)
         if not ids:
             raise ValueError("a route needs at least one segment")
-        tails, heads = network.endpoints[list(ids)].reshape(-1, 2, 2).swapaxes(0, 1)
-        gap = np.flatnonzero((heads[:-1] != tails[1:]).any(axis=1))
-        if gap.size:
-            a, b = heads[gap[0]].tolist(), tails[gap[0] + 1].tolist()
-            raise ValueError(f"route breaks at {tuple(a)} -> {tuple(b)}")
+        # each segment's tail and head vertex (i, j), numbered i * q + j
+        q = network.p + 1
+        ends = network.endpoints.take(ids, axis=0).reshape(-1, 2, 2)
+        tails, heads = (ends @ (q, 1)).T.tolist()
+        for k in range(len(ids) - 1):
+            if heads[k] != tails[k + 1]:
+                raise ValueError(f"route breaks at {divmod(heads[k], q)} -> "
+                                 f"{divmod(tails[k + 1], q)}")
         # a connected path is simple when its heads and its first tail are all distinct
-        stops = np.append(tails[:1], heads, axis=0) @ (network.p + 1, 1)
-        if len(set(stops.tolist())) != stops.size:
+        if len({tails[0], *heads}) != len(ids) + 1:
             raise ValueError("route revisits a vertex")
-        return cls(ids, tuple(tails[0].tolist()), tuple(heads[-1].tolist()))
+        return cls(ids, divmod(tails[0], q), divmod(heads[-1], q))
 
     @classmethod
     def from_vertices(cls, network: RoadNetwork, vertices: Sequence[tuple[int, int]]) -> "Route":
@@ -779,7 +781,7 @@ def _segment_ids(values: Sequence[int], n_segments: float) -> tuple[int, ...]:
     for i in ids:
         if not (_is_count(i) and i < n_segments):
             raise ValueError(f"segment id {i!r} is not an integer in [0, {n_segments})")
-    ids = tuple(int(i) for i in ids)
+    ids = tuple(map(int, ids))
     if len(set(ids)) != len(ids):
         raise ValueError(f"route {list(ids)} repeats a segment")
     return ids
@@ -792,7 +794,9 @@ def _is_finite(value) -> bool:
 
 def _is_count(value) -> bool:
     """An integer >= 0 that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    # the exact types first: the ABC test would cost most of a route check
+    return ((type(value) is int or isinstance(value, np.integer)
+             or isinstance(value, numbers.Integral) and not isinstance(value, bool)) and value >= 0)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
