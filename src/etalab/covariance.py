@@ -1,8 +1,9 @@
 """Segment travel-time covariance models.
 
-All estimators and risk formulas consume a dense symmetric positive
-semidefinite matrix sigma over the network's segments, wrapped in
-CovarianceModel.  Three constructions are provided:
+All estimators and risk formulas consume a symmetric positive semidefinite
+matrix sigma over the network's segments, wrapped in CovarianceModel, which
+they read through its `block` and `entries` gathers.  Three constructions
+are provided:
 
 * diffusion_covariance: heat-kernel smoothing of white noise over a segment
   adjacency graph, sigma = u * exp(-v * L) + white * I with L a normalized
@@ -37,6 +38,9 @@ __all__ = [
 # relative floor for "numerically PSD": eigenvalues down to -PSD_RTOL * scale pass
 PSD_RTOL = 1e-8
 
+# cells that _OrbitTable.dense gathers at once: its index arrays stay far below n x n
+_DENSE_CELLS = 2 ** 18
+
 
 def normalized_laplacian(graph: SegmentGraph) -> scipy.sparse.csr_matrix:
     """The symmetric normalized Laplacian D^{-1/2} (D - A) D^{-1/2} of a segment graph.
@@ -66,56 +70,81 @@ class _OrbitTable(NamedTuple):
     element: np.ndarray
     orbit: np.ndarray
 
+    def entries(self, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Entries [s, t] for index arrays s and t that broadcast: one flat
+        gather at (g(s) ^ g(t)) m^2 + o(s) m + o(t)."""
+        m = self.table.shape[1]
+        cells = np.multiply(self.element[s] ^ self.element[t], m * m, dtype=np.intp)
+        cells += self.orbit[s] * m
+        cells += self.orbit[t]
+        return np.take(self.table.reshape(-1), cells, out=out)
+
     def block(self, idx: np.ndarray) -> np.ndarray:
-        """The principal block over the segments idx: one gather."""
-        g, o = self.element[idx], self.orbit[idx]
-        return self.table[g[:, None] ^ g, o[:, None], o]
+        """The principal blocks over the (..., L) segment ids idx: one gather."""
+        return self.entries(idx[..., :, None], idx[..., None, :])
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, gathered a few rows at a time, so no n x n index
+        array is formed."""
+        n = self.orbit.size
+        out = np.empty((n, n))
+        ids = np.arange(n)
+        rows = max(1, _DENSE_CELLS // n)
+        for a in range(0, n, rows):
+            self.entries(ids[a:a + rows, None], ids, out=out[a:a + rows])
+        return out
 
 
 class CovarianceModel:
-    """Dense symmetric PSD covariance over network segments.
+    """Symmetric PSD covariance over network segments.
 
     Its ascending eigenvalues are computed once, when the model is built, and
     stored as ``eigenvalues``; validation, ``min_eigenvalue``, ``rank`` and
-    ``precision`` read them instead of solving for them again.  A full-rank
-    diffusion covariance (v > 0) also keeps its precision as an orbit table
-    of about n^2 / 8 floats, the form its sigma is gathered from, so
-    ``precision_block`` reads any principal block of the precision with one
-    gather and never forms it.
+    ``precision`` read them instead of solving for them again.  A diffusion
+    covariance with v > 0 keeps sigma as an orbit table of about n^2 / 8
+    floats, and a full-rank one its precision too, so ``block``, ``entries``
+    and ``precision_block`` read any entries with one gather and never form
+    the n x n matrix; ``sigma`` gathers it on first read.
     """
 
     def __init__(self, sigma: np.ndarray, meta: Mapping[str, object] | None = None):
-        self._build(sigma, meta, None)
-
-    @classmethod
-    def _with_eigenvalues(cls, sigma: np.ndarray, meta: Mapping[str, object],
-                          eigenvalues: np.ndarray) -> "CovarianceModel":
-        """Wrap an exactly symmetric sigma whose ascending eigenvalues are
-        already known: it is stored as it is, with no symmetry check."""
-        model = cls.__new__(cls)
-        model._build(sigma, meta, eigenvalues)
-        return model
-
-    def _build(self, sigma, meta, eigenvalues) -> None:
         sigma = np.ascontiguousarray(np.asarray(sigma, dtype=np.float64))
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square matrix")
-        if not (np.isfinite(sigma.min()) and np.isfinite(sigma.max())):  # no n x n temporary
-            raise ValueError("sigma must have finite entries")
-        if eigenvalues is None:
-            if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
-                raise ValueError("sigma must be symmetric")
-            sigma = (sigma + sigma.T) / 2.0
-        self.sigma = sigma
+        _check_finite(sigma)
+        if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
+            raise ValueError("sigma must be symmetric")
+        sigma = (sigma + sigma.T) / 2.0
+        self._build(meta, np.linalg.eigvalsh(sigma), sigma, None)
+
+    @classmethod
+    def _with_eigenvalues(cls, meta: Mapping[str, object], eigenvalues: np.ndarray,
+                          sigma: np.ndarray | None = None,
+                          table: _OrbitTable | None = None) -> "CovarianceModel":
+        """Wrap an exactly symmetric sigma, or the orbit table it is gathered
+        from, whose ascending eigenvalues are already known: it is stored as
+        it is, with no symmetry check."""
+        _check_finite(sigma if table is None else table.table)
+        model = cls.__new__(cls)
+        model._build(meta, eigenvalues, sigma, table)
+        return model
+
+    def _build(self, meta, eigenvalues, sigma, table) -> None:
+        if sigma is not None:
+            self.sigma = sigma
+        self._table = table
+        self.n_segments = eigenvalues.size
         self.meta = dict(meta or {})
-        self.eigenvalues = np.linalg.eigvalsh(self.sigma) if eigenvalues is None else eigenvalues
+        self.eigenvalues = eigenvalues
         self.validate_psd()
         # set by diffusion_covariance for a full-rank heat kernel; see precision_block
         self._precision_table: _OrbitTable | None = None
 
-    @property
-    def n_segments(self) -> int:
-        return self.sigma.shape[0]
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """The dense n x n covariance.  A model with an orbit table gathers it
+        on first read and keeps it; no estimator, risk or sweep path reads it."""
+        return self._table.dense()
 
     def validate_psd(self) -> None:
         eigs = self.eigenvalues
@@ -135,10 +164,13 @@ class CovarianceModel:
 
     @cached_property
     def precision(self) -> np.ndarray:
-        """Inverse covariance, from sigma's Cholesky factor (LAPACK dpotri).
+        """Inverse covariance: gathered from the precision's orbit table when
+        there is one, else from sigma's Cholesky factor (LAPACK dpotri).
 
         Raises ``np.linalg.LinAlgError`` when sigma is rank-deficient.
         """
+        if self._precision_table is not None:
+            return self._precision_table.dense()
         n = self.n_segments
         rank = self.rank
         if rank < n:
@@ -168,15 +200,25 @@ class CovarianceModel:
             return self.precision[np.ix_(idx, idx)]
         return self._precision_table.block(idx)
 
-    def block(self, ids: Sequence[int]) -> np.ndarray:
+    def block(self, ids) -> np.ndarray:
+        """The principal blocks sigma[ids, ids] over (..., L) segment ids, as
+        (..., L, L) blocks: one gather (see ``entries``)."""
         idx = np.asarray(ids, dtype=np.intp)
-        return self.sigma[np.ix_(idx, idx)]
+        return self.entries(idx[..., :, None], idx[..., None, :])
+
+    def entries(self, s, t, out: np.ndarray | None = None) -> np.ndarray:
+        """sigma[s, t] for index arrays s and t that broadcast: one gather from
+        the orbit table when there is one, else from the dense sigma."""
+        if self._table is not None:
+            return self._table.entries(s, t, out)
+        cells = np.ravel_multi_index((s, t), self.sigma.shape)
+        return np.take(self.sigma.reshape(-1), cells, out=out)
 
     def pair_sum(self, s_ids: Sequence[int], t_ids: Sequence[int]) -> float:
         """Sum of sigma entries over the cross product of two id sets (0 if one is empty)."""
         si = np.asarray(s_ids, dtype=np.intp)
         ti = np.asarray(t_ids, dtype=np.intp)
-        return float(self.sigma[np.ix_(si, ti)].sum())
+        return float(self.entries(si[:, None], ti).sum())
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
@@ -247,7 +289,7 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
     if v == 0.0:
         # exp(0) is the identity: sigma and its spectrum are exact, with no eigendecomposition
         diag = np.full(n, u + white)
-        return CovarianceModel._with_eigenvalues(np.diag(diag), meta, diag)
+        return CovarianceModel._with_eigenvalues(meta, diag, sigma=np.diag(diag))
     symmetries = graph.network.symmetries
     _check_invariant(graph.adjacency, symmetries)
     lap = normalized_laplacian(graph)
@@ -263,18 +305,12 @@ def diffusion_covariance(graph: SegmentGraph, u: float = 1.0, v: float = 1.0,
     eigenvalues = np.sort(np.concatenate([u * heat + white for _, _, heat in blocks]))
     table = _orbit_table(orbits, blocks)
     table *= u
-    # row s gathers T at (g(s) ^ g(t), o(s), o(t)): one flat column index
-    # per group element, shifted by o(s), and no n x n array besides sigma
+    # the pair (h = 0, o, o) is reached only by s = t, so the white noise is
+    # T[0]'s diagonal; sigma is kept as the table and never formed
     m = orbits.stabiliser.size
+    table[0][np.diag_indices(m)] += white
     g, o = orbits.element, orbits.orbit
-    cols = (np.arange(8, dtype=np.int8)[:, None] ^ g).astype(np.intp) * (m * m) + o
-    flat = table.reshape(-1)
-    sigma = np.empty((n, n))
-    for s in range(n):
-        np.take(flat, cols[g[s]] + o[s] * m, out=sigma[s])
-    del table, flat
-    sigma[np.diag_indices(n)] += white
-    model = CovarianceModel._with_eigenvalues(sigma, meta, eigenvalues)
+    model = CovarianceModel._with_eigenvalues(meta, eigenvalues, table=_OrbitTable(table, g, o))
     # the precision has the same form with w_k = 1 / (u e^{-v lambda_k} +
     # white); a singular sigma gets no table (u = 0 would divide by zero),
     # and precision_block raises precision's error
@@ -298,14 +334,24 @@ def _orbit_table(orbits: _Orbits, blocks) -> np.ndarray:
     scale = orbits.stabiliser / np.sqrt(8.0 * orbits.stabiliser)
     table = np.zeros((8, m, m))
     for block, evecs, w in blocks:
-        f = scale[block.orbits, None] * (evecs * np.sqrt(w))
+        f = evecs * np.sqrt(w)
+        f *= scale[block.orbits, None]
         # numpy runs F F' as one symmetric rank-k update, so F_k F_k', and
         # with it every T[h], comes out exactly symmetric
-        ff = np.zeros((m, m))
-        ff[np.ix_(block.orbits, block.orbits)] = f @ f.T
+        ff = f @ f.T
+        del f
+        cells = np.ix_(block.orbits, block.orbits)
         for h in range(8):
-            table[h] += orbits.chi[block.k, h] * ff
+            if orbits.chi[block.k, h] > 0:
+                table[h][cells] += ff
+            else:
+                table[h][cells] -= ff
     return table
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):  # no temporary of a's size
+        raise ValueError("sigma must have finite entries")
 
 
 def _check_invariant(adjacency: scipy.sparse.csr_matrix, symmetries: np.ndarray) -> None:

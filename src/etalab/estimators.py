@@ -25,7 +25,8 @@ import scipy.sparse
 
 from .covariance import CovarianceModel
 from .trips import (Neighborhood, PriorSpec, Route, TripDataset, _check_covariance,
-                    _checked_route, _is_count, _is_finite, _leading_sums, _ranges, _segment_ids)
+                    _checked_neighborhood, _checked_route, _is_count, _is_finite,
+                    _leading_sums, _ranges, _segment_ids)
 
 __all__ = [
     "WeightRule",
@@ -185,7 +186,7 @@ def _block_moments(ds: TripDataset, ids: Sequence[int], blocks: Sequence[Sequenc
         cover = ds.block_cover(blocks)
         joint = (cover.T @ cover).toarray()
     member = np.eye(len(blocks))[_segment_blocks(ds, blocks)[list(ids)]]
-    return joint, member.T @ cov.sigma[np.ix_(ids, ids)] @ member
+    return joint, member.T @ cov.block(ids) @ member
 
 
 def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
@@ -238,9 +239,10 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
     With weight phi on a neighborhood of M trips, predicts
     (1 - phi) * |y| * mu + phi * (average total time over the neighborhood).
     `rule` is a WeightRule on M or an explicit phi value, resolved by
-    `_resolve_weights` with the neighborhood as the one block.
+    `_resolve_weights` with the neighborhood as the one block.  nbhd must be
+    resolved for y's route on ds (`_checked_neighborhood`).
     """
-    ids = _checked_route(ds, y).segment_ids
+    ids = _checked_neighborhood(ds, y, nbhd).segment_ids
     m = nbhd.size
     weights = rule if isinstance(rule, WeightRule) else [rule]
     phi = float(_resolve_weights(weights, np.array([m]), [ids], prior, None)[0])
@@ -375,7 +377,8 @@ def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
     q_all optionally supplies precomputed per-trip covariance masses (from
     TripDataset.quadratic_sums) to avoid recomputation across many routes.
     """
-    mom = _one_route_moments(ds, _checked_route(ds, y, cov).segment_ids, nbhd, cov, q_all)
+    mom = _one_route_moments(ds, _checked_neighborhood(ds, y, nbhd, cov).segment_ids, nbhd,
+                             cov, q_all)
     return float(_route_weights(mom, prior)[0])
 
 
@@ -504,7 +507,7 @@ def _information(ds: TripDataset, cov: CovarianceModel,
                 cells = np.empty(ids.shape + ids.shape[1:], dtype=np.int64)
                 blocks = np.empty(cells.shape)
                 pending.append((members, cells, blocks, pool.submit(
-                    _family_chunk, cov.sigma, lengths, local, ids, cells, blocks)))
+                    _family_chunk, cov, lengths, local, ids, cells, blocks)))
                 if len(pending) > threads:
                     add_oldest()
             while pending:
@@ -516,22 +519,22 @@ def _information(ds: TripDataset, cov: CovarianceModel,
     return q, sums
 
 
-def _family_chunk(sigma: np.ndarray, lengths: np.ndarray, local: np.ndarray,
+def _family_chunk(cov: CovarianceModel, lengths: np.ndarray, local: np.ndarray,
                   ids: np.ndarray, cells: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """One chunk of families' share of the information pass, run in a worker thread.
 
-    Fills `cells` with the flat cells ids[a] * n + ids[b] of the blocks'
-    entries (a, b), gathers the blocks S from sigma's C-ordered flat view at
-    those cells into `blocks`, overwrites them with U' diag(w) U, U =
-    chol(S)^-1, and returns the members' quadratic sums, read off S's
-    leading-block sums.  In the Fortran-ordered Q the same cells are the
-    transposed entries, which a symmetric product leaves alone.  Worker
+    Gathers the blocks S = sigma[ids, ids] into `blocks` (one flat take,
+    `CovarianceModel.entries`), overwrites them with U' diag(w) U, U =
+    chol(S)^-1, fills `cells` with the flat cells ids[a] * n + ids[b] of the
+    blocks' entries (a, b) in Q, and returns the members' quadratic sums,
+    read off S's leading-block sums.  In the Fortran-ordered Q the same cells
+    are the transposed entries, which a symmetric product leaves alone.  Worker
     threads allocate from malloc arenas of their own, which keep freed memory
     resident, so the chunks are small.
     """
     m, length = ids.shape
-    np.add(ids[:, :, None] * sigma.shape[0], ids[:, None, :], out=cells)
-    np.take(sigma.ravel(), cells, out=blocks)
+    cov.entries(ids[:, :, None], ids[:, None, :], out=blocks)
+    np.add(ids[:, :, None] * cov.n_segments, ids[:, None, :], out=cells)
     sums = _leading_sums(blocks)[local, lengths - 1]
     # w[f, i]: the members of family f longer than i, a suffix sum of their lengths
     ends = np.bincount(local * (length + 1) + lengths, minlength=m * (length + 1))
@@ -554,7 +557,7 @@ def _first_singular(ds: TripDataset, cov: CovarianceModel) -> np.linalg.LinAlgEr
     for members, lengths, local, ids in ds._family_chunks():
         ids = ids[:, :rank]
         fail = np.full(ids.shape[0], rank + 1)
-        for f, block in enumerate(cov.sigma[ids[:, :, None], ids[:, None, :]]):
+        for f, block in enumerate(cov.block(ids)):
             info = scipy.linalg.lapack.dpotrf(block, lower=1)[1]
             if info > 0:
                 fail[f] = info

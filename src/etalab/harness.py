@@ -494,7 +494,7 @@ def _conditioned_bayes(ds: TripDataset, y, cov: CovarianceModel,
     proj = np.zeros((flat.size, ds.network.n_segments))
     proj[np.arange(flat.size), flat] = 1.0
     noise = scipy.linalg.block_diag(
-        *[cov.sigma[np.ix_(r, r)] for r in np.split(flat, offsets[1:-1])])
+        *[cov.block(r) for r in np.split(flat, offsets[1:-1])])
     e_y = np.zeros(ds.network.n_segments)
     e_y[ids] = 1.0
     cov_xs = prior.tau2 * (proj @ e_y)

@@ -22,7 +22,8 @@ from .covariance import CovarianceModel
 from .estimators import (PosteriorModel, Prediction, _block_moments, _NeighborhoodMoments,
                          _one_route_moments, _resolve_weights, optimal_route_weight,
                          optimal_seg_weights, validate_partition)
-from .trips import Neighborhood, PriorSpec, TripDataset, _checked_route, _ranges
+from .trips import (Neighborhood, PriorSpec, TripDataset, _checked_neighborhood,
+                    _checked_route, _ranges)
 
 __all__ = [
     "RiskReport",
@@ -108,7 +109,7 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
     phi = 0 and the report reduces to the prior risk |y| * tau2; a non-finite
     phi raises ValueError.  This is the one-route case of `_route_risk_terms`.
     """
-    ids = _checked_route(ds, y, cov).segment_ids
+    ids = _checked_neighborhood(ds, y, nbhd, cov).segment_ids
     phi = float(_resolve_weights([phi], np.array([nbhd.size]), [ids], prior, None)[0])
     mom = _one_route_moments(ds, ids, nbhd, cov, q_all)
     variance, bias_length, bias_off, bias_on = (
@@ -224,7 +225,7 @@ def _error_terms(pred: Prediction, ds: TripDataset, cov: CovarianceModel
     c = scipy.sparse.csr_matrix((pred.coef[pos], ds.flat[pos], np.r_[0, np.cumsum(lengths[live])]),
                                 shape=(int(live.sum()), n))
     gram = (c.T @ c).tocoo()
-    return live, d, max(float(cov.sigma[gram.row, gram.col] @ gram.data), 0.0)
+    return live, d, max(float(cov.entries(gram.row, gram.col) @ gram.data), 0.0)
 
 
 def mc_risk(pred: Prediction, ds: TripDataset, cov: CovarianceModel,
@@ -287,7 +288,7 @@ def check_nb_condition(ds: TripDataset, y, nbhd: Neighborhood) -> bool:
     count only neighborhood members.  Exact-route neighborhoods satisfy it
     automatically.
     """
-    ids = _checked_route(ds, y).segment_ids
+    ids = _checked_neighborhood(ds, y, nbhd).segment_ids
     pair_all = ds.pair_counts(ids)
     pair_delta = ds.pair_counts(ids, members=nbhd.members)
     n_all = np.diag(pair_all)
@@ -313,11 +314,10 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
     seg = risk_seg(ds, ids, phis, cov, prior)
     phi_r = optimal_route_weight(ds, ids, nbhd, cov, prior)
     route = risk_route(ds, ids, nbhd, phi_r, cov, prior)
-    idx = np.asarray(ids, dtype=np.intp)
     sigma = cov.sigma
     scale = max(float(sigma.max()), -float(sigma.min()))
     tol = cov.n_segments * np.finfo(np.float64).eps * scale
-    nonneg = bool(np.all(sigma[np.ix_(idx, idx)] >= -tol))
+    nonneg = bool(np.all(cov.block(ids) >= -tol))
     condition = check_nb_condition(ds, ids, nbhd)
     dominated = seg.total <= route.total + 1e-12
     out = {

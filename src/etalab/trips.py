@@ -107,9 +107,31 @@ def _checked_route(ds: "TripDataset", y, cov: CovarianceModel | None = None) -> 
     `ds.network`, equal to y if y is one, and cov must fit that network."""
     if cov is not None:
         _check_covariance(ds.network, cov)
-    route = Route.from_segments(ds.network, y.segment_ids if isinstance(y, Route) else y)
+    return _network_route(ds.network, y)
+
+
+def _network_route(network: RoadNetwork, y) -> Route:
+    """The Route that y's ids make on the network; ValueError unless they make
+    one, equal to y if y is a Route."""
+    route = Route.from_segments(network, y.segment_ids if isinstance(y, Route) else y)
     if isinstance(y, Route) and y != route:
-        raise ValueError(f"{y} is not a route of a p={ds.network.p} grid")
+        raise ValueError(f"{y} is not a route of a p={network.p} grid")
+    return route
+
+
+def _checked_neighborhood(ds: "TripDataset", y, nbhd: "Neighborhood",
+                          cov: CovarianceModel | None = None) -> Route:
+    """`_checked_route` for a call that also pools a neighborhood: ValueError
+    unless nbhd is for the route y makes and every member is a trip of ds."""
+    route = _checked_route(ds, y, cov)
+    if nbhd.route != route:
+        raise ValueError(f"the neighborhood is for route {list(nbhd.route.segment_ids)}, "
+                         f"not {list(route.segment_ids)}")
+    members = nbhd.members
+    if members.size and not (np.issubdtype(members.dtype, np.integer) and members.ndim == 1
+                             and 0 <= members.min() and members.max() < ds.n_trips):
+        raise ValueError(f"neighborhood members must be ids of the store's "
+                         f"{ds.n_trips} trips")
     return route
 
 
@@ -276,11 +298,18 @@ class TripDataset:
     flat[offsets[n]:offsets[n + 1]].  `times`, like prediction coefficients,
     is one float64 array aligned with `flat`, or None for a routes-only store.
     Route objects are built from these arrays only when `routes` is first read.
+    A Route that the network does not make (`Route.from_segments`) raises
+    ValueError naming its trip.
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[Route],
                  times: np.ndarray | None = None):
         routes = tuple(routes)
+        for trip, route in enumerate(routes):
+            try:
+                _network_route(network, route)
+            except ValueError as err:
+                raise ValueError(f"trip {trip}: {err}") from None
         self.network = network
         self.offsets = np.cumsum([0] + [len(r) for r in routes], dtype=np.int64)
         self.flat = np.fromiter((s for r in routes for s in r.segment_ids),
@@ -479,16 +508,14 @@ class TripDataset:
         increasing order and the trips in id order, and hold at most
         _BLOCK_BYTES of blocks (one trip's block when that alone is larger).
         """
-        sigma = cov.sigma
         lens = np.diff(self.offsets)
         for length in np.unique(lens):
             trips = np.flatnonzero(lens == length)
             pos = self.offsets[trips, None] + np.arange(length)
-            rows = max(1, _BLOCK_BYTES // (sigma.itemsize * length * length))
+            rows = max(1, _BLOCK_BYTES // (8 * length * length))
             for a in range(0, trips.size, rows):
                 ids = self.flat[pos[a:a + rows]]
-                yield (trips[a:a + rows], pos[a:a + rows], ids,
-                       sigma[ids[:, :, None], ids[:, None, :]])
+                yield trips[a:a + rows], pos[a:a + rows], ids, cov.block(ids)
 
     def trips_containing_all(self, seg_ids: Sequence[int]) -> np.ndarray:
         """Sorted ids of trips whose route traverses every listed segment (all, for none)."""
@@ -534,11 +561,12 @@ class TripDataset:
 
     def quadratic_sums(self, cov: CovarianceModel) -> np.ndarray:
         """Per-trip sums of covariance entries over the route's segment pairs:
-        the leading-block sums of each route family's block."""
-        sigma = cov.sigma
+        the leading-block sums of each route family's block.  A covariance
+        sized for another network raises ValueError."""
+        _check_covariance(self.network, cov)
         out = np.empty(self.n_trips)
         for members, lengths, local, ids in self._family_chunks():
-            sums = _leading_sums(sigma[ids[:, :, None], ids[:, None, :]])
+            sums = _leading_sums(cov.block(ids))
             out[members] = sums[local, lengths - 1]
         return out
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from etalab import harness
+from etalab.covariance import CovarianceModel
 from etalab.estimators import PosteriorModel, WeightRule, optimal_route_weight
 from etalab.network import build_grid
 from etalab.risk import lower_bound, risk_optimal, risk_route, risk_seg
@@ -142,13 +143,14 @@ def test_run_cell_frees_the_posterior_before_the_pair_counts(monkeypatch):
 def test_lower_bound_from_kernels_matches_dense_precision():
     """The cell's lower bounds read precision blocks from the diffusion
     covariance's orbit table; each stays within 1e-12 relative of the bound
-    from the n x n precision."""
+    from the n x n precision of the dense sigma (dpotri)."""
     cfg = harness.SweepConfig(master_seed=0, grid_sizes=(10,), exponents=(3.0,))
     ds, predicting, model = _cell(cfg, 10, 3.0)
     cov, prior = model.cov, model.prior
     assert cov._precision_table is not None
+    precision = CovarianceModel(cov.sigma).precision
     for y in np.split(predicting.flat, predicting.offsets[1:-1]):
-        psi = cov.precision[np.ix_(y, y)]
+        psi = precision[np.ix_(y, y)]
         dense = y.size ** 2 / (float((ds.pair_counts(y) * psi).sum()) + y.size / prior.tau2)
         assert lower_bound(ds, y, cov, prior) == pytest.approx(dense, rel=RTOL, abs=0)
 

@@ -9,6 +9,7 @@ import scipy.sparse
 from etalab.covariance import (
     CovarianceModel,
     FeatureLaw,
+    _OrbitTable,
     _orbits,
     _symmetry_blocks,
     assumption_diagnostics,
@@ -287,21 +288,24 @@ def test_diffusion_sigma_is_exactly_symmetric(p):
     assert np.array_equal(sigma, sigma.T)
 
 
-@pytest.mark.parametrize("p", [10, 20])
-def test_diffusion_build_holds_one_dense_array(p):
-    """The graph and its Laplacian are sparse and sigma is gathered from an
-    orbit table of about n^2 / 8 entries, so sigma is the build's only n x n
-    array: its traced peak, with the precision's orbit table it keeps, stays
-    under 1.6 of them."""
+@pytest.mark.parametrize("p", [20, 30])
+def test_diffusion_build_holds_no_dense_array(p):
+    """The graph and its Laplacian are sparse, and sigma and its precision
+    are kept as orbit tables of about n^2 / 8 entries each, so the build
+    forms no n x n array: its traced peak stays under half of one (0.47 at
+    p = 20, 0.45 at p = 30; at p = 10 the sparse graph and the tables'
+    padding, 8 m^2 = 1.19 n^2 / 8, take it to 0.61)."""
     net = build_grid(p)
     n = net.n_segments
+    graph = segment_graph(net)
     tracemalloc.start()
     try:
-        diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+        cov = diffusion_covariance(graph, u=1.0, v=1.0, white=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * n * n * 8
+    assert peak <= 0.5 * n * n * 8
+    assert "sigma" not in cov.__dict__
 
 
 def _xxt_diffusion(graph, u, v, white):
@@ -334,6 +338,61 @@ def test_orbit_table_sigma_matches_the_xxt_build(p):
             sigma = diffusion_covariance(graph, u=1.0, v=1.0, white=white).sigma
             reference = _xxt_diffusion(graph, 1.0, 1.0, white)
             assert np.max(np.abs(sigma - reference)) <= 1e-15 * np.abs(reference).max()
+
+
+# the (u, v, white) of the precision tests: white = 0 only at v <= 3, where
+# sigma stays well conditioned
+_DIFFUSION_PARAMS = [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (0.7, 3.0, 0.0), (1.5, 10.0, 1.0)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
+def test_sigma_table_reads_match_the_xxt_build(p):
+    """block and entries gather from sigma's orbit table, white noise
+    included, within 2e-15 of the X X' build's largest entry (the worst seen
+    is 1.3e-15), and form no dense sigma."""
+    rng = np.random.default_rng(p)
+    for rule in AdjacencyRule.ALL:
+        graph = segment_graph(build_grid(p), rule=rule)
+        for u, v, white in _DIFFUSION_PARAMS:
+            cov = diffusion_covariance(graph, u=u, v=v, white=white)
+            reference = _xxt_diffusion(graph, u, v, white)
+            tol = 2e-15 * np.abs(reference).max()
+            for ids in _precision_id_sets(cov, rng):
+                idx = np.asarray(ids, dtype=np.intp)
+                block = cov.block(ids)
+                assert block.shape == (idx.size, idx.size)
+                assert np.all(np.abs(block - reference[np.ix_(idx, idx)]) <= tol)
+            s, t = rng.integers(0, cov.n_segments, size=(2, 3, 40))
+            assert np.max(np.abs(cov.entries(s, t) - reference[s, t])) <= tol
+            assert cov.entries(s[0, 0], t[0, 0]) == cov.entries(s, t)[0, 0]
+            assert "sigma" not in cov.__dict__
+
+
+def test_block_is_the_dense_sigma_block_bit_for_bit():
+    """block(ids) equals sigma[np.ix_(ids, ids)] exactly, for a model with an
+    orbit table (whose sigma is gathered after the reads) and for dense
+    ones; (..., L) ids give each row's block, and entries and pair_sum read
+    the same floats."""
+    rng = np.random.default_rng(7)
+    graph = segment_graph(build_grid(5))
+    table = diffusion_covariance(graph, u=1.0, v=1.0, white=0.5)
+    copy = _csv_roundtrip(diffusion_covariance(graph, u=1.0, v=1.0, white=0.5))
+    for cov in (table, diffusion_covariance(graph, u=1.0, v=0.0, white=0.5),
+                gram_covariance(120, 40), copy):
+        n = cov.n_segments
+        batch = np.array([rng.permutation(n)[:7] for _ in range(6)]).reshape(2, 3, 7)
+        blocks = cov.block(batch)
+        s, t = rng.integers(0, n, size=(2, 50))
+        entries = cov.entries(s[:, None], t)
+        assert ("sigma" in cov.__dict__) == (cov is not table)
+        assert blocks.shape == (2, 3, 7, 7)
+        for ids, block in zip(batch.reshape(-1, 7), blocks.reshape(-1, 7, 7)):
+            assert np.array_equal(block, cov.block(ids))
+            assert np.array_equal(block, cov.sigma[np.ix_(ids, ids)])
+        assert np.array_equal(entries, cov.sigma[np.ix_(s, t)])
+        assert cov.pair_sum(s, t) == float(cov.sigma[np.ix_(s, t)].sum())
+        assert cov.block([]).shape == (0, 0)
+    assert np.array_equal(table.sigma, copy.sigma)
 
 
 def _dense_diffusion(graph, u, v, white):
@@ -428,20 +487,22 @@ def _precision_id_sets(cov, rng):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
 def test_precision_block_matches_dense_precision(p):
-    """The orbit table's blocks against the n x n precision (dpotri), to 1e-12
-    of the block's largest entry; white = 0 only at v <= 3, where sigma stays
-    well conditioned."""
+    """The orbit table's blocks, and the precision gathered from it, against
+    the n x n precision of the dense sigma (dpotri, in a model with no
+    table), to 1e-12 of the block's largest entry."""
     rng = np.random.default_rng(p)
     for rule in AdjacencyRule.ALL:
         graph = segment_graph(build_grid(p), rule=rule)
-        for u, v, white in [(1.0, 1.0, 0.0), (2.0, 0.5, 0.3), (0.7, 3.0, 0.0), (1.5, 10.0, 1.0)]:
+        for u, v, white in _DIFFUSION_PARAMS:
             cov = diffusion_covariance(graph, u=u, v=v, white=white)
             assert cov._precision_table is not None
+            reference = CovarianceModel(cov.sigma).precision
             for ids in _precision_id_sets(cov, rng):
                 idx = np.asarray(ids, dtype=np.intp)
                 block = cov.precision_block(ids)
-                dense = cov.precision[np.ix_(idx, idx)]
+                dense = reference[np.ix_(idx, idx)]
                 assert block.shape == dense.shape == (idx.size, idx.size)
+                assert np.array_equal(block, cov.precision[np.ix_(idx, idx)])
                 if idx.size:
                     assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
                     assert np.array_equal(block, block.T)

@@ -177,9 +177,9 @@ def test_route_prediction_resolves_weights_like_one_block():
     rev = type(y).from_vertices(ds.network, [(1, 2), (1, 1), (1, 0)])
     none = resolve_neighborhood(ds, rev, NeighborhoodSpec.exact_route())
     assert predict_route(ds, rev, none, 0.25, prior).detail["weight"] == 0.0
-    for n in (nb, none):
+    for route, n in ((y, nb), (rev, none)):
         with pytest.raises(ValueError, match="indep_optimal"):
-            predict_route(ds, y, n, WeightRule.indep_optimal(), prior)
+            predict_route(ds, route, n, WeightRule.indep_optimal(), prior)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

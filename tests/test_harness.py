@@ -25,8 +25,14 @@ from etalab.harness import (
     run_examples,
     run_sweep,
 )
-from etalab.network import build_grid
-from etalab.trips import ODLaw, PriorSpec, sample_trips
+from etalab.covariance import _OrbitTable, diffusion_covariance
+from etalab.estimators import (optimal_gseg_weights, optimal_route_weight, optimal_seg_weights,
+                               predict_gseg, predict_route, predict_segment)
+from etalab.network import AdjacencyRule, build_grid, segment_graph
+from etalab.risk import (lower_bound, mc_risk, risk_gseg, risk_optimal, risk_route,
+                         risk_seg)
+from etalab.trips import (NeighborhoodSpec, ODLaw, PriorSpec, resolve_neighborhood,
+                          sample_routes, sample_trips, synthesize_times)
 
 
 def _tiny_config(**over):
@@ -207,6 +213,70 @@ def test_run_cell_reads_precision_blocks_only(v):
     cov = _sweep_covariance(4, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
     assert (cov._precision_table is None) == (v == 0.0)
     assert ("precision" in cov.__dict__) == (v == 0.0)
+    assert ("sigma" in cov.__dict__) == (v == 0.0)
+
+
+def _gathered_tables(monkeypatch) -> list:
+    """The orbit tables whose dense matrix is gathered from now on."""
+    gathered = []
+    dense = _OrbitTable.dense
+    monkeypatch.setattr(_OrbitTable, "dense", lambda table: gathered.append(table) or dense(table))
+    return gathered
+
+
+def test_run_cell_forms_no_dense_sigma(monkeypatch):
+    """Every sigma read of a cell is a gather from the covariance's orbit
+    table: a p=10 cell gathers neither the dense sigma nor the precision."""
+    _sweep_covariance.cache_clear()
+    gathered = _gathered_tables(monkeypatch)
+    cfg = SweepConfig(master_seed=0, grid_sizes=(10,), exponents=(3.0,))
+    run_cell(cfg, 10, 3.0)
+    cov = _sweep_covariance(10, cfg.u, cfg.v, cfg.white, cfg.adjacency_rule)
+    assert cov._table is not None and "sigma" not in cov.__dict__
+    assert gathered == []
+
+
+def _turn_partition(net, ids):
+    """An L-shaped route's two straight legs (one block if straight)."""
+    for i in range(1, len(ids)):
+        if net.segment(ids[i]).direction != net.segment(ids[i - 1]).direction:
+            return [ids[:i], ids[i:]]
+    return [ids]
+
+
+def test_oracle_sequence_forms_no_dense_sigma(monkeypatch):
+    """The public calls of the ETA oracle benchmark (p=4, 16 trips with
+    synthesized times, 4 routes) read sigma through block and entries only;
+    only the precision that it asks for is gathered."""
+    gathered = _gathered_tables(monkeypatch)
+    net = build_grid(4)
+    cov = diffusion_covariance(segment_graph(net, rule=AdjacencyRule.CALIBRATED),
+                               u=1.0, v=1.0, white=1.0)
+    prior, law = PriorSpec(mu=1.0, tau2=0.5), ODLaw(4, 1.0)
+    rng = np.random.default_rng(0)
+    hist, predicting = sample_routes(law, net, rng, 16), sample_routes(law, net, rng, 4)
+    ds = synthesize_times(net, hist, cov, prior, rng)
+    model = PosteriorModel(ds, cov, prior)
+    q_all = ds.quadratic_sums(cov)
+    cov.precision
+    for y in predicting:
+        part = _turn_partition(net, y.segment_ids)
+        pair = ds.pair_counts(y.segment_ids)
+        nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball_growing(0.1))
+        phis = optimal_seg_weights(ds, y, cov, prior)
+        pg = optimal_gseg_weights(ds, y, part, cov, prior)
+        phi = optimal_route_weight(ds, y, nb, cov, prior, q_all=q_all)
+        preds = (predict_segment(ds, y, phis, prior), predict_gseg(ds, y, part, pg, prior),
+                 predict_route(ds, y, nb, phi, prior), model.predict(y))
+        risk_seg(ds, y, phis, cov, prior, pair=pair)
+        risk_gseg(ds, y, part, pg, cov, prior)
+        risk_route(ds, y, nb, phi, cov, prior, q_all=q_all)
+        risk_optimal(ds, y, cov, prior, model=model)
+        lower_bound(ds, y, cov, prior, pair=pair)
+        for pred in preds:
+            mc_risk(pred, ds, cov, prior, replicates=400, seed=rng, batch_size=200)
+    assert "sigma" not in cov.__dict__
+    assert [table is cov._precision_table for table in gathered] == [True]
 
 
 def _route_key(net, ids):

@@ -338,6 +338,7 @@ _COVARIANCE_CALLS = {
         ds, y, resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact()), cov, prior),
     "dominance_audit": lambda ds, y, cov, prior: dominance_audit(
         ds, y, resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact()), cov, prior),
+    "quadratic_sums": lambda ds, y, cov, prior: ds.quadratic_sums(cov),
 }
 
 
@@ -345,14 +346,51 @@ _COVARIANCE_CALLS = {
 def test_a_covariance_for_another_network_is_rejected(call):
     # unchecked, the p=4 covariance (80 segments) on this p=3 store gives
     # risk_seg 0.2298 (0.2330 with the store's), lower_bound 0.1938 (0.1949),
-    # risk_affine 0.2298 and mc_risk 0.2312 (10^5 replicates), synthesize_times
-    # returns times and risk_optimal fails inside scipy with "incompatible
-    # dimensions"
+    # risk_affine 0.2298 and mc_risk 0.2312 (10^5 replicates), quadratic_sums
+    # 2.818, 6.132, 4.235 for the first trips (2.889, 6.206, 4.489),
+    # synthesize_times returns times and risk_optimal fails inside scipy with
+    # "incompatible dimensions"
     net = build_grid(3)
     ds = trips.sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
     cov = diffusion_covariance(segment_graph(build_grid(4)), u=1.0, v=1.0, white=1.0)
     with pytest.raises(ValueError, match="covariance over 80 segments .* network of 48 "):
         call(ds, ds.routes[0], cov, PriorSpec(1.0, 0.5))
+
+
+# every public function that pools a resolved Neighborhood
+_NEIGHBORHOOD_CALLS = {
+    "predict_route": lambda ds, y, nb, cov, prior: predict_route(ds, y, nb, 0.5, prior),
+    "optimal_route_weight": lambda ds, y, nb, cov, prior: optimal_route_weight(
+        ds, y, nb, cov, prior),
+    "risk_route": lambda ds, y, nb, cov, prior: risk_route(ds, y, nb, 0.5, cov, prior),
+    "check_nb_condition": lambda ds, y, nb, cov, prior: check_nb_condition(ds, y, nb),
+    "dominance_audit": lambda ds, y, nb, cov, prior: dominance_audit(ds, y, nb, cov, prior),
+}
+
+
+@pytest.mark.parametrize("call", _NEIGHBORHOOD_CALLS.values(), ids=_NEIGHBORHOOD_CALLS.keys())
+def test_a_neighborhood_of_another_route_or_store_is_rejected(call):
+    # unchecked, the od_ball(2) neighborhood of route [34, 45] on this
+    # 200-trip store raises a bare IndexError from predict_route and
+    # risk_route on a 20-trip store, and is pooled, unchecked, for any other
+    # route of this store
+    net = build_grid(3)
+    ds = sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
+    small = sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(1), 20)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    prior = PriorSpec(1.0, 0.5)
+    y, other = ds.routes[0], ds.routes[1]
+    nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball(2))
+    assert nb.members.max() >= small.n_trips
+    call(ds, y, nb, cov, prior)
+    call(ds, y.segment_ids, nb, cov, prior)
+    with pytest.raises(ValueError, match="members must be ids of the store's 20 trips"):
+        call(small, y, nb, cov, prior)
+    with pytest.raises(ValueError, match=r"is for route \[34, 45\], not \[41, 38, 24, 10\]"):
+        call(ds, other, nb, cov, prior)
+    for members in (np.array([-1, 3]), np.array([0.0]), np.array([[0]])):
+        with pytest.raises(ValueError, match="members must be ids"):
+            call(ds, y, Neighborhood(nb.spec, y, members), cov, prior)
 
 
 def test_risk_affine_is_exported():

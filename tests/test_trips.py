@@ -186,6 +186,25 @@ def test_sampling_rejects_a_law_for_another_grid():
     assert rng.bit_generator.state == state
 
 
+def test_a_store_rejects_a_route_the_network_does_not_make():
+    # unchecked, the p=5 route (1,0)->(1,1)->(1,2) was held on the p=3 grid as
+    # its segments 17 and 21, which do not meet, with routes[0] reading
+    # origin (1, 2) and destination (0, 3)
+    net = build_grid(3)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    good = Route.from_vertices(net, [(0, 0), (0, 1)])
+    other_grid = Route.from_vertices(build_grid(5), [(1, 0), (1, 1), (1, 2)])
+    forged = Route(net.path_segments([(1, 0), (1, 1), (1, 2)]), (0, 0), (1, 2))
+    for bad, message in ((other_grid, r"route breaks at \(0, 2\) -> \(1, 3\)"),
+                         (forged, "is not a route of a p=3 grid")):
+        with pytest.raises(ValueError, match=f"^trip 1: .*{message}"):
+            TripDataset(net, [good, bad])
+        with pytest.raises(ValueError, match=f"^trip 1: .*{message}"):
+            synthesize_times(net, [good, bad], cov, PriorSpec(1.0, 0.5),
+                             np.random.default_rng(0))
+    assert TripDataset(net, [good, good]).routes == (good, good)
+
+
 @pytest.mark.parametrize("n", [-1, 2.5, True, "3"], ids=repr)
 def test_sampling_rejects_a_bad_trip_count(n):
     net, rng = build_grid(3), np.random.default_rng(0)
