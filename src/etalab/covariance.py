@@ -334,18 +334,17 @@ def _orbit_table(orbits: _Orbits, blocks) -> np.ndarray:
     scale = orbits.stabiliser / np.sqrt(8.0 * orbits.stabiliser)
     table = np.zeros((8, m, m))
     for block, evecs, w in blocks:
-        f = evecs * np.sqrt(w)
-        f *= scale[block.orbits, None]
+        f = scale[block.orbits, None] * (evecs * np.sqrt(w))
         # numpy runs F F' as one symmetric rank-k update, so F_k F_k', and
         # with it every T[h], comes out exactly symmetric
-        ff = f @ f.T
+        ff = np.zeros((m, m))
+        ff[np.ix_(block.orbits, block.orbits)] = f @ f.T
         del f
-        cells = np.ix_(block.orbits, block.orbits)
         for h in range(8):
             if orbits.chi[block.k, h] > 0:
-                table[h][cells] += ff
+                table[h] += ff
             else:
-                table[h][cells] -= ff
+                table[h] -= ff
     return table
 
 

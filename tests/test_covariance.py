@@ -292,9 +292,9 @@ def test_diffusion_sigma_is_exactly_symmetric(p):
 def test_diffusion_build_holds_no_dense_array(p):
     """The graph and its Laplacian are sparse, and sigma and its precision
     are kept as orbit tables of about n^2 / 8 entries each, so the build
-    forms no n x n array: its traced peak stays under half of one (0.47 at
-    p = 20, 0.45 at p = 30; at p = 10 the sparse graph and the tables'
-    padding, 8 m^2 = 1.19 n^2 / 8, take it to 0.61)."""
+    forms no n x n array: its traced peak stays under half of one (0.48 at
+    p = 20, 0.45 at p = 30; at p = 10 the sparse Laplacian and the tables'
+    padding, 8 m^2 = 1.19 n^2 / 8, take it to 0.62)."""
     net = build_grid(p)
     n = net.n_segments
     graph = segment_graph(net)
