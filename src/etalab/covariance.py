@@ -79,10 +79,6 @@ class _OrbitTable(NamedTuple):
         cells += self.orbit[t]
         return np.take(self.table.reshape(-1), cells, out=out)
 
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        """The principal blocks over the (..., L) segment ids idx: one gather."""
-        return self.entries(idx[..., :, None], idx[..., None, :])
-
     def dense(self) -> np.ndarray:
         """The n x n matrix, gathered a few rows at a time, so no n x n index
         array is formed."""
@@ -198,7 +194,7 @@ class CovarianceModel:
         idx = np.asarray(ids, dtype=np.intp)
         if self._precision_table is None:
             return self.precision[np.ix_(idx, idx)]
-        return self._precision_table.block(idx)
+        return self._precision_table.entries(idx[:, None], idx)
 
     def block(self, ids) -> np.ndarray:
         """The principal blocks sigma[ids, ids] over (..., L) segment ids, as
