@@ -77,7 +77,8 @@ class _OrbitTable(NamedTuple):
         cells = np.multiply(self.element[s] ^ self.element[t], m * m, dtype=np.intp)
         cells += self.orbit[s] * m
         cells += self.orbit[t]
-        return np.take(self.table.reshape(-1), cells, out=out)
+        # every cell lies in the table, so take need not check or buffer them
+        return np.take(self.table.reshape(-1), cells, out=out, mode="clip")
 
     def dense(self) -> np.ndarray:
         """The n x n matrix, gathered a few rows at a time, so no n x n index
@@ -139,7 +140,8 @@ class CovarianceModel:
     @cached_property
     def sigma(self) -> np.ndarray:
         """The dense n x n covariance.  A model with an orbit table gathers it
-        on first read and keeps it; no estimator, risk or sweep path reads it."""
+        on first read and keeps it; the estimators and the sweep read sigma
+        through ``block`` and ``entries`` instead."""
         return self._table.dense()
 
     def validate_psd(self) -> None:
