@@ -9,7 +9,6 @@ import scipy.sparse
 from etalab.covariance import (
     CovarianceModel,
     FeatureLaw,
-    _OrbitTable,
     _orbits,
     _symmetry_blocks,
     assumption_diagnostics,
