@@ -17,6 +17,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ import scipy.sparse
 from .covariance import CovarianceModel
 from .trips import (Neighborhood, PriorSpec, Route, TripDataset, _check_covariance,
                     _checked_neighborhood, _checked_route, _is_count, _is_finite,
-                    _leading_sums, _ranges, _segment_ids)
+                    _id_array, _leading_sums, _ranges)
 
 __all__ = [
     "WeightRule",
@@ -131,8 +132,14 @@ def _finish(pred: Prediction, ds: TripDataset) -> Prediction:
 def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Check that partition blocks are contiguous sub-paths tiling the route.
     With no store, y is checked only for distinct integer ids >= 0."""
-    ids = _segment_ids(y.segment_ids if isinstance(y, Route) else y, math.inf)
-    blocks = [tuple(int(s) for s in b) for b in partition]
+    parts = [y.segment_ids if isinstance(y, Route) else y, *partition]
+    flat, fault = _id_array([*chain.from_iterable(parts)], math.inf)
+    if fault:
+        raise ValueError(fault)
+    ends = np.cumsum([0, *map(len, parts)]).tolist()
+    ids, *blocks = (tuple(flat[a:b].tolist()) for a, b in zip(ends, ends[1:]))
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"route {list(ids)} repeats a segment")
     if not all(blocks):
         raise ValueError("empty partition block")
     pos = {s: i for i, s in enumerate(ids)}

@@ -308,15 +308,16 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
     counts as nonnegative when no entry is below -n * eps * max|sigma|, the
     rounding scale that CovarianceModel.rank also allows: a diffusion sigma,
     nonnegative in exact arithmetic, holds entries down to -3.1e-16 at p=20.
+    For a PSD sigma, |sigma_st| <= sqrt(sigma_ss sigma_tt), so max|sigma| is
+    its largest diagonal entry, one gather of n cells.
     """
     ids = _checked_route(ds, y, cov).segment_ids
     phis = optimal_seg_weights(ds, ids, cov, prior)
     seg = risk_seg(ds, ids, phis, cov, prior)
     phi_r = optimal_route_weight(ds, ids, nbhd, cov, prior)
     route = risk_route(ds, ids, nbhd, phi_r, cov, prior)
-    sigma = cov.sigma
-    scale = max(float(sigma.max()), -float(sigma.min()))
-    tol = cov.n_segments * np.finfo(np.float64).eps * scale
+    diag = np.arange(cov.n_segments)
+    tol = cov.n_segments * np.finfo(np.float64).eps * float(cov.entries(diag, diag).max())
     nonneg = bool(np.all(cov.block(ids) >= -tol))
     condition = check_nb_condition(ds, ids, nbhd)
     dominated = seg.total <= route.total + 1e-12

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -77,22 +79,13 @@ class Route:
 
     @classmethod
     def from_segments(cls, network: RoadNetwork, segment_ids: Sequence[int]) -> "Route":
-        """ValueError unless the ids are distinct segments of a simple path."""
-        ids = _segment_ids(segment_ids, network.n_segments)
-        if not ids:
-            raise ValueError("a route needs at least one segment")
-        # each segment's tail and head vertex (i, j), numbered i * q + j
-        q = network.p + 1
-        ends = network.endpoints.take(ids, axis=0).reshape(-1, 2, 2)
-        tails, heads = (ends @ (q, 1)).T.tolist()
-        for k in range(len(ids) - 1):
-            if heads[k] != tails[k + 1]:
-                raise ValueError(f"route breaks at {divmod(heads[k], q)} -> "
-                                 f"{divmod(tails[k + 1], q)}")
-        # a connected path is simple when its heads and its first tail are all distinct
-        if len({tails[0], *heads}) != len(ids) + 1:
-            raise ValueError("route revisits a vertex")
-        return cls(ids, divmod(tails[0], q), divmod(heads[-1], q))
+        """ValueError unless the ids are distinct segments of a simple path
+        (`_route_fault` on a batch of one)."""
+        ids, fault = _route_fault(network, segment_ids)
+        if fault:
+            raise ValueError(fault[1])
+        (oi, oj, _, _), (_, _, di, dj) = network.endpoints[ids[[0, -1]]].tolist()
+        return cls(tuple(ids.tolist()), (oi, oj), (di, dj))
 
     @classmethod
     def from_vertices(cls, network: RoadNetwork, vertices: Sequence[tuple[int, int]]) -> "Route":
@@ -107,15 +100,9 @@ def _checked_route(ds: "TripDataset", y, cov: CovarianceModel | None = None) -> 
     `ds.network`, equal to y if y is one, and cov must fit that network."""
     if cov is not None:
         _check_covariance(ds.network, cov)
-    return _network_route(ds.network, y)
-
-
-def _network_route(network: RoadNetwork, y) -> Route:
-    """The Route that y's ids make on the network; ValueError unless they make
-    one, equal to y if y is a Route."""
-    route = Route.from_segments(network, y.segment_ids if isinstance(y, Route) else y)
+    route = Route.from_segments(ds.network, y.segment_ids if isinstance(y, Route) else y)
     if isinstance(y, Route) and y != route:
-        raise ValueError(f"{y} is not a route of a p={network.p} grid")
+        raise ValueError(f"{y} is not a route of a p={ds.network.p} grid")
     return route
 
 
@@ -305,15 +292,25 @@ class TripDataset:
     def __init__(self, network: RoadNetwork, routes: Sequence[Route],
                  times: np.ndarray | None = None):
         routes = tuple(routes)
-        for trip, route in enumerate(routes):
-            try:
-                _network_route(network, route)
-            except ValueError as err:
-                raise ValueError(f"trip {trip}: {err}") from None
-        self.network = network
-        self.offsets = np.cumsum([0] + [len(r) for r in routes], dtype=np.int64)
-        self.flat = np.fromiter((s for r in routes for s in r.segment_ids),
-                                dtype=np.int64, count=int(self.offsets[-1]))
+        offsets = np.cumsum([0, *(len(r.segment_ids) for r in routes)], dtype=np.int64)
+        flat, fault = _route_fault(network, [*chain.from_iterable(r.segment_ids for r in routes)],
+                                   offsets)
+        # the trips before the first bad one hold routes: one comparison holds
+        # each of their Routes' ends to the ends its ids make
+        good = fault[0] if fault else len(routes)
+        oi, oj, di, dj = self._from_arrays(network, flat, offsets[:good + 1]).od_array.T.tolist()
+        forged = np.flatnonzero(np.fromiter(zip(zip(oi, oj), zip(di, dj)), object, good)
+                                != np.fromiter(((r.origin, r.destination) for r in routes),
+                                               object, good))
+        if forged.size:
+            fault = (forged[0], f"{routes[forged[0]]} is not a route of a p={network.p} grid")
+        if fault:
+            raise ValueError("trip %d: %s" % fault)
+        self._store(network, flat, offsets, times)
+
+    def _store(self, network: RoadNetwork, flat: np.ndarray, offsets: np.ndarray,
+               times: np.ndarray | None = None) -> None:
+        self.network, self.flat, self.offsets = network, flat, offsets
         if times is not None:
             times = np.asarray(times, dtype=np.float64)
             if times.shape != self.flat.shape:
@@ -326,11 +323,12 @@ class TripDataset:
         self.theta = None  # the latent segment times, set by synthesize_times
 
     @classmethod
-    def _from_arrays(cls, network: RoadNetwork, flat: np.ndarray,
-                     offsets: np.ndarray) -> "TripDataset":
-        """A routes-only dataset over arrays that already hold valid paths."""
-        ds = cls(network, ())
-        ds.flat, ds.offsets = flat, offsets
+    def _from_arrays(cls, network: RoadNetwork, flat: np.ndarray, offsets: np.ndarray,
+                     times: np.ndarray | None = None) -> "TripDataset":
+        """A dataset over arrays that already hold valid paths (`times` as in
+        the constructor)."""
+        ds = cls.__new__(cls)
+        ds._store(network, flat, offsets, times)
         return ds
 
     @classmethod
@@ -583,7 +581,8 @@ class TripDataset:
 
     @classmethod
     def from_jsonl(cls, network: RoadNetwork, path) -> "TripDataset":
-        routes, times, timed = [], [], 0
+        """Records are checked as they are read, and then all routes at once."""
+        ids, offsets, times, timed = [], [0], [], 0
         with open(path) as fh:
             for number, line in enumerate(fh, 1):
                 # right-stripped only, so a decode error's column is the file's
@@ -598,21 +597,26 @@ class TripDataset:
                 if not (isinstance(rec, dict) and isinstance(rec.get("route"), list)):
                     raise ValueError(f"line {number}: a trip record must be an object "
                                      "with a list 'route'")
-                routes.append(Route.from_segments(network, rec["route"]))
+                ids.extend(rec["route"])
+                offsets.append(len(ids))
                 if "times" in rec:
                     # per record: two opposite length errors would cancel in the total
                     t = rec["times"]
-                    if not isinstance(t, list) or len(t) != len(routes[-1]):
-                        raise ValueError(f"trip {len(routes) - 1} needs one time per segment")
+                    if not isinstance(t, list) or len(t) != len(rec["route"]):
+                        raise ValueError(f"trip {len(offsets) - 2} needs one time per segment")
                     # np.array would read true as 1.0 and "1.5" as 1.5; null
                     # reads as NaN, which the dataset rejects as non-finite
                     if not all(x is None or type(x) in (int, float) for x in t):
                         raise ValueError(f"line {number}: times must be JSON numbers")
                     times.extend(t)
                     timed += 1
-        if timed not in (0, len(routes)):
+        if timed not in (0, len(offsets) - 1):
             raise ValueError("either every trip or no trip may carry times")
-        return cls(network, routes, np.array(times, dtype=np.float64) if timed else None)
+        offsets = np.array(offsets, dtype=np.int64)
+        flat, fault = _route_fault(network, ids, offsets)
+        if fault:
+            raise ValueError("trip %d: %s" % fault)
+        return cls._from_arrays(network, flat, offsets, times if timed else None)
 
     def __repr__(self) -> str:
         timed = "timed" if self.times is not None else "routes-only"
@@ -689,8 +693,8 @@ class NeighborhoodSpec:
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
         if not _is_count(self.radius):
             raise ValueError(f"radius must be an integer >= 0, got {self.radius!r}")
-        if not (0 <= self.fraction <= 1):
-            raise ValueError("fraction must lie in [0, 1]")
+        if not (_is_finite(self.fraction) and 0 <= self.fraction <= 1):
+            raise ValueError(f"fraction must be a real number in [0, 1], got {self.fraction!r}")
 
     @classmethod
     def exact_route(cls) -> "NeighborhoodSpec":
@@ -803,16 +807,64 @@ def _same_segments(ds: TripDataset, routes: TripDataset, route: np.ndarray,
     return route[same], trip[same]
 
 
-def _segment_ids(values: Sequence[int], n_segments: float) -> tuple[int, ...]:
-    """The values as ints; ValueError unless each is an integer in [0, n_segments), none twice."""
-    ids = tuple(values)
-    for i in ids:
-        if not (_is_count(i) and i < n_segments):
-            raise ValueError(f"segment id {i!r} is not an integer in [0, {n_segments})")
-    ids = tuple(map(int, ids))
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"route {list(ids)} repeats a segment")
-    return ids
+def _id_array(values: Sequence, n_segments: float) -> tuple[np.ndarray, str | None]:
+    """The values as int64 ids up to the first that is not an integer in
+    [0, n_segments), and the message naming it (None if every one is)."""
+    values = values if isinstance(values, (list, tuple, np.ndarray)) else list(values)
+    # int and numpy integer ids convert as one array; any other type is a bad id
+    if all(t is int or issubclass(t, np.integer) for t in set(map(type, values))):
+        with suppress(OverflowError):  # past int64, and so past every segment id
+            ids = np.array(values, dtype=np.int64)
+            if not np.count_nonzero((ids < 0) | (ids >= n_segments)):
+                return ids, None
+    first = next(k for k, v in enumerate(values)
+                 if not (_is_count(v) and v < n_segments and v < 2 ** 63))
+    return (np.array(values[:first], dtype=np.int64),
+            f"segment id {values[first]!r} is not an integer in [0, {n_segments})")
+
+
+def _route_fault(network: RoadNetwork, values: Sequence,
+                 offsets: np.ndarray | None = None) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The ids of routes stored back to back, route k at
+    values[offsets[k]:offsets[k + 1]] (one route if offsets is None), as one
+    int64 array up to any bad id, and the first route that is not a simple
+    path of the network with its first fault, in this order: an id that is
+    not an integer in [0, n), a repeated segment, a break, a revisited vertex,
+    no segment at all (None if every route is a path).
+    """
+    flat, id_fault = _id_array(values, network.n_segments)
+    if offsets is None:  # one route, which holds the bad id if there is one
+        offsets = np.array([0, flat.size + (id_fault is not None)])
+    cut = np.minimum(offsets, flat.size)
+    route = np.searchsorted(cut, np.arange(flat.size), "right") - 1
+    q = network.p + 1  # vertex (i, j) is i * q + j
+    tails, heads = (network.endpoints.reshape(-1, 2, 2) @ (q, 1))[flat].T
+    breaks = np.flatnonzero((heads[:-1] != tails[1:]) & (route[:-1] == route[1:]))
+    # a connected path is simple when its heads and its first tail are all
+    # distinct; a repeated segment breaks the path or revisits a vertex
+    key = route * (q * q)
+    starts = cut[:-1][cut[:-1] < cut[1:]]
+    first = key[starts] + tails[starts]
+    key += heads
+    visits = np.concatenate((key, first))
+    visits.sort()
+    revisits = visits[1:][visits[1:] == visits[:-1]] // (q * q)
+    id_route = np.searchsorted(offsets, flat.size, "right") - 1 if id_fault else cut.size - 1
+    k = int(min([id_route, *np.flatnonzero(offsets[1:] == offsets[:-1])[:1],
+                 *route[breaks[:1]], *revisits[:1]]))
+    if k == cut.size - 1:
+        return flat, None
+    ids = flat[cut[k]:cut[k + 1]].tolist()
+    if k == id_route:
+        fault = id_fault
+    elif len(set(ids)) < len(ids):
+        fault = f"route {ids} repeats a segment"
+    elif breaks.size and route[breaks[0]] == k:  # no earlier route breaks
+        fault = (f"route breaks at {divmod(int(heads[breaks[0]]), q)} -> "
+                 f"{divmod(int(tails[breaks[0] + 1]), q)}")
+    else:
+        fault = "route revisits a vertex" if ids else "a route needs at least one segment"
+    return flat, (k, fault)
 
 
 def _is_finite(value) -> bool:
@@ -822,9 +874,7 @@ def _is_finite(value) -> bool:
 
 def _is_count(value) -> bool:
     """An integer >= 0 that is not a bool."""
-    # the exact types first: the ABC test would cost most of a route check
-    return ((type(value) is int or isinstance(value, np.integer)
-             or isinstance(value, numbers.Integral) and not isinstance(value, bool)) and value >= 0)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Property-based checks for the algebraic invariants."""
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_fixture
 from etalab.estimators import WeightRule, predict_gseg, predict_segment
 from etalab.network import build_grid
-from etalab.trips import ODLaw, Route, sample_routes
+from etalab.trips import ODLaw, Route, TripDataset, sample_routes, sample_trips
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -87,3 +92,98 @@ def test_prediction_is_affine_evaluation(seed):
     f = random_fixture(seed % 200, with_times=True)
     pred = predict_segment(f.ds, f.y, WeightRule.ratio(1.0), f.prior)
     assert abs(pred.evaluate(f.ds.times) - pred.value) <= 1e-10
+
+
+def _corrupted(net, ids: list, kind: str, draw) -> list:
+    """Route ids made invalid in one way."""
+    at = draw(st.integers(0, len(ids) - 1))
+    if kind == "out_of_range":
+        return ids[:at] + [draw(st.sampled_from([-1, net.n_segments]))] + ids[at + 1:]
+    if kind == "not_an_integer":
+        bad = draw(st.sampled_from([ids[at] + 0.5, str(ids[at]), True]))
+        return ids[:at] + [bad] + ids[at + 1:]
+    if kind == "repeat":
+        return ids[:at + 1] + ids[at:]
+    if kind == "break":
+        # a segment that does not leave the route's last vertex
+        ends = net.endpoints
+        away = np.flatnonzero(np.any(ends[:, :2] != ends[ids[-1], 2:], axis=1))
+        return ids + [int(draw(st.sampled_from([s for s in away.tolist() if s not in ids])))]
+    if kind == "revisit":
+        return ids + [net.reverse_id(ids[-1])]  # a U-turn back to the last tail
+    return []
+
+
+@SETTINGS
+@given(p=st.sampled_from([3, 5]), seed=st.integers(0, 10 ** 4), n=st.integers(2, 40),
+       kind=st.sampled_from(["out_of_range", "not_an_integer", "repeat", "break", "revisit",
+                             "empty"]),
+       data=st.data())
+def test_store_check_agrees_with_the_one_route_check(p, seed, n, kind, data):
+    net = build_grid(p)
+    sampled = sample_trips(ODLaw(p, 1.0), net, np.random.default_rng(seed), n)
+    routes = list(sampled.routes)
+    ds = TripDataset(net, routes)
+    assert np.array_equal(ds.flat, sampled.flat) and np.array_equal(ds.offsets, sampled.offsets)
+    assert ds.routes == sampled.routes
+    k = data.draw(st.integers(1, n - 1))
+    ids = _corrupted(net, list(routes[k].segment_ids), kind, data.draw)
+    with pytest.raises(ValueError) as alone:
+        Route.from_segments(net, ids)
+    message = f"trip {k}: {alone.value}"
+    routes[k] = Route(tuple(ids), routes[k].origin, routes[k].destination)
+    with pytest.raises(ValueError) as err:
+        TripDataset(net, routes)
+    assert str(err.value) == message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trips.jsonl"
+        path.write_text("".join(json.dumps({"route": list(r.segment_ids)}) + "\n"
+                                for r in routes))
+        with pytest.raises(ValueError) as err:
+            TripDataset.from_jsonl(net, path)
+    assert str(err.value) == message
+
+
+def _reference_route(net, values):
+    """Route.from_segments as a loop over the ids: the Route, or the message."""
+    ids = list(values)
+    for i in ids:
+        if not (isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                and 0 <= i < net.n_segments):
+            return f"segment id {i!r} is not an integer in [0, {net.n_segments})"
+    ids = [int(i) for i in ids]
+    if len(set(ids)) < len(ids):
+        return f"route {ids} repeats a segment"
+    if not ids:
+        return "a route needs at least one segment"
+    ends = [tuple(map(int, net.endpoints[s])) for s in ids]
+    for (_, _, hi, hj), (ti, tj, _, _) in zip(ends, ends[1:]):
+        if (hi, hj) != (ti, tj):
+            return f"route breaks at {(hi, hj)} -> {(ti, tj)}"
+    if len({ends[0][:2], *(e[2:] for e in ends)}) < len(ids) + 1:
+        return "route revisits a vertex"
+    return Route(tuple(ids), ends[0][:2], ends[-1][2:])
+
+
+@SETTINGS
+@given(p=st.integers(1, 3), data=st.data())
+def test_route_check_matches_a_loop_over_the_ids(p, data):
+    net = build_grid(p)
+    # a walk from a random vertex, so that most lists are paths or nearly so
+    ids, at = [], data.draw(st.integers(0, (p + 1) ** 2 - 1))
+    for _ in range(data.draw(st.integers(0, 6))):
+        out = net.segment_table[at][net.segment_table[at] >= 0].tolist()
+        ids.append(data.draw(st.sampled_from(out)))
+        at = int(net.endpoints[ids[-1], 2] * (p + 1) + net.endpoints[ids[-1], 3])
+    ids = data.draw(st.one_of(st.just(ids), st.permutations(ids),
+                              st.lists(st.integers(-1, net.n_segments), max_size=6)))
+    if ids and data.draw(st.booleans()):
+        ids[data.draw(st.integers(0, len(ids) - 1))] = data.draw(st.sampled_from(
+            [1.5, True, "3", None, 2 ** 70, np.int64(2), np.float64(1.0)]))
+    expected = _reference_route(net, ids)
+    if isinstance(expected, Route):
+        assert Route.from_segments(net, ids) == expected
+    else:
+        with pytest.raises(ValueError) as err:
+            Route.from_segments(net, ids)
+        assert str(err.value) == expected

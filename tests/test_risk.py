@@ -1,10 +1,12 @@
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import random_fixture
 from etalab import risk, trips
-from etalab.covariance import diffusion_covariance
+from etalab.covariance import CovarianceModel, _OrbitTable, diffusion_covariance
 from etalab.estimators import (
     PosteriorModel,
     WeightRule,
@@ -321,6 +323,25 @@ def test_a_route_that_repeats_a_segment_is_rejected(call):
         call(ds, [48], nb, cov, prior)
 
 
+@pytest.mark.parametrize("bad", [0.7, "0", True, np.float64(0.0)], ids=repr)
+def test_a_partition_id_that_is_not_an_integer_is_rejected(bad):
+    # unchecked, int(s) read 0.7, "0" and np.float64(0.0) as segment 0, the
+    # route's first segment, and True as segment 1
+    net = build_grid(3)
+    ds = trips.sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    prior, rule = PriorSpec(1.0, 0.5), WeightRule.ratio(1.0)
+    y = net.path_segments([(0, 0), (0, 1), (0, 2), (1, 2)])
+    assert y[0] == 0
+    partition = [[bad], list(y[1:])]
+    message = re.escape(f"segment id {bad!r} is not an integer")
+    for call in (lambda: predict_gseg(ds, y, partition, rule, prior),
+                 lambda: optimal_gseg_weights(ds, y, partition, cov, prior),
+                 lambda: risk_gseg(ds, y, partition, rule, cov, prior)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # every public function that takes a store and a covariance
 _COVARIANCE_CALLS = {
     "risk_seg": lambda ds, y, cov, prior: risk_seg(ds, y, WeightRule.ratio(1.0), cov, prior),
@@ -603,6 +624,29 @@ def test_dominance_audit_reads_the_diffusion_sigma_as_nonnegative():
     for y in rounded[:5]:
         nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact())
         assert dominance_audit(ds, y, nb, cov, prior)["nonneg_covariance_block"]
+
+
+def test_dominance_audit_forms_no_dense_sigma(monkeypatch):
+    # the rounding scale max|sigma| of a PSD sigma is its largest diagonal
+    # entry, which the audit gathers from the orbit table
+    net = build_grid(10)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    ds = sample_trips(ODLaw(10, 1.0), net, np.random.default_rng(0), 1000)
+    prior = PriorSpec(mu=1.0, tau2=1.0)
+    gathered, dense = [], _OrbitTable.dense
+    monkeypatch.setattr(_OrbitTable, "dense", lambda table: gathered.append(table) or dense(table))
+    outs = []
+    for y in ds.routes[:5]:
+        nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact())
+        outs.append(dominance_audit(ds, y, nb, cov, prior))
+    assert gathered == [] and "sigma" not in cov.__dict__
+    sigma = cov.sigma
+    assert np.abs(sigma).max() == np.diag(sigma).max()
+    # a dense model of the same sigma, whose scale reads sigma itself, agrees
+    same = CovarianceModel(sigma)
+    for y, out in zip(ds.routes[:5], outs):
+        nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_exact())
+        assert dominance_audit(ds, y, nb, same, prior) == out
 
 
 def test_dominance_audit_negcov_reversal():

@@ -205,6 +205,27 @@ def test_a_store_rejects_a_route_the_network_does_not_make():
     assert TripDataset(net, [good, good]).routes == (good, good)
 
 
+def test_a_store_checks_its_routes_in_one_pass(monkeypatch, tmp_path):
+    # the store checks every route at once: it never builds a Route per trip,
+    # and from_jsonl checks each route once
+    net = build_grid(5)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    routes = sample_routes(ODLaw(5, 1.0), net, np.random.default_rng(0), 50)
+    TripDataset(net, routes).to_jsonl(tmp_path / "trips.jsonl")
+    checks = []
+    route_fault = trips._route_fault
+    monkeypatch.setattr(trips, "_route_fault",
+                        lambda *args: checks.append(args) or route_fault(*args))
+    monkeypatch.setattr(Route, "from_segments", None)
+    for build in (lambda: TripDataset(net, routes),
+                  lambda: synthesize_times(net, routes, cov, PriorSpec(1.0, 0.5),
+                                           np.random.default_rng(0)),
+                  lambda: TripDataset.from_jsonl(net, tmp_path / "trips.jsonl")):
+        checks.clear()
+        assert build().routes == tuple(routes)
+        assert len(checks) == 1 and len(checks[0][1]) == sum(map(len, routes))
+
+
 @pytest.mark.parametrize("n", [-1, 2.5, True, "3"], ids=repr)
 def test_sampling_rejects_a_bad_trip_count(n):
     net, rng = build_grid(3), np.random.default_rng(0)
@@ -675,6 +696,15 @@ def test_neighborhood_spec_validation():
         message = f"radius must be an integer >= 0, got {radius!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             NeighborhoodSpec.od_ball(radius)
+
+
+@pytest.mark.parametrize("fraction", [True, "0.5", float("nan"), None, -0.1], ids=repr)
+def test_growing_ball_fraction_must_be_a_real_number(fraction):
+    # unchecked, True was read as the fraction 1 and "0.5" raised a raw TypeError
+    message = f"fraction must be a real number in [0, 1], got {fraction!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NeighborhoodSpec.od_ball_growing(fraction)
+    assert NeighborhoodSpec.od_ball_growing(np.float64(0.5)).fraction == 0.5
 
 
 def test_reference_ball_members():
