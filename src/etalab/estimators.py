@@ -179,6 +179,13 @@ def _segment_blocks(ds: TripDataset, blocks: Sequence[Sequence[int]]) -> np.ndar
     return lookup
 
 
+def _checked_shape(name: str, value, shape: tuple[int, ...]):
+    """value, unless it is given with a shape other than `shape` (ValueError)."""
+    if value is not None and np.shape(value) != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
+    return value
+
+
 def _block_moments(ds: TripDataset, ids: Sequence[int], blocks: Sequence[Sequence[int]],
                    cov: CovarianceModel,
                    joint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -196,18 +203,10 @@ def _block_moments(ds: TripDataset, ids: Sequence[int], blocks: Sequence[Sequenc
     return joint, member.T @ cov.block(ids) @ member
 
 
-def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
-                 prior: PriorSpec, cov: CovarianceModel | None = None) -> Prediction:
-    """Grouped-segment estimator: one shrunk group-total per partition block.
-
-    Each block S pools the trips whose route covers all of S, shrinking the
-    average observed block total toward its prior mean |S| * mu.  `rule` is a
-    WeightRule or an explicit per-block weight array.  Block j's w = phi/n
-    goes to the entries of `flat` on j whose trip covers j: one pass over
-    `flat` finds the entries on y, then a search of the cover's sorted cells.
-    """
-    ids = _checked_route(ds, y, cov).segment_ids
-    blocks = validate_partition(ids, partition)
+def _predict_blocks(estimator: str, ds: TripDataset, ids: tuple[int, ...],
+                    blocks: Sequence[Sequence[int]], rule, prior: PriorSpec,
+                    cov: CovarianceModel | None) -> Prediction:
+    """`predict_gseg` of checked ids under a checked partition."""
     cover = ds.block_cover(blocks)
     counts = np.diff(cover.indptr)
     phis = _resolve_weights(rule, counts, blocks, prior, cov)
@@ -223,20 +222,33 @@ def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     intercept = float(len(ids)) * prior.mu
     for w_b, n_b, b in zip(w, counts, blocks):
         intercept -= w_b * n_b * len(b) * prior.mu
-    pred = Prediction("gseg", ids, float(intercept), coef, ds.offsets,
+    pred = Prediction(estimator, ids, float(intercept), coef, ds.offsets,
                       detail={"weights": [float(v) for v in phis],
                               "counts": [int(v) for v in counts],
                               "blocks": [list(b) for b in blocks]})
     return _finish(pred, ds)
 
 
+def predict_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
+                 prior: PriorSpec, cov: CovarianceModel | None = None) -> Prediction:
+    """Grouped-segment estimator: one shrunk group-total per partition block.
+
+    Each block S pools the trips whose route covers all of S, shrinking the
+    average observed block total toward its prior mean |S| * mu.  `rule` is a
+    WeightRule or an explicit per-block weight array.  Block j's w = phi/n
+    goes to the entries of `flat` on j whose trip covers j: one pass over
+    `flat` finds the entries on y, then a search of the cover's sorted cells.
+    """
+    ids = _checked_route(ds, y, cov).segment_ids
+    return _predict_blocks("gseg", ds, ids, validate_partition(ids, partition), rule, prior,
+                           cov)
+
+
 def predict_segment(ds: TripDataset, y, rule, prior: PriorSpec,
                     cov: CovarianceModel | None = None) -> Prediction:
     """Per-segment estimator: the singleton-partition grouped estimator."""
     ids = _checked_route(ds, y, cov).segment_ids
-    pred = predict_gseg(ds, ids, [(s,) for s in ids], rule, prior, cov=cov)
-    pred.estimator = "segment"
-    return pred
+    return _predict_blocks("segment", ds, ids, [(s,) for s in ids], rule, prior, cov)
 
 
 def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
@@ -268,17 +280,9 @@ def predict_route(ds: TripDataset, y, nbhd: Neighborhood, rule,
 # optimal shrinkage weights
 
 
-def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
-                         cov: CovarianceModel, prior: PriorSpec) -> np.ndarray:
-    """Risk-minimizing per-block weights for the grouped-segment estimator.
-
-    Solves the normal equations coupling blocks through their joint support
-    counts J and covariance cross sums S.  Blocks with no support are pinned
-    to weight zero and dropped from the system.
-    """
-    ids = _checked_route(ds, y, cov).segment_ids
-    blocks = validate_partition(ids, partition)
-    joint, cross = _block_moments(ds, ids, blocks, cov)
+def _optimal_block_weights(blocks: Sequence[Sequence[int]], joint: np.ndarray,
+                           cross: np.ndarray, prior: PriorSpec) -> np.ndarray:
+    """Risk-minimizing per-block weights from a partition's `_block_moments`."""
     counts = np.diag(joint)
     phis = np.zeros(len(blocks))
     live = np.flatnonzero(counts > 0)
@@ -294,11 +298,25 @@ def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
     return phis
 
 
+def optimal_gseg_weights(ds: TripDataset, y, partition: Sequence[Sequence[int]],
+                         cov: CovarianceModel, prior: PriorSpec) -> np.ndarray:
+    """Risk-minimizing per-block weights for the grouped-segment estimator.
+
+    Solves the normal equations coupling blocks through their joint support
+    counts J and covariance cross sums S.  Blocks with no support are pinned
+    to weight zero and dropped from the system.
+    """
+    ids = _checked_route(ds, y, cov).segment_ids
+    blocks = validate_partition(ids, partition)
+    return _optimal_block_weights(blocks, *_block_moments(ds, ids, blocks, cov), prior)
+
+
 def optimal_seg_weights(ds: TripDataset, y, cov: CovarianceModel,
                         prior: PriorSpec) -> np.ndarray:
     """Risk-minimizing per-segment weights (singleton partition)."""
     ids = _checked_route(ds, y, cov).segment_ids
-    return optimal_gseg_weights(ds, ids, [(s,) for s in ids], cov, prior)
+    blocks = [(s,) for s in ids]
+    return _optimal_block_weights(blocks, *_block_moments(ds, ids, blocks, cov), prior)
 
 
 @dataclass(frozen=True)
@@ -382,10 +400,12 @@ def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
     """Risk-minimizing shrinkage weight for the whole-route estimator.
 
     q_all optionally supplies precomputed per-trip covariance masses (from
-    TripDataset.quadratic_sums) to avoid recomputation across many routes.
+    TripDataset.quadratic_sums, shape (ds.n_trips,)) to avoid recomputation
+    across many routes.
     """
-    mom = _one_route_moments(ds, _checked_neighborhood(ds, y, nbhd, cov).segment_ids, nbhd,
-                             cov, q_all)
+    ids = _checked_neighborhood(ds, y, nbhd, cov).segment_ids
+    q_all = _checked_shape("q_all", q_all, (ds.n_trips,))
+    mom = _one_route_moments(ds, ids, nbhd, cov, q_all)
     return float(_route_weights(mom, prior)[0])
 
 

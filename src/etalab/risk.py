@@ -19,9 +19,9 @@ import numpy as np
 import scipy.sparse
 
 from .covariance import CovarianceModel
-from .estimators import (PosteriorModel, Prediction, _block_moments, _NeighborhoodMoments,
-                         _one_route_moments, _resolve_weights, optimal_route_weight,
-                         optimal_seg_weights, validate_partition)
+from .estimators import (PosteriorModel, Prediction, _block_moments, _checked_shape,
+                         _NeighborhoodMoments, _one_route_moments, _optimal_block_weights,
+                         _resolve_weights, _route_weights, validate_partition)
 from .trips import (Neighborhood, PriorSpec, TripDataset, _checked_neighborhood,
                     _checked_route, _ranges)
 
@@ -55,12 +55,11 @@ class RiskReport:
         return self.variance + self.bias2
 
 
-def _risk_blocks(estimator: str, ds: TripDataset, ids: tuple[int, ...],
-                 blocks: Sequence[Sequence[int]], rule, cov: CovarianceModel,
-                 prior: PriorSpec, joint: np.ndarray | None = None) -> RiskReport:
-    """Exact grouped-segment risk: variance r'(J o S)r with r = phi / n, plus
-    (1 - phi)^2 * |S| * tau2 of shrinkage bias per block."""
-    joint, cross = _block_moments(ds, ids, blocks, cov, joint)
+def _risk_blocks(estimator: str, ids: tuple[int, ...], blocks: Sequence[Sequence[int]],
+                 rule, joint: np.ndarray, cross: np.ndarray, cov: CovarianceModel,
+                 prior: PriorSpec) -> RiskReport:
+    """Exact grouped-segment risk from a partition's J and S (`_block_moments`):
+    variance r'(J o S)r, r = phi / n, plus (1 - phi)^2 * |S| * tau2 of bias per block."""
     counts = np.diag(joint).astype(np.float64)
     phis = _resolve_weights(rule, counts, blocks, prior, cov)
     ratio = phis / np.where(counts > 0, counts, 1.0)
@@ -81,8 +80,9 @@ def risk_gseg(ds: TripDataset, y, partition: Sequence[Sequence[int]], rule,
     shrinkage bias.  Blocks with no support always carry weight zero.
     """
     ids = _checked_route(ds, y, cov).segment_ids
-    return _risk_blocks("gseg", ds, ids, validate_partition(ids, partition), rule,
-                        cov, prior)
+    blocks = validate_partition(ids, partition)
+    return _risk_blocks("gseg", ids, blocks, rule, *_block_moments(ds, ids, blocks, cov), cov,
+                        prior)
 
 
 def risk_seg(ds: TripDataset, y, rule, cov: CovarianceModel,
@@ -90,12 +90,14 @@ def risk_seg(ds: TripDataset, y, rule, cov: CovarianceModel,
     """Exact risk of the per-segment estimator (singleton partition).
 
     `pair` optionally supplies the joint traversal counts of y
-    (`TripDataset.pair_counts`), which are the singleton blocks' joint
-    support counts, so they can be shared with `lower_bound`.
+    (`TripDataset.pair_counts`, shape (|y|, |y|)), which are the singleton
+    blocks' joint support counts, so they can be shared with `lower_bound`.
     """
     ids = _checked_route(ds, y, cov).segment_ids
-    return _risk_blocks("segment", ds, ids, [(s,) for s in ids], rule, cov, prior,
-                        joint=pair)
+    pair = _checked_shape("pair", pair, (len(ids), len(ids)))
+    blocks = [(s,) for s in ids]
+    joint, cross = _block_moments(ds, ids, blocks, cov, pair)
+    return _risk_blocks("segment", ids, blocks, rule, joint, cross, cov, prior)
 
 
 def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
@@ -108,10 +110,17 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
     prior mass not recovered on y itself.  An empty neighborhood forces
     phi = 0 and the report reduces to the prior risk |y| * tau2; a non-finite
     phi raises ValueError.  This is the one-route case of `_route_risk_terms`.
+    `q_all` is as in `optimal_route_weight`.
     """
     ids = _checked_neighborhood(ds, y, nbhd, cov).segment_ids
+    q_all = _checked_shape("q_all", q_all, (ds.n_trips,))
+    return _route_report(ids, nbhd, _one_route_moments(ds, ids, nbhd, cov, q_all), phi, prior)
+
+
+def _route_report(ids: tuple[int, ...], nbhd: Neighborhood, mom: _NeighborhoodMoments,
+                  phi: float, prior: PriorSpec) -> RiskReport:
+    """`risk_route` of checked ids from their neighborhood's moments."""
     phi = float(_resolve_weights([phi], np.array([nbhd.size]), [ids], prior, None)[0])
-    mom = _one_route_moments(ds, ids, nbhd, cov, q_all)
     variance, bias_length, bias_off, bias_on = (
         float(v[0]) for v in _route_risk_terms(mom, np.array([phi]), prior))
     return RiskReport("route", ids, variance, bias_length + bias_off + bias_on,
@@ -145,12 +154,20 @@ def _route_risk_terms(mom: _NeighborhoodMoments, phi: np.ndarray, prior: PriorSp
 
 def risk_optimal(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
                  model: PosteriorModel | None = None) -> RiskReport:
-    """Exact risk of the Bayes-optimal affine estimator."""
+    """Exact risk of the Bayes-optimal affine estimator.
+
+    `model` optionally supplies the `PosteriorModel` of this very store and
+    covariance (the same objects) and an equal prior; any other raises
+    ValueError.
+    """
     ids = _checked_route(ds, y, cov).segment_ids
     if model is None:
         model = PosteriorModel(ds, cov, prior)
-    variance, bias2 = model.risk_terms(ids)
-    return RiskReport("bayes_optimal", ids, variance, bias2)
+    elif not (model.ds is ds and model.cov is cov and model.prior == prior):
+        raise ValueError("risk_optimal's model must be built on this store and covariance "
+                         "with this prior")
+    _, total, bias2 = model._terms(TripDataset._one_route(ds.network, ids))
+    return RiskReport("bayes_optimal", ids, float(total[0] - bias2[0]), float(bias2[0]))
 
 
 def lower_bound(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
@@ -160,9 +177,10 @@ def lower_bound(ds: TripDataset, y, cov: CovarianceModel, prior: PriorSpec,
     |y|^2 over the observed plus prior information about the route total,
     using y's block of the full-network precision matrix
     (`CovarianceModel.precision_block`).  With no data it equals the prior
-    risk |y| * tau2.
+    risk |y| * tau2.  `pair` is as in `risk_seg`.
     """
     ids = _checked_route(ds, y, cov).segment_ids
+    pair = _checked_shape("pair", pair, (len(ids), len(ids)))
     if pair is None:
         pair = ds.pair_counts(ids)
     psi = cov.precision_block(ids)
@@ -289,8 +307,11 @@ def check_nb_condition(ds: TripDataset, y, nbhd: Neighborhood) -> bool:
     automatically.
     """
     ids = _checked_neighborhood(ds, y, nbhd).segment_ids
-    pair_all = ds.pair_counts(ids)
-    pair_delta = ds.pair_counts(ids, members=nbhd.members)
+    return _nb_condition(ds.pair_counts(ids), ds.pair_counts(ids, members=nbhd.members))
+
+
+def _nb_condition(pair_all: np.ndarray, pair_delta: np.ndarray) -> bool:
+    """`check_nb_condition` from y's joint counts over all trips and the members."""
     n_all = np.diag(pair_all)
     n_delta = np.diag(pair_delta)
     lhs = pair_all * np.outer(n_delta, n_delta)
@@ -311,15 +332,19 @@ def dominance_audit(ds: TripDataset, y, nbhd: Neighborhood, cov: CovarianceModel
     For a PSD sigma, |sigma_st| <= sqrt(sigma_ss sigma_tt), so max|sigma| is
     its largest diagonal entry, one gather of n cells.
     """
-    ids = _checked_route(ds, y, cov).segment_ids
-    phis = optimal_seg_weights(ds, ids, cov, prior)
-    seg = risk_seg(ds, ids, phis, cov, prior)
-    phi_r = optimal_route_weight(ds, ids, nbhd, cov, prior)
-    route = risk_route(ds, ids, nbhd, phi_r, cov, prior)
+    ids = _checked_neighborhood(ds, y, nbhd, cov).segment_ids
+    blocks = [(s,) for s in ids]
+    joint, cross = _block_moments(ds, ids, blocks, cov)
+    phis = _optimal_block_weights(blocks, joint, cross, prior)
+    seg = _risk_blocks("segment", ids, blocks, phis, joint, cross, cov, prior)
+    mom = _one_route_moments(ds, ids, nbhd, cov, None)
+    phi_r = float(_route_weights(mom, prior)[0])
+    route = _route_report(ids, nbhd, mom, phi_r, prior)
     diag = np.arange(cov.n_segments)
     tol = cov.n_segments * np.finfo(np.float64).eps * float(cov.entries(diag, diag).max())
     nonneg = bool(np.all(cov.block(ids) >= -tol))
-    condition = check_nb_condition(ds, ids, nbhd)
+    # the singleton blocks' J is ds.pair_counts(ids)
+    condition = _nb_condition(joint, ds.pair_counts(ids, members=nbhd.members))
     dominated = seg.total <= route.total + 1e-12
     out = {
         "segment_risk": seg.total,

@@ -1,4 +1,5 @@
 
+import inspect
 import re
 
 import numpy as np
@@ -412,6 +413,111 @@ def test_a_neighborhood_of_another_route_or_store_is_rejected(call):
     for members in (np.array([-1, 3]), np.array([0.0]), np.array([[0]])):
         with pytest.raises(ValueError, match="members must be ids"):
             call(ds, y, Neighborhood(nb.spec, y, members), cov, prior)
+
+
+@pytest.mark.parametrize("name", [name for name in _REPEATED_SEGMENT_CALLS
+                                  if name != "validate_partition"])
+def test_each_public_call_checks_its_route_once(monkeypatch, name):
+    # a public call checks y once and hands the checked ids to private
+    # kernels; nesting public calls would re-run the check (2 runs for
+    # predict_segment, optimal_seg_weights and risk_optimal, 7 for
+    # dominance_audit, which would also make 2 quadratic_sums passes)
+    net = build_grid(3)
+    ds = sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    y = ds.routes[0]
+    nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball(1))
+    checks, passes = [], []
+    route_fault, quadratic_sums = trips._route_fault, TripDataset.quadratic_sums
+    monkeypatch.setattr(trips, "_route_fault",
+                        lambda *args: checks.append(args) or route_fault(*args))
+    monkeypatch.setattr(TripDataset, "quadratic_sums",
+                        lambda *args: passes.append(args) or quadratic_sums(*args))
+    _REPEATED_SEGMENT_CALLS[name](ds, y, nb, cov, PriorSpec(1.0, 0.5))
+    assert len(checks) == 1
+    # the calls that pool the members' quadratic sums make one pass
+    assert len(passes) == (name in ("optimal_route_weight", "risk_route", "dominance_audit"))
+
+
+def test_every_public_route_call_is_in_the_gate_tables():
+    # a public callable on (ds, y), or a PosteriorModel method on (self, y),
+    # is covered by the gate tests only through these tables
+    import etalab
+    calls = [(name, getattr(etalab, name)) for name in etalab.__all__]
+    calls += [(f"PosteriorModel.{name}", member)
+              for name, member in vars(PosteriorModel).items()
+              if not name.startswith("_") and callable(member)]
+    checked = 0
+    for name, member in calls:
+        try:
+            params = list(inspect.signature(member).parameters)
+        except (TypeError, ValueError):
+            continue
+        if params[:2] not in (["ds", "y"], ["self", "y"]):
+            continue
+        checked += 1
+        assert name in _REPEATED_SEGMENT_CALLS
+        if "nbhd" in params:
+            assert name in _NEIGHBORHOOD_CALLS
+    assert checked == len(_REPEATED_SEGMENT_CALLS) - 1  # validate_partition takes (y, ...)
+
+
+def test_risk_optimal_rejects_a_model_of_another_setting():
+    # unchecked, route [34, 45] (true Bayes risk 0.2113) scored 0.4518 with
+    # the model of a 20-trip store and 0.2656 with the model of a tau2 = 5 prior
+    net = build_grid(3)
+    ds = sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
+    small = sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(1), 20)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    other_cov = diffusion_covariance(segment_graph(net), u=1.0, v=2.0, white=1.0)
+    prior = PriorSpec(1.0, 0.5)
+    y = ds.routes[0]
+    assert y.segment_ids == (34, 45)
+    exact = risk_optimal(ds, y, cov, prior)
+    assert exact.total == pytest.approx(0.2113, abs=1e-4)
+    assert risk_optimal(ds, y, cov, PriorSpec(1.0, 0.5),
+                        model=PosteriorModel(ds, cov, prior)) == exact
+    for model in (PosteriorModel(small, cov, prior), PosteriorModel(ds, other_cov, prior),
+                  PosteriorModel(ds, cov, PriorSpec(1.0, 5.0))):
+        with pytest.raises(ValueError, match="model must be built on this store and "
+                                             "covariance with this prior"):
+            risk_optimal(ds, y, cov, prior, model=model)
+
+
+# every public function that takes a shared counter, and its expected shape
+# on the 200-trip store below and its 2-segment route
+_SHARED_COUNTER_CALLS = {
+    "risk_seg(pair=)": (lambda ds, y, nb, cov, prior, pair: risk_seg(
+        ds, y, WeightRule.ratio(1.0), cov, prior, pair=pair), (2, 2)),
+    "lower_bound(pair=)": (lambda ds, y, nb, cov, prior, pair: lower_bound(
+        ds, y, cov, prior, pair=pair), (2, 2)),
+    "optimal_route_weight(q_all=)": (lambda ds, y, nb, cov, prior, q_all: optimal_route_weight(
+        ds, y, nb, cov, prior, q_all=q_all), (200,)),
+    "risk_route(q_all=)": (lambda ds, y, nb, cov, prior, q_all: risk_route(
+        ds, y, nb, 0.5, cov, prior, q_all=q_all), (200,)),
+}
+
+
+@pytest.mark.parametrize("call, shape", _SHARED_COUNTER_CALLS.values(),
+                         ids=_SHARED_COUNTER_CALLS.keys())
+def test_a_shared_counter_of_another_shape_is_rejected(call, shape):
+    # unchecked, a (1, 1) pair for the 2-segment route [34, 45] broadcast
+    # silently in lower_bound (0.7376 against 0.1949) and failed inside
+    # risk_seg's matmul; a length-3 q_all raised a bare IndexError, and a
+    # length-1000 one was read on this 200-trip store
+    net = build_grid(3)
+    ds = sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 200)
+    cov = diffusion_covariance(segment_graph(net), u=1.0, v=1.0, white=1.0)
+    prior = PriorSpec(1.0, 0.5)
+    y = ds.routes[0]
+    nb = resolve_neighborhood(ds, y, NeighborhoodSpec.od_ball(2))
+    good = ds.pair_counts(y.segment_ids) if len(shape) == 2 else ds.quadratic_sums(cov)
+    assert good.shape == shape
+    assert call(ds, y, nb, cov, prior, good) == call(ds, y, nb, cov, prior, None)
+    bad_shapes = [(1, 1), (2,), (2, 3)] if len(shape) == 2 else [(3,), (1000,), (200, 1)]
+    for bad in bad_shapes:
+        with pytest.raises(ValueError, match=re.escape(f"must have shape {shape}, got {bad}")):
+            call(ds, y, nb, cov, prior, np.ones(bad))
 
 
 def test_risk_affine_is_exported():
