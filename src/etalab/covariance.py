@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .network import SYMMETRIES, SegmentGraph
+from .network import SYMMETRIES, SegmentGraph, _checked_ids
 
 __all__ = [
     "CovarianceModel",
@@ -101,8 +101,9 @@ class CovarianceModel:
     covariance with v > 0 keeps sigma as an orbit table of about n^2 / 8
     floats, and a full-rank one its precision too, so ``block``, ``entries``
     and ``precision_block`` read any entries with one gather and never form
-    the n x n matrix; ``sigma`` gathers it on first read.
-    """
+    the n x n matrix; ``sigma`` gathers it on first read.  ``block``,
+    ``precision_block`` and ``pair_sum`` raise ValueError naming an id that is
+    not an integer in [0, n); ``entries`` takes the kernels' ids unchecked."""
 
     def __init__(self, sigma: np.ndarray, meta: Mapping[str, object] | None = None):
         sigma = np.ascontiguousarray(np.asarray(sigma, dtype=np.float64))
@@ -193,7 +194,7 @@ class CovarianceModel:
         one) has no table and reads the block from ``precision``, so a
         rank-deficient sigma raises its ``np.linalg.LinAlgError``.
         """
-        idx = np.asarray(ids, dtype=np.intp)
+        idx = _checked_ids(ids, self.n_segments)
         if self._precision_table is None:
             return self.precision[np.ix_(idx, idx)]
         return self._precision_table.entries(idx[:, None], idx)
@@ -201,7 +202,7 @@ class CovarianceModel:
     def block(self, ids) -> np.ndarray:
         """The principal blocks sigma[ids, ids] over (..., L) segment ids, as
         (..., L, L) blocks: one gather (see ``entries``)."""
-        idx = np.asarray(ids, dtype=np.intp)
+        idx = _checked_ids(ids, self.n_segments)
         return self.entries(idx[..., :, None], idx[..., None, :])
 
     def entries(self, s, t, out: np.ndarray | None = None) -> np.ndarray:
@@ -214,8 +215,7 @@ class CovarianceModel:
 
     def pair_sum(self, s_ids: Sequence[int], t_ids: Sequence[int]) -> float:
         """Sum of sigma entries over the cross product of two id sets (0 if one is empty)."""
-        si = np.asarray(s_ids, dtype=np.intp)
-        ti = np.asarray(t_ids, dtype=np.intp)
+        si, ti = _checked_ids(s_ids, self.n_segments), _checked_ids(t_ids, self.n_segments)
         return float(self.entries(si[:, None], ti).sum())
 
     def min_eigenvalue(self) -> float:
@@ -471,10 +471,8 @@ def explicit_covariance(n_segments: int, entries: Mapping[tuple[int, int], float
     """
     sigma = default_diag * np.eye(n_segments)
     for (s, t), val in entries.items():
-        if not (0 <= s < n_segments and 0 <= t < n_segments):
-            raise ValueError(f"entry ({s}, {t}) outside segment range 0..{n_segments - 1}")
-        sigma[s, t] = val
-        sigma[t, s] = val
+        s, t = _checked_ids([s, t], n_segments)
+        sigma[s, t] = sigma[t, s] = val
     return CovarianceModel(sigma, meta={"kind": "explicit", "n_entries": len(entries)})
 
 
@@ -501,14 +499,7 @@ def assumption_diagnostics(cov: CovarianceModel,
         "min_diag_sigma": float(np.diag(cov.sigma).min()),
     }
     if routes is not None:
-        block_min = np.inf
-        n_routes = 0
-        for route in routes:
-            ids = list(route)
-            if not ids:
-                continue
-            block_min = min(block_min, float(np.linalg.eigvalsh(cov.block(ids))[0]))
-            n_routes += 1
-        out["route_block_min_eigenvalue"] = float(block_min) if n_routes else None
-        out["n_routes_checked"] = n_routes
+        mins = [float(np.linalg.eigvalsh(cov.block(r))[0]) for r in routes if len(r)]
+        out["route_block_min_eigenvalue"] = min(mins, default=None)
+        out["n_routes_checked"] = len(mins)
     return out

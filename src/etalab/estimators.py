@@ -25,9 +25,9 @@ import scipy.linalg
 import scipy.sparse
 
 from .covariance import CovarianceModel
+from .network import _checked_ids, _is_count
 from .trips import (Neighborhood, PriorSpec, Route, TripDataset, _check_covariance,
-                    _checked_neighborhood, _checked_route, _is_count, _is_finite,
-                    _id_array, _leading_sums, _ranges)
+                    _checked_neighborhood, _checked_route, _is_finite, _ranges)
 
 __all__ = [
     "WeightRule",
@@ -133,9 +133,7 @@ def validate_partition(y, partition: Sequence[Sequence[int]]) -> list[tuple[int,
     """Check that partition blocks are contiguous sub-paths tiling the route.
     With no store, y is checked only for distinct integer ids >= 0."""
     parts = [y.segment_ids if isinstance(y, Route) else y, *partition]
-    flat, fault = _id_array([*chain.from_iterable(parts)], math.inf)
-    if fault:
-        raise ValueError(fault)
+    flat = _checked_ids([*chain.from_iterable(parts)], math.inf)
     ends = np.cumsum([0, *map(len, parts)]).tolist()
     ids, *blocks = (tuple(flat[a:b].tolist()) for a, b in zip(ends, ends[1:]))
     if len(set(ids)) < len(ids):
@@ -341,18 +339,24 @@ class _NeighborhoodMoments:
 
 def _neighborhood_moments(ds: TripDataset, routes: TripDataset,
                           members: scipy.sparse.csr_matrix, cov: CovarianceModel,
-                          q_all: np.ndarray | None) -> _NeighborhoodMoments:
+                          q_all: np.ndarray | None = None) -> _NeighborhoodMoments:
     """Moments of the neighborhoods `members` (a route x trip CSR matrix,
     `resolve_neighborhoods`) of the routes of a store.
 
-    N^d is one count of (route, segment) pairs over the members' entries of
-    `flat`, kept sparse: only the segments some member traverses.
+    The members' quadratic sums, unless `q_all` gives every trip's, come from
+    one `quadratic_sums` pass over the store of the distinct members; a sum
+    reads only its own route's block, so it equals the whole store's.  N^d is
+    one count of (route, segment) pairs over the members' entries of `flat`.
     """
-    q = ds.quadratic_sums(cov) if q_all is None else q_all
     n_routes, n_seg = routes.n_trips, ds.network.n_segments
     size = np.diff(members.indptr)
     owner = np.repeat(np.arange(n_routes), size)
     trip = members.indices
+    if q_all is None:
+        distinct, inverse = np.unique(trip, return_inverse=True)
+        q = ds._slice(distinct).quadratic_sums(cov)[inverse]
+    else:
+        q = q_all[trip]
     lens = ds.offsets[trip + 1] - ds.offsets[trip]
     pairs = np.repeat(owner, lens) * n_seg + ds.flat[_ranges(ds.offsets[trip], lens)]
     cells, n_delta = np.unique(pairs, return_counts=True)
@@ -365,7 +369,7 @@ def _neighborhood_moments(ds: TripDataset, routes: TripDataset,
     mean_len = np.bincount(owner, weights=lens, minlength=n_routes) / safe
     return _NeighborhoodMoments(
         size=size,
-        q_sum=np.bincount(owner, weights=q[trip], minlength=n_routes),
+        q_sum=np.bincount(owner, weights=q, minlength=n_routes),
         length_gap=np.where(size > 0, mean_len - np.diff(routes.offsets), 0.0),
         n_sq=np.bincount(cells[:-1] // n_seg, weights=n_delta.astype(np.float64) ** 2,
                          minlength=n_routes),
@@ -399,9 +403,9 @@ def optimal_route_weight(ds: TripDataset, y, nbhd: Neighborhood,
                          q_all: np.ndarray | None = None) -> float:
     """Risk-minimizing shrinkage weight for the whole-route estimator.
 
-    q_all optionally supplies precomputed per-trip covariance masses (from
-    TripDataset.quadratic_sums, shape (ds.n_trips,)) to avoid recomputation
-    across many routes.
+    The weight reads the quadratic sums of the neighborhood's members only
+    (`_neighborhood_moments`).  q_all optionally overrides them with every
+    trip's sum (TripDataset.quadratic_sums, shape (ds.n_trips,)), read as given.
     """
     ids = _checked_neighborhood(ds, y, nbhd, cov).segment_ids
     q_all = _checked_shape("q_all", q_all, (ds.n_trips,))
@@ -422,9 +426,8 @@ class PosteriorModel:
 
     W is the sum over trips of inv(sigma[r, r]) scattered into the (r, r)
     positions of trip route r.  It is built one route family at a time
-    (`_information`), and the same pass gives `quadratic_sums`, the per-trip
-    sums of sigma[r, r], equal to `TripDataset.quadratic_sums`.
-    `q_rcond` is LAPACK's estimate of 1 / cond_1(Q), from Q's Cholesky factor.
+    (`_information`).  `q_rcond` is LAPACK's estimate of 1 / cond_1(Q), from
+    Q's Cholesky factor.
     """
 
     def __init__(self, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec):
@@ -432,7 +435,7 @@ class PosteriorModel:
         self.ds = ds
         self.cov = cov
         self.prior = prior
-        q, self.quadratic_sums = _information(ds, cov, prior.tau2)
+        q = _information(ds, cov, prior.tau2)
         # Q's 1-norm before cho_factor overwrites it; Q is in Fortran order,
         # so dlange reads it in place
         q_norm = scipy.linalg.lapack.dlange("1", q)
@@ -454,12 +457,6 @@ class PosteriorModel:
         e = np.zeros((self.ds.network.n_segments, routes.n_trips))
         e[routes.flat, routes.trip_of] = 1.0
         return scipy.linalg.cho_solve(self._cho, e, check_finite=False)
-
-    def risk_terms(self, y) -> tuple[float, float]:
-        """(variance, squared bias) of the Bayes-optimal prediction for y."""
-        ids = _checked_route(self.ds, y).segment_ids
-        _, total, bias2 = self._terms(TripDataset._one_route(self.ds.network, ids))
-        return float(total[0] - bias2[0]), float(bias2[0])
 
     def _terms(self, routes: TripDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per route of a store, from one solve G = `_weights(routes)`: (G, risk
@@ -497,15 +494,13 @@ def _set_threads(threads: int) -> None:
     _THREADS = threads
 
 
-def _information(ds: TripDataset, cov: CovarianceModel,
-                 tau2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q = W + I / tau2 in Fortran order, and the trips' quadratic sums.
+def _information(ds: TripDataset, cov: CovarianceModel, tau2: float) -> np.ndarray:
+    """Q = W + I / tau2 in Fortran order.
 
     A family whose longest route s has block S = sigma[s, s] = L L' gives
     each member of length l the inverse sum_{i<l} u_i u_i', u_i the rows of
     U = L^-1.  So the family adds U' diag(w) U into Q[s, s], w_i counting
-    its members longer than i, and its members' quadratic sums are S's
-    leading-block sums.  A thread pool works the chunks of
+    its members longer than i.  A thread pool works the chunks of
     `TripDataset._family_chunks`; this thread adds them into Q with
     np.add.at in chunk order, so Q does not depend on the thread count.  The
     pool has one thread per core, or its share of the cores inside
@@ -518,22 +513,21 @@ def _information(ds: TripDataset, cov: CovarianceModel,
         raise _first_singular(ds, cov)
     # Q through its flat view: cho_factor overwrites it in place
     q_flat = np.zeros(n * n)
-    sums = np.empty(ds.n_trips)
     threads = _THREADS or len(os.sched_getaffinity(0))
     pending: deque = deque()
 
     def add_oldest() -> None:
-        members, cells, blocks, done = pending.popleft()
-        sums[members] = done.result()
+        cells, blocks, done = pending.popleft()
+        done.result()
         np.add.at(q_flat, cells.ravel(), blocks.ravel())
 
     try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for members, lengths, local, ids in ds._family_chunks():
+            for _, lengths, local, ids in ds._family_chunks():
                 # the arrays that outlive the call come from this thread
                 cells = np.empty(ids.shape + ids.shape[1:], dtype=np.int64)
                 blocks = np.empty(cells.shape)
-                pending.append((members, cells, blocks, pool.submit(
+                pending.append((cells, blocks, pool.submit(
                     _family_chunk, cov, lengths, local, ids, cells, blocks)))
                 if len(pending) > threads:
                     add_oldest()
@@ -543,18 +537,17 @@ def _information(ds: TripDataset, cov: CovarianceModel,
         raise _first_singular(ds, cov) or err from None
     q = q_flat.reshape(n, n, order="F")
     q[np.diag_indices(n)] += 1.0 / tau2
-    return q, sums
+    return q
 
 
 def _family_chunk(cov: CovarianceModel, lengths: np.ndarray, local: np.ndarray,
-                  ids: np.ndarray, cells: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+                  ids: np.ndarray, cells: np.ndarray, blocks: np.ndarray) -> None:
     """One chunk of families' share of the information pass, run in a worker thread.
 
     Gathers the blocks S = sigma[ids, ids] into `blocks` (one flat take,
     `CovarianceModel.entries`), overwrites them with U' diag(w) U, U =
-    chol(S)^-1, fills `cells` with the flat cells ids[a] * n + ids[b] of the
-    blocks' entries (a, b) in Q, and returns the members' quadratic sums,
-    read off S's leading-block sums.  In the Fortran-ordered Q the same cells
+    chol(S)^-1, and fills `cells` with the flat cells ids[a] * n + ids[b] of
+    the blocks' entries (a, b) in Q.  In the Fortran-ordered Q the same cells
     are the transposed entries, which a symmetric product leaves alone.  Worker
     threads allocate from malloc arenas of their own, which keep freed memory
     resident, so the chunks are small.
@@ -562,13 +555,11 @@ def _family_chunk(cov: CovarianceModel, lengths: np.ndarray, local: np.ndarray,
     m, length = ids.shape
     cov.entries(ids[:, :, None], ids[:, None, :], out=blocks)
     np.add(ids[:, :, None] * cov.n_segments, ids[:, None, :], out=cells)
-    sums = _leading_sums(blocks)[local, lengths - 1]
     # w[f, i]: the members of family f longer than i, a suffix sum of their lengths
     ends = np.bincount(local * (length + 1) + lengths, minlength=m * (length + 1))
     w = np.cumsum(ends.reshape(m, length + 1)[:, ::-1], axis=1)[:, -2::-1]
     u = np.linalg.inv(np.linalg.cholesky(blocks))
     np.matmul(u.transpose(0, 2, 1) * w[:, None, :], u, out=blocks)
-    return sums
 
 
 def _first_singular(ds: TripDataset, cov: CovarianceModel) -> np.linalg.LinAlgError | None:

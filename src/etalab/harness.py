@@ -249,9 +249,9 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     reads that one's peak.
 
     The posterior stage builds `PosteriorModel`, reads the Bayes risks of
-    every predicting route from it (`_bayes_risks`) and keeps only those,
-    `q_rcond` and the quadratic sums, so the model's n x n Cholesky factor
-    is freed before the route stages build the incidence.
+    every predicting route from it (`_bayes_risks`) and keeps only those and
+    `q_rcond`, so the model's n x n Cholesky factor is freed before the
+    route stages build the incidence.
     """
     stages: dict[str, float] = {}
     peaks: dict[str, float | None] = {}
@@ -268,15 +268,14 @@ def run_cell(cfg: SweepConfig, p: int, k: float) -> SweepRow:
     with _timed(stages, "posterior", peaks):
         model = PosteriorModel(ds, cov, prior)
         bayes = _bayes_risks(model, predicting)
-        q_rcond, quadratic_sums = model.q_rcond, model.quadratic_sums
+        q_rcond = model.q_rcond
         del model
     with _timed(stages, "precision", peaks):
         # what lower_bound's precision blocks need: nothing more for the
         # orbit table of a full-rank diffusion covariance, the n x n
         # precision (or its rank error) otherwise
         cov.precision_block(())
-    risks, sizes = _route_risks(cfg, ds, cov, prior, quadratic_sums, bayes, predicting,
-                                stages, peaks)
+    risks, sizes = _route_risks(cfg, ds, cov, prior, bayes, predicting, stages, peaks)
     logs = np.log10(risks.mean(axis=1))
     families = ds._families
     counters = {"n_hist": n_hist, "distinct_routes": families.n_routes,
@@ -296,13 +295,13 @@ def _bayes_risks(model: PosteriorModel, predicting: TripDataset) -> np.ndarray:
     from one multi-route solve per _ROUTE_BATCH routes."""
     out = np.empty(predicting.n_trips)
     for a in range(0, predicting.n_trips, _ROUTE_BATCH):
-        batch = predicting._slice(a, a + _ROUTE_BATCH)
-        out[a:a + batch.n_trips] = model._terms(batch)[1]
+        cols = slice(a, a + _ROUTE_BATCH)
+        out[cols] = model._terms(predicting._slice(cols))[1]
     return out
 
 
 def _route_risks(cfg: SweepConfig, ds: TripDataset, cov: CovarianceModel, prior: PriorSpec,
-                 quadratic_sums: np.ndarray, bayes: np.ndarray, predicting: TripDataset,
+                 bayes: np.ndarray, predicting: TripDataset,
                  stages: dict[str, float], peaks: dict[str, float | None]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Exact risks of every predicting route, evaluated in batches.
@@ -310,11 +309,12 @@ def _route_risks(cfg: SweepConfig, ds: TripDataset, cov: CovarianceModel, prior:
     Returns a (5, routes) array of the segment, route, route_grow and Bayes
     risks and the lower bound, in the order of CSV_COLUMNS, and a (2, routes)
     array of the route methods' neighborhood sizes.  The Bayes risks are
-    `bayes`, from `_bayes_risks`, and `quadratic_sums` are the trips' sums of
-    sigma[r, r].  Each batch of _ROUTE_BATCH routes reads each route's pair
-    counts from the incidence, resolves each method's neighborhoods at once
-    and evaluates the route risks as array formulas.  Each stage's seconds
-    add up in `stages`, and `peaks` gets its memory mark as in run_cell.
+    `bayes`, from `_bayes_risks`.  Each batch of _ROUTE_BATCH routes reads
+    each route's pair counts from the incidence, resolves each method's
+    neighborhoods at once, sums sigma[r, r] over their members' routes r
+    (`_neighborhood_moments`) and evaluates the route risks as array
+    formulas.  Each stage's seconds add up in `stages`, and `peaks` gets its
+    memory mark as in run_cell.
     """
     rule = WeightRule.ratio(cfg.ratio_lam)
     specs = (NeighborhoodSpec.od_exact(),
@@ -323,14 +323,14 @@ def _route_risks(cfg: SweepConfig, ds: TripDataset, cov: CovarianceModel, prior:
     risks[3] = bayes
     sizes = np.empty((len(specs), predicting.n_trips), dtype=np.int64)
     for a in range(0, predicting.n_trips, _ROUTE_BATCH):
-        batch = predicting._slice(a, a + _ROUTE_BATCH)
-        cols = slice(a, a + batch.n_trips)
+        cols = slice(a, a + _ROUTE_BATCH)
+        batch = predicting._slice(cols)
         ys = np.split(batch.flat, batch.offsets[1:-1])
         with _timed(stages, "pair_counts", peaks):
             pairs = [ds.pair_counts(y) for y in ys]
         with _timed(stages, "neighborhoods", peaks):
             moments = [_neighborhood_moments(ds, batch, resolve_neighborhoods(ds, batch, spec),
-                                             cov, quadratic_sums) for spec in specs]
+                                             cov) for spec in specs]
         with _timed(stages, "risks", peaks):
             risks[0, cols] = [risk_seg(ds, y, rule, cov, prior, pair=pair).total
                               for y, pair in zip(ys, pairs)]

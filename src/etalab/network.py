@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -150,6 +151,41 @@ class RoadNetwork:
 def build_grid(p: int) -> RoadNetwork:
     """Build the canonical p x p grid network."""
     return RoadNetwork(p)
+
+
+def _is_count(value) -> bool:
+    """An integer >= 0 that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+def _id_array(values, n_segments: float) -> tuple[np.ndarray, str | None]:
+    """The values as int64 ids up to the first that is not an integer in
+    [0, n_segments), and the message naming it (None if every one is).  An
+    integer array of any shape is checked by its min and max alone."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu" and (values.min(initial=0) >= 0
+                                          and values.max(initial=0) < n_segments):
+            return values.astype(np.int64, copy=False), None
+        values = values.ravel().tolist()
+    values = values if isinstance(values, (list, tuple)) else list(values)
+    # int and numpy integer ids convert as one array; any other type is a bad id
+    if all(t is int or issubclass(t, np.integer) for t in set(map(type, values))):
+        with suppress(OverflowError):  # past int64, and so past every segment id
+            ids = np.array(values, dtype=np.int64)
+            if not np.count_nonzero((ids < 0) | (ids >= n_segments)):
+                return ids, None
+    first = next(k for k, v in enumerate(values)
+                 if not (_is_count(v) and v < n_segments and v < 2 ** 63))
+    return (np.array(values[:first], dtype=np.int64),
+            f"segment id {values[first]!r} is not an integer in [0, {n_segments})")
+
+
+def _checked_ids(values, n_segments: float) -> np.ndarray:
+    """`_id_array`'s ids, or its message as a ValueError."""
+    ids, fault = _id_array(values, n_segments)
+    if fault:
+        raise ValueError(fault)
+    return ids
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,8 @@ def risk_route(ds: TripDataset, y, nbhd: Neighborhood, phi: float,
     prior mass not recovered on y itself.  An empty neighborhood forces
     phi = 0 and the report reduces to the prior risk |y| * tau2; a non-finite
     phi raises ValueError.  This is the one-route case of `_route_risk_terms`.
-    `q_all` is as in `optimal_route_weight`.
+    The noise variance reads the quadratic sums of the neighborhood's members
+    only, unless `q_all` overrides them, as in `optimal_route_weight`.
     """
     ids = _checked_neighborhood(ds, y, nbhd, cov).segment_ids
     q_all = _checked_shape("q_all", q_all, (ds.n_trips,))

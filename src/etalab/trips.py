@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -22,7 +21,7 @@ import scipy.sparse
 from scipy.special import betaln
 
 from .covariance import CovarianceModel
-from .network import DIRECTIONS, RoadNetwork
+from .network import DIRECTIONS, RoadNetwork, _checked_ids, _id_array, _is_count
 
 __all__ = [
     "PriorSpec",
@@ -114,12 +113,17 @@ def _checked_neighborhood(ds: "TripDataset", y, nbhd: "Neighborhood",
     if nbhd.route != route:
         raise ValueError(f"the neighborhood is for route {list(nbhd.route.segment_ids)}, "
                          f"not {list(route.segment_ids)}")
-    members = nbhd.members
-    if members.size and not (np.issubdtype(members.dtype, np.integer) and members.ndim == 1
-                             and 0 <= members.min() and members.max() < ds.n_trips):
-        raise ValueError(f"neighborhood members must be ids of the store's "
-                         f"{ds.n_trips} trips")
+    _checked_members(ds, nbhd.members)
     return route
+
+
+def _checked_members(ds: "TripDataset", members) -> np.ndarray:
+    """`members` as one int64 array, unless they are not 1-d trip ids of ds (ValueError)."""
+    members = np.asarray(members)
+    if members.ndim != 1 or members.size and not (
+            members.dtype.kind in "iu" and 0 <= members.min() and members.max() < ds.n_trips):
+        raise ValueError(f"neighborhood members must be ids of the store's {ds.n_trips} trips")
+    return members.astype(np.int64, copy=False)
 
 
 def _check_covariance(network: RoadNetwork, cov: CovarianceModel) -> None:
@@ -269,15 +273,6 @@ class _RouteFamilies:
         return self.order[self.bounds[:-1]]
 
 
-def _leading_sums(blocks: np.ndarray) -> np.ndarray:
-    """(m, L) sums of the leading principal blocks of symmetric (m, L, L)
-    blocks B: entry l - 1 is 1' B[:l, :l] 1, the running sum over i < l of
-    B[i, i] + 2 sum_{j<i} B[i, j]."""
-    diag = np.arange(blocks.shape[-1])
-    rows = np.cumsum(blocks, axis=2)[:, diag, diag]
-    return np.cumsum(2.0 * rows - blocks[:, diag, diag], axis=1)
-
-
 class TripDataset:
     """Historical trips over one network, with counters for the estimators.
 
@@ -337,11 +332,11 @@ class TripDataset:
         flat = np.asarray(y, dtype=np.int64)
         return cls._from_arrays(network, flat, np.array([0, flat.size]))
 
-    def _slice(self, a: int, b: int) -> "TripDataset":
-        """The routes-only store of trips a to b - 1."""
-        offsets = self.offsets[a:b + 1]
-        return self._from_arrays(self.network, self.flat[offsets[0]:offsets[-1]],
-                                 offsets - offsets[0])
+    def _slice(self, trips) -> "TripDataset":
+        """The routes-only store of `trips` (trip ids or a slice), in that order."""
+        starts, ends = self.offsets[:-1][trips], self.offsets[1:][trips]
+        return self._from_arrays(self.network, self.flat[_ranges(starts, ends - starts)],
+                                 np.r_[0, np.cumsum(ends - starts)])
 
     @property
     def n_trips(self) -> int:
@@ -528,9 +523,10 @@ class TripDataset:
         sizes = np.array([len(b) for b in blocks])
         if not sizes.all():
             raise ValueError("block_cover needs nonempty blocks")
+        ids = _checked_ids([*chain.from_iterable(blocks)], self.network.n_segments)
         member = scipy.sparse.csc_matrix((np.ones(sizes.sum(), dtype=np.int64),
                                           np.arange(sizes.sum()), np.r_[0, np.cumsum(sizes)]))
-        cover = (self.incidence[:, np.concatenate(blocks).astype(np.int64)] @ member).tocsc()
+        cover = (self.incidence[:, ids] @ member).tocsc()
         cover.data = (cover.data == np.repeat(sizes, np.diff(cover.indptr))).astype(np.int64)
         cover.eliminate_zeros()
         cover.sort_indices()
@@ -545,11 +541,11 @@ class TripDataset:
 
         Entry (i, j) counts trips whose route contains both y[i] and y[j]; the
         diagonal holds the traversal counts of y's segments.  With `members`,
-        only the listed trips are counted.
+        only the listed trips are counted.  Bad segment or trip ids raise ValueError.
         """
-        b = self.incidence[:, np.asarray(y, dtype=np.int64)]
+        b = self.incidence[:, _checked_ids(y, self.network.n_segments)]
         if members is not None:
-            b = b[np.asarray(members, dtype=np.int64)]
+            b = b[_checked_members(self, members)]
         # int64, not the incidence's int8: a count passes 127, and
         # check_nb_condition multiplies three counts together.  The slice is
         # a matrix of its own, so only its data is replaced (astype would
@@ -558,13 +554,18 @@ class TripDataset:
         return (b.T @ b).toarray()
 
     def quadratic_sums(self, cov: CovarianceModel) -> np.ndarray:
-        """Per-trip sums of covariance entries over the route's segment pairs:
-        the leading-block sums of each route family's block.  A covariance
-        sized for another network raises ValueError."""
+        """Per-trip sums of covariance entries over the route's segment pairs,
+        read off each route family's block B: a member of length l sums
+        1' B[:l, :l] 1, the running sum over i < l of B[i, i] + 2 sum_{j<i}
+        B[i, j], which reads no entry past row l.  A covariance sized for
+        another network raises ValueError."""
         _check_covariance(self.network, cov)
         out = np.empty(self.n_trips)
         for members, lengths, local, ids in self._family_chunks():
-            sums = _leading_sums(cov.block(ids))
+            blocks = cov.block(ids)
+            diag = np.arange(ids.shape[1])
+            rows = np.cumsum(blocks, axis=2)[:, diag, diag]
+            sums = np.cumsum(2.0 * rows - blocks[:, diag, diag], axis=1)
             out[members] = sums[local, lengths - 1]
         return out
 
@@ -807,22 +808,6 @@ def _same_segments(ds: TripDataset, routes: TripDataset, route: np.ndarray,
     return route[same], trip[same]
 
 
-def _id_array(values: Sequence, n_segments: float) -> tuple[np.ndarray, str | None]:
-    """The values as int64 ids up to the first that is not an integer in
-    [0, n_segments), and the message naming it (None if every one is)."""
-    values = values if isinstance(values, (list, tuple, np.ndarray)) else list(values)
-    # int and numpy integer ids convert as one array; any other type is a bad id
-    if all(t is int or issubclass(t, np.integer) for t in set(map(type, values))):
-        with suppress(OverflowError):  # past int64, and so past every segment id
-            ids = np.array(values, dtype=np.int64)
-            if not np.count_nonzero((ids < 0) | (ids >= n_segments)):
-                return ids, None
-    first = next(k for k, v in enumerate(values)
-                 if not (_is_count(v) and v < n_segments and v < 2 ** 63))
-    return (np.array(values[:first], dtype=np.int64),
-            f"segment id {values[first]!r} is not an integer in [0, {n_segments})")
-
-
 def _route_fault(network: RoadNetwork, values: Sequence,
                  offsets: np.ndarray | None = None) -> tuple[np.ndarray, tuple[int, str] | None]:
     """The ids of routes stored back to back, route k at
@@ -870,11 +855,6 @@ def _route_fault(network: RoadNetwork, values: Sequence,
 def _is_finite(value) -> bool:
     """A finite real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_count(value) -> bool:
-    """An integer >= 0 that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ def _cell(cfg, p, k):
 
 def _route_risks(cfg, model, predicting, stages):
     """harness._route_risks on the model's parts, as run_cell calls it."""
-    return harness._route_risks(cfg, model.ds, model.cov, model.prior, model.quadratic_sums,
+    return harness._route_risks(cfg, model.ds, model.cov, model.prior,
                                 harness._bayes_risks(model, predicting), predicting, stages,
                                 {})
 
@@ -195,7 +195,7 @@ def test_resolve_neighborhood_matches_l1_definitions(seed):
     # few OD cells for many trips on small grids, mostly single trips on larger ones
     ds = sample_trips(law, net, rng, int(rng.integers(0, 300)))
     # fresh routes, and historical ones, which are their own neighbors
-    for routes in (sample_trips(law, net, rng, 12), ds._slice(0, 12)):
+    for routes in (sample_trips(law, net, rng, 12), ds._slice(slice(0, 12))):
         for spec in SPECS:
             batch = resolve_neighborhoods(ds, routes, spec)
             assert batch.shape == (routes.n_trips, ds.n_trips)

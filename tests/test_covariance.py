@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,28 @@ def test_csv_roundtrip():
     buf.seek(0)
     again = CovarianceModel.from_csv(buf)
     assert np.array_equal(again.sigma, cov.sigma)
+
+
+@pytest.mark.parametrize("bad", [-1, 0.7, 48, True, np.float64(2.0)], ids=repr)
+def test_a_bad_segment_id_is_rejected_by_both_backends(bad):
+    # unchecked, the orbit-table model read -1 as segment 47 and 0.7 as
+    # segment 0, and the dense model raised numpy's "invalid entry in
+    # coordinates array" for -1 and truncated 0.7
+    graph = segment_graph(build_grid(3))
+    table = diffusion_covariance(graph, u=1.0, v=1.0, white=1.0)
+    dense = CovarianceModel(table.sigma)
+    assert table._table is not None and dense._table is None
+    message = re.escape(f"segment id {bad!r} is not an integer in [0, 48)")
+    for cov in (table, dense):
+        for call in (lambda: cov.block([0, bad]), lambda: cov.precision_block([bad]),
+                     lambda: cov.pair_sum([0], [bad]), lambda: cov.pair_sum([bad], []),
+                     lambda: assumption_diagnostics(cov, routes=[[bad, 0]])):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # unchecked, 0.7 passed the range test and failed inside numpy, and True
+    # read as segment 1
+    with pytest.raises(ValueError, match=message):
+        explicit_covariance(48, {(0, bad): 0.1})
 
 
 def test_assumption_diagnostics():

@@ -36,6 +36,7 @@ from etalab.fixtures import (
     reference_route,
     reference_route_neighborhood,
 )
+from etalab.risk import risk_optimal
 from etalab.trips import (
     NeighborhoodSpec,
     PriorSpec,
@@ -345,8 +346,9 @@ def test_bayes_predict_runs_one_cholesky_solve(monkeypatch):
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     pred = model.predict(y)
     assert len(calls) == 1
-    # the risk it carries is the one risk_terms solves for again
-    assert (pred.detail["variance"], pred.detail["bias2"]) == model.risk_terms(y)
+    # the risk it carries is the one risk_optimal solves for again
+    report = risk_optimal(model.ds, y, model.cov, model.prior, model=model)
+    assert (pred.detail["variance"], pred.detail["bias2"]) == (report.variance, report.bias2)
 
 
 def test_bayes_weight_vector_solves_q():

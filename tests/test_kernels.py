@@ -7,12 +7,14 @@ are held to references that gather each whole route-length group at once.
 The information pass and the quadratic sums work one route family at a time;
 they are held to per-trip inverses and block sums.
 """
+import dataclasses
 import os
 import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import random_fixture
 from etalab import estimators, harness, trips
@@ -302,10 +304,10 @@ def test_bayes_risks_match_dense_solve(seed):
         e[list(y.segment_ids)] = 1.0
         expect = e @ np.linalg.solve(q, e)
         assert total[r] == pytest.approx(expect, rel=1e-12, abs=0)
-        variance, b2 = model.risk_terms(y)
+        report = risk_optimal(ds, y, fx.cov, fx.prior, model=model)
+        variance, b2 = report.variance, report.bias2
         assert (variance + b2) == pytest.approx(expect, rel=1e-12, abs=0)
-        assert abs(risk_optimal(ds, y, fx.cov, fx.prior, model=model).total
-                   - total[r]) <= np.spacing(total[r])
+        assert abs(report.total - total[r]) <= np.spacing(total[r])
         assert b2 == pytest.approx(g[:, r] @ g[:, r] / tau2, rel=1e-12, abs=0)
         # the variance that the solve implies is g' W g
         assert variance == pytest.approx(g[:, r] @ (q @ g[:, r]) - b2, rel=0,
@@ -324,12 +326,12 @@ def test_prior_only_bayes_variance_is_unclamped():
     assert np.allclose(total, np.diff(routes.offsets) * prior.tau2, rtol=1e-15, atol=0)
     assert np.all(np.abs(total - bias2) <= 4 * np.spacing(total))
     for r, y in enumerate(routes.routes):
-        variance, b2 = model.risk_terms(y)
+        report = risk_optimal(ds, y, fx.cov, prior, model=model)
+        variance, b2 = report.variance, report.bias2
         assert (variance, b2) == (total[r] - bias2[r], bias2[r])
         detail = model.predict(y).detail
         assert (detail["variance"], detail["risk"]) == (variance, total[r])
         # RiskReport.total adds the split back: the total to within 1 ulp
-        report = risk_optimal(ds, y, fx.cov, prior, model=model)
         assert abs(report.total - total[r]) <= np.spacing(total[r])
 
 
@@ -391,9 +393,7 @@ def test_information_pass_independent_of_threads(seed, monkeypatch):
         monkeypatch.setattr(estimators, "_THREADS", threads)
         models.append(PosteriorModel(fx.ds, fx.cov, fx.prior))
     for m in models[1:]:
-        assert np.array_equal(m.quadratic_sums, models[0].quadratic_sums)
         assert np.array_equal(m._cho[0], models[0]._cho[0])
-    assert np.array_equal(models[0].quadratic_sums, fx.ds.quadratic_sums(fx.cov))
 
 
 @pytest.mark.parametrize("budget", [1, 300, 2048, 5000, _WHOLE_GROUPS])
@@ -582,7 +582,7 @@ def test_indefinite_information_matrix_names_the_rank(monkeypatch):
         PosteriorModel(fx.ds, fx.cov, fx.prior)
     # an indefinite Q from the pass is named by cho_factor's re-raise
     monkeypatch.setattr(estimators, "_information",
-                        lambda ds, cov, tau2: (-np.eye(n, order="F"), np.zeros(ds.n_trips)))
+                        lambda ds, cov, tau2: -np.eye(n, order="F"))
     match = rf"W \+ I/tau2 is not positive definite \(.*\): covariance rank {n} of {n}"
     with pytest.raises(np.linalg.LinAlgError, match=match):
         PosteriorModel(fx.ds, fx.cov, fx.prior)
@@ -713,7 +713,7 @@ def test_family_index_matches_per_trip_turns(tmp_path):
     net = build_grid(4)
     boundary = _boundary_store()
     stores = [ds for _, ds, _ in _stores(tmp_path)] + [
-        boundary, boundary._slice(1, 2), boundary._slice(2, 3), TripDataset(net, [])]
+        boundary, boundary._slice(slice(1, 2)), boundary._slice([2]), TripDataset(net, [])]
     for ds in stores:
         fam = ds._families
         order, bounds, n_routes = _loop_families(ds)
@@ -760,7 +760,33 @@ def test_family_pass_matches_per_trip_inverses(tmp_path):
     tau2 = 0.7
     for name, ds, cov in _stores(tmp_path):
         expect_q, expect_sums = _per_trip_information(ds, cov, tau2)
-        q, sums = estimators._information(ds, cov, tau2)
+        q = estimators._information(ds, cov, tau2)
+        sums = ds.quadratic_sums(cov)
         assert np.max(np.abs(q - expect_q)) <= 1e-13 * np.max(np.abs(expect_q)), name
         assert np.max(np.abs(sums - expect_sums)) <= 1e-15 * np.max(np.abs(expect_sums)), name
-        assert np.array_equal(ds.quadratic_sums(cov), sums)
+
+
+def test_members_pass_matches_the_whole_store_bit_for_bit(tmp_path):
+    """`_neighborhood_moments` sums only the distinct members' routes, on a
+    store of their own; a trip's sum reads only its own leading block, so
+    every moment equals the one read off the whole store's sums."""
+    rng = np.random.default_rng(0)
+    for name, ds, cov in _stores(tmp_path):
+        fam = ds._families
+        lengths = np.diff(ds.offsets)
+        # route 0 pools every trip but the families' longest, so that each
+        # family's block is cut to the longest member present
+        outside = np.setdiff1d(np.arange(ds.n_trips), fam.longest)
+        family = _family_of(fam)
+        assert (lengths[outside] < lengths[fam.longest[family[outside]]]).any(), name
+        picks = [outside, np.flatnonzero(rng.random(ds.n_trips) < 0.5), np.arange(0),
+                 np.arange(ds.n_trips)]
+        members = scipy.sparse.csr_matrix(
+            (np.ones(sum(map(len, picks))), np.concatenate(picks),
+             np.r_[0, np.cumsum([len(p) for p in picks])]), shape=(len(picks), ds.n_trips))
+        routes = ds._slice(np.arange(len(picks)) % ds.n_trips)
+        got = estimators._neighborhood_moments(ds, routes, members, cov)
+        expect = estimators._neighborhood_moments(ds, routes, members, cov,
+                                                  ds.quadratic_sums(cov))
+        for f in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, f.name), getattr(expect, f.name)), (name, f.name)

@@ -263,8 +263,6 @@ _REPEATED_SEGMENT_CALLS = {
         ds, y, nb, WeightRule.ratio(1.0), prior),
     "predict_bayes_optimal": lambda ds, y, nb, cov, prior: predict_bayes_optimal(
         ds, y, cov, prior),
-    "PosteriorModel.risk_terms": lambda ds, y, nb, cov, prior: PosteriorModel(
-        ds, cov, prior).risk_terms(y),
     "PosteriorModel.predict": lambda ds, y, nb, cov, prior: PosteriorModel(
         ds, cov, prior).predict(y),
     "optimal_seg_weights": lambda ds, y, nb, cov, prior: optimal_seg_weights(ds, y, cov, prior),
@@ -435,8 +433,16 @@ def test_each_public_call_checks_its_route_once(monkeypatch, name):
                         lambda *args: passes.append(args) or quadratic_sums(*args))
     _REPEATED_SEGMENT_CALLS[name](ds, y, nb, cov, PriorSpec(1.0, 0.5))
     assert len(checks) == 1
-    # the calls that pool the members' quadratic sums make one pass
+    # the calls that pool the members' quadratic sums make one pass, over a
+    # store of exactly the distinct members
     assert len(passes) == (name in ("optimal_route_weight", "risk_route", "dominance_audit"))
+    if passes:
+        store = passes[0][0]
+        distinct = np.unique(nb.members)
+        assert 0 < distinct.size < ds.n_trips
+        assert np.array_equal(np.diff(store.offsets), np.diff(ds.offsets)[distinct])
+        assert np.array_equal(store.flat, np.concatenate([ds.flat[ds.offsets[t]:ds.offsets[t + 1]]
+                                                          for t in distinct]))
 
 
 def test_every_public_route_call_is_in_the_gate_tables():

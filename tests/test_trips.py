@@ -562,6 +562,48 @@ def test_n_subset_matches_brute_force():
     assert ds.n_subset(ids) <= min(ds.n_s[list(ids)]) if len(ids) else True
 
 
+# each call with one bad argument; unchecked, on this p=3 store of 200 trips,
+# pair_counts([-1]) returned segment 47's count [[14]], [0.7] read segment 0,
+# n_subset([True]) read segment 1, members=[-1] read the last trip, and id 48
+# raised a bare IndexError
+_BAD_COUNTER_CALLS = {
+    "pair_counts[-1]": (lambda ds: ds.pair_counts([-1]), "segment id -1 "),
+    "pair_counts[0.7]": (lambda ds: ds.pair_counts([0, 0.7]), "segment id 0.7 "),
+    "pair_counts[48]": (lambda ds: ds.pair_counts(np.array([48])), "segment id 48 "),
+    "pair_counts(members=[-1])": (lambda ds: ds.pair_counts([0], members=[-1]),
+                                  "members must be ids of the store's 200 trips"),
+    "pair_counts(members=[200])": (lambda ds: ds.pair_counts([0], members=np.array([200])),
+                                   "members must be ids of the store's 200 trips"),
+    "pair_counts(members=[0.7])": (lambda ds: ds.pair_counts([0], members=[0.7]),
+                                   "members must be ids of the store's 200 trips"),
+    "n_subset[True]": (lambda ds: ds.n_subset([True]), "segment id True "),
+    "n_subset[-1]": (lambda ds: ds.n_subset((5, -1)), "segment id -1 "),
+    "trips_containing_all[48]": (lambda ds: ds.trips_containing_all([48]), "segment id 48 "),
+    "block_cover[0.7]": (lambda ds: ds.block_cover([[0], [0.7]]), "segment id 0.7 "),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_COUNTER_CALLS.values(),
+                         ids=_BAD_COUNTER_CALLS.keys())
+def test_counters_reject_bad_ids(call, message):
+    ds = sample_trips(ODLaw(3, 1.0), build_grid(3), np.random.default_rng(0), 200)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(ds)
+
+
+def test_counters_take_integer_ids_of_any_type():
+    ds = sample_trips(ODLaw(3, 1.0), build_grid(3), np.random.default_rng(0), 200)
+    y = ds.routes[0].segment_ids
+    expect = ds.pair_counts(y)
+    for ids in (list(y), np.array(y, dtype=np.int32), [np.int64(s) for s in y]):
+        assert np.array_equal(ds.pair_counts(ids), expect)
+        assert ds.n_subset(ids) == int(expect.min())
+    members = ds.trips_containing_all(y)
+    for m in (members.tolist(), members.astype(np.int32), []):
+        assert np.array_equal(ds.pair_counts(y, members=m), ds.pair_counts(y, np.asarray(
+            m, dtype=np.int64)))
+
+
 def test_quadratic_sums_match_pair_sum():
     fx = random_fixture(77, n_trips=12, cov_kind="diffusion")
     ds, cov = fx.ds, fx.cov
