@@ -63,22 +63,27 @@ class RoadNetwork:
     """Immutable directed grid network with canonical segment indexing.
 
     `endpoints` holds one row [tail_i, tail_j, head_i, head_j] per segment
-    id.  `segment_table[i*(p+1) + j, d]` is the id of the segment leaving
-    vertex (i, j) in direction DIRECTIONS[d], or -1 at the grid's edge.
-    Segment objects are built from `endpoints` on the first read of `segments`.
+    id.  `segment_table[i*(p+1) + j, d]` is the int32 id of the segment
+    leaving vertex (i, j) in direction DIRECTIONS[d], or -1 at the grid's
+    edge.  Segment ids are int32 wherever they are stored, so a grid whose
+    4p(p+1) ids pass int32 (p >= 23170) raises ValueError.  Segment objects
+    are built from `endpoints` on the first read of `segments`.
     """
 
     def __init__(self, p: int):
         if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
             raise ValueError(f"grid size p must be an integer >= 1, got {p!r}")
         self.p = int(p)
+        if 4 * self.p * (self.p + 1) > np.iinfo(np.int32).max:
+            raise ValueError(f"a p={p} grid has {4 * self.p * (self.p + 1)} segments, "
+                             "more than int32 segment ids can number")
         width = self.p + 1
         vi, vj = np.divmod(np.arange(width * width), width)
         steps = np.array(DIRECTIONS)
         hi, hj = vi[:, None] + steps[:, 0], vj[:, None] + steps[:, 1]
         inside = (hi >= 0) & (hi <= self.p) & (hj >= 0) & (hj <= self.p)
         # row-major order over (tail vertex, direction) is the canonical order
-        self.segment_table = np.full(inside.shape, -1, dtype=np.int64)
+        self.segment_table = np.full(inside.shape, -1, dtype=np.int32)
         self.segment_table[inside] = np.arange(np.count_nonzero(inside))
         tail = np.nonzero(inside)[0]
         self.endpoints = np.column_stack((vi[tail], vj[tail], hi[inside], hj[inside]))

@@ -212,22 +212,24 @@ def sample_trips(law: ODLaw, network: RoadNetwork, rng: np.random.Generator,
     width = network.p + 1
     steps, codes, jump = _legs(law.sample_od(rng, n), rng.integers(0, 2, size=n), width)
     offsets = np.r_[0, np.cumsum(steps.sum(axis=1))]
-    # at most two flat-sized int64 arrays are alive at once; the direction
-    # codes are int8
+    # at most two flat-sized int32 arrays are alive at once (a vertex index
+    # into the raveled table below fits, as the network's ids do); the
+    # direction codes are int8
     code = np.repeat(codes.ravel(), steps.ravel())
     del steps, codes
-    move = np.array([a * width + b for a, b in DIRECTIONS])
+    move = np.array([a * width + b for a, b in DIRECTIONS], dtype=np.int32)
     # one running sum of the vertex moves gives every step's head, once each
-    # trip's first move also jumps from the previous destination to its origin
+    # trip's first move also jumps from the previous destination to its origin;
+    # every partial sum is a vertex
     vertex = move[code]
     vertex[offsets[:-1]] += jump
     np.cumsum(vertex, out=vertex)
     vertex -= move[code]  # now the tail of each step
-    # segment_table[vertex, code], read from the raveled table
+    # segment_table[vertex, code], read from the raveled table; numpy gathers
+    # at int32 indices with no intp copy of them (np.take would make one)
     vertex *= len(DIRECTIONS)
     vertex += code
-    return TripDataset._from_arrays(network, np.take(network.segment_table.ravel(), vertex),
-                                    offsets)
+    return TripDataset._from_arrays(network, network.segment_table.ravel()[vertex], offsets)
 
 
 def _legs(od: np.ndarray, coins: np.ndarray, width: int
@@ -277,7 +279,8 @@ class TripDataset:
     """Historical trips over one network, with counters for the estimators.
 
     The routes are stored back to back: trip n traverses the segment ids
-    flat[offsets[n]:offsets[n + 1]].  `times`, like prediction coefficients,
+    flat[offsets[n]:offsets[n + 1]], int32 like the network's segment ids,
+    with int64 offsets.  `times`, like prediction coefficients,
     is one float64 array aligned with `flat`, or None for a routes-only store.
     Route objects are built from these arrays only when `routes` is first read.
     A Route that the network does not make (`Route.from_segments`) raises
@@ -305,7 +308,10 @@ class TripDataset:
 
     def _store(self, network: RoadNetwork, flat: np.ndarray, offsets: np.ndarray,
                times: np.ndarray | None = None) -> None:
-        self.network, self.flat, self.offsets = network, flat, offsets
+        """Keep the arrays; `flat` holds ids checked to lie in [0, n), which
+        fit the int32 it is stored as."""
+        self.network, self.offsets = network, offsets
+        self.flat = flat.astype(np.int32, copy=False)
         if times is not None:
             times = np.asarray(times, dtype=np.float64)
             if times.shape != self.flat.shape:
@@ -329,7 +335,7 @@ class TripDataset:
     @classmethod
     def _one_route(cls, network: RoadNetwork, y: Sequence[int]) -> "TripDataset":
         """The one-trip store of route y, the batch kernels' batch of one."""
-        flat = np.asarray(y, dtype=np.int64)
+        flat = np.asarray(y, dtype=np.int32)
         return cls._from_arrays(network, flat, np.array([0, flat.size]))
 
     def _slice(self, trips) -> "TripDataset":
@@ -371,9 +377,10 @@ class TripDataset:
         """Traversal count N_s for every segment."""
         return np.bincount(self.flat, minlength=self.network.n_segments)
 
-    @cached_property
+    @property
     def od_array(self) -> np.ndarray:
-        """Rows [oi, oj, di, dj]: the tail of each trip's first segment, the head of its last."""
+        """Rows [oi, oj, di, dj]: the tail of each trip's first segment, the
+        head of its last, built on each read."""
         ends = self.network.endpoints
         return np.hstack((ends[self.flat[self.offsets[:-1]], :2],
                           ends[self.flat[self.offsets[1:] - 1], 2:]))
@@ -389,11 +396,14 @@ class TripDataset:
 
         A trip's key is origin * V + destination, with V the grid's vertex
         count and vertex (i, j) numbered i * (p + 1) + j, as in
-        `resolve_neighborhoods`.  Within a cell the trips keep id order.
+        `resolve_neighborhoods`: the tail vertex of its first entry and the
+        head vertex of its last, read from one (n_segments, 2) table.  Within
+        a cell the trips keep id order.
         """
         width = self.network.p + 1
-        od = self.od_array
-        keys = (od[:, 0] * width + od[:, 1]) * width ** 2 + od[:, 2] * width + od[:, 3]
+        ends = self.network.endpoints.reshape(-1, 2, 2) @ (width, 1)
+        keys = ends[self.flat[self.offsets[:-1]], 0] * width ** 2
+        keys += ends[self.flat[self.offsets[1:] - 1], 1]
         order = np.argsort(keys, kind="stable")
         return keys[order], order
 
@@ -429,12 +439,14 @@ class TripDataset:
         np.maximum.at(last, trip, turn)
         multi = np.flatnonzero(np.bincount(trip, minlength=n) >= 2)
         del turn, trip
+        # int64 keys: the largest, top * n_seg, passes int32 on a large grid
         top = int(length.max(initial=1)) * n_seg
-        key = flat[offsets[:-1] + last]
+        key = flat[offsets[:-1]].astype(np.int64)
+        key *= top
+        key += flat[offsets[:-1] + last]
         last *= n_seg
         key += last
         del last
-        key += flat[offsets[:-1]] * top
         if multi.size:
             # past every one-turn key: one key per distinct route, its first trip
             seen: dict[bytes, int] = {}
@@ -472,7 +484,9 @@ class TripDataset:
         each member belongs to (`local`).  Chunks walk the lengths in
         increasing order and the families in order, and hold at most
         _FAMILY_BYTES of float64 (L, L) blocks (one family's when that alone
-        is larger).
+        is larger).  `ids` is int64: a product of two ids, such as a cell of
+        the n x n information matrix, can pass int32, and numpy gathers at
+        int64 indices without a cast.
         """
         fam = self._families
         offsets = self.offsets
@@ -489,7 +503,7 @@ class TripDataset:
                 members = fam.order[fam.bounds[f]:fam.bounds[g]]
                 local = np.repeat(np.arange(g - f), np.diff(fam.bounds[f:g + 1]))
                 yield (members, offsets[members + 1] - offsets[members], local,
-                       self.flat[offsets[longest[f:g], None] + span])
+                       self.flat[offsets[longest[f:g], None] + span].astype(np.int64))
 
     def _sigma_blocks(self, cov: CovarianceModel
                       ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:

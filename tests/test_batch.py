@@ -205,6 +205,35 @@ def test_resolve_neighborhood_matches_l1_definitions(seed):
                 assert batch[r].indices.tolist() == expect
 
 
+def test_neighborhoods_cache_no_od_array_on_the_store(monkeypatch):
+    """The OD index reads each trip's ends from the network's endpoints, so
+    neither resolve_neighborhoods nor run_cell leaves an n x 4 od_array on
+    the historical store; the index equals the one keyed from od_array, and
+    the neighborhoods are the L1 definitions'."""
+    stores = []
+
+    def kept(*args):
+        stores.append(sample_trips(*args))
+        return stores[-1]
+
+    monkeypatch.setattr(harness, "sample_trips", kept)
+    cfg = harness.SweepConfig(master_seed=5, grid_sizes=(5,), exponents=(3.0,), n_predict=12)
+    harness.run_cell(cfg, 5, 3.0)
+    ds, routes = stores
+    assert "_od_index" in ds.__dict__ and "od_array" not in ds.__dict__
+    fresh = TripDataset._from_arrays(ds.network, ds.flat, ds.offsets)
+    for spec in SPECS:
+        batch = resolve_neighborhoods(fresh, routes, spec)
+        assert "od_array" not in fresh.__dict__
+        for r, y in enumerate(routes.routes):
+            assert batch[r].indices.tolist() == _brute_members(ds, y, spec), (spec, y)
+    od, width = ds.od_array, 6
+    keys = (od[:, 0] * width + od[:, 1]) * width ** 2 + od[:, 2] * width + od[:, 3]
+    order = np.argsort(keys, kind="stable")
+    assert np.array_equal(fresh._od_index[0], keys[order])
+    assert np.array_equal(fresh._od_index[1], order)
+
+
 def test_resolve_neighborhoods_of_an_empty_store():
     net = build_grid(3)
     ds = sample_trips(ODLaw(3, 1.0), net, np.random.default_rng(0), 20)

@@ -168,8 +168,8 @@ def test_block_cover_matches_set_check(tmp_path):
 def test_predict_segment_transients_stay_small():
     """predict_segment keeps one flat-sized array, its coefficients; besides
     them it passes over flat with a one-byte mask and holds arrays over the
-    route's entries only.  So under tracemalloc it allocates less than 1.5x
-    the int64 flat, with no trip x block array and no per-block scan."""
+    route's entries only.  So under tracemalloc it allocates at most 12 bytes
+    per entry of flat, with no trip x block array and no per-block scan."""
     net, law = build_grid(12), ODLaw(12, 1.0)
     ds = sample_trips(law, net, np.random.default_rng(1), 50_000)
     ds.incidence
@@ -181,14 +181,14 @@ def test_predict_segment_transients_stay_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * ds.flat.nbytes
+        assert peak <= 12 * ds.flat.size
 
 
 def test_predict_route_transients_stay_small():
     """predict_route keeps one flat-sized array, its coefficients, and places
     phi / M over the members' ranges of flat.  So under tracemalloc it
-    allocates less than 1.5x the int64 flat, and it leaves no per-entry trip
-    index cached on the store."""
+    allocates at most 12 bytes per entry of flat, and it leaves no per-entry
+    trip index cached on the store."""
     net, law = build_grid(12), ODLaw(12, 1.0)
     ds = sample_trips(law, net, np.random.default_rng(1), 50_000)
     prior = PriorSpec(mu=1.0, tau2=0.5)
@@ -201,7 +201,7 @@ def test_predict_route_transients_stay_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * ds.flat.nbytes
+        assert peak <= 12 * ds.flat.size
         assert np.count_nonzero(pred.coef) == ds.offsets[nb.members + 1].sum() - \
             ds.offsets[nb.members].sum()
     assert "trip_of" not in ds.__dict__
@@ -723,6 +723,41 @@ def test_family_index_matches_per_trip_turns(tmp_path):
     family = _family_of(boundary._families)
     assert family[1] == family[3] == family[5]
     assert boundary._families.n_routes == 7
+
+
+def test_ids_past_int32_products_keep_their_families_and_cells():
+    """On a p=108 grid (47 088 segments) both a family key and a cell of Q,
+    id * n + id, pass 2^31, so the int32 ids are widened before either
+    product: the families equal the one-trip-at-a-time grouping, and the
+    information pass's cells are the int64 ones.  No covariance is built (it
+    would take 17 GB): a stub supplies SPD blocks."""
+    net = build_grid(108)
+    n = net.n_segments
+    ds = sample_trips(ODLaw(108, 1.0), net, np.random.default_rng(0), 300)
+    assert ds.flat.dtype == np.int32
+    fam = ds._families
+    order, bounds, n_routes = _loop_families(ds)
+    assert fam.order.tolist() == order
+    assert fam.bounds.tolist() == bounds
+    assert fam.n_routes == n_routes
+    assert int(ds.flat[ds.offsets[:-1]].max()) * int(np.diff(ds.offsets).max()) * n >= 2 ** 31
+
+    class Blocks:
+        n_segments = n
+
+        def entries(self, s, t, out):
+            # diagonally dominant for any route shorter than 2n
+            out[...] = np.where(s == t, 2.0, 1.0 / n)
+            return out
+
+    largest = 0
+    for _, lengths, local, ids in ds._family_chunks():
+        cells = np.empty(ids.shape + ids.shape[1:], dtype=np.int64)
+        estimators._family_chunk(Blocks(), lengths, local, ids, cells, np.empty(cells.shape))
+        expect = ids.astype(np.int64)[:, :, None] * n + ids[:, None, :]
+        assert np.array_equal(cells, expect)
+        largest = max(largest, int(expect.max()))
+    assert largest >= 2 ** 31
 
 
 def test_family_chunks_cover_each_trip_once(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,26 @@ def test_grid_size_must_be_a_positive_integer(p):
     message = f"grid size p must be an integer >= 1, got {p!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         build_grid(p)
+
+
+@pytest.mark.parametrize("p", [23170, np.int64(3 * 10 ** 9)], ids=repr)
+def test_grid_past_int32_segment_ids_is_rejected(p):
+    """Segment ids are int32: 4p(p+1) of them fit up to p = 23 169, and a
+    larger grid raises before its arrays are allocated (no test builds a grid
+    near the limit, which would take about 2 GB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"a p={p} grid has {4 * int(p) * (int(p) + 1)} "):
+            build_grid(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def test_segment_ids_are_int32():
+    net = build_grid(3)
+    assert net.segment_table.dtype == net.symmetries.dtype == np.int32
 
 
 def test_segment_requires_grid_adjacency():

@@ -393,7 +393,7 @@ def test_sample_trips_matches_per_trip_reference(p, alpha, n):
         ds = sample_trips(law, net, rng, n)
         # same draws in the same order: both generators end in the same state
         assert rng.random() == rng_ref.random()
-        assert ds.flat.dtype == ds.offsets.dtype == np.int64
+        assert ds.flat.dtype == np.int32 and ds.offsets.dtype == np.int64
         assert np.array_equal(ds.offsets, np.cumsum([0] + [len(r) for r in expected]))
         assert np.array_equal(ds.flat, [s for r in expected for s in r.segment_ids])
         od = np.array([(*r.origin, *r.destination) for r in expected], dtype=np.int64)
@@ -404,10 +404,11 @@ def test_sample_trips_matches_per_trip_reference(p, alpha, n):
 
 
 def test_sampling_and_incidence_transients_stay_small():
-    """Under tracemalloc, sample_trips holds at most about two flat-sized
-    int64 arrays at once, and the int8 incidence allocates less than 1.5x the
-    int64 flat it indexes (the CSR and the CSC of it are both held while the
-    CSC is built)."""
+    """Under tracemalloc, sample_trips allocates at most 12.5 bytes per entry
+    of flat (at most two flat-sized int32 arrays and the int8 codes; the OD
+    draws of these 8.7-entry trips set its peak), and the int8 incidence at
+    most 7: it indexes the int32 flat with no copy, and the CSR and the CSC
+    of it are both held while the CSC is built."""
     net, law = build_grid(12), ODLaw(12, 1.0)
     sample_trips(law, net, np.random.default_rng(0), 10)
     tracemalloc.start()
@@ -420,8 +421,8 @@ def test_sampling_and_incidence_transients_stay_small():
         _, incidence_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sampling_peak <= 3.5 * ds.flat.nbytes
-    assert incidence_peak - before <= 1.5 * ds.flat.nbytes
+    assert sampling_peak <= 12.5 * ds.flat.size
+    assert incidence_peak - before <= 7 * ds.flat.size
 
 
 # ---------------------------------------------------------------------------
